@@ -30,7 +30,7 @@ from . import __version__
 from .decompose import (C_LOSS, C_RES, DecompositionConfig,
                         partition_with_config, verify_partition)
 from .edgelist import read_edgelist, write_edgelist
-from .generators import generate
+from .generators import _FAMILIES, generate
 from .graph import WeightedGraph
 from .linalg import SolverOptions, exact_reff, st_potential
 from .sketch import DEFAULT_BETA, SketchConfig
@@ -92,7 +92,7 @@ def _sketch_config(args) -> SketchConfig:
 
 
 def _solver_options(args) -> SolverOptions:
-    return SolverOptions(zeta=args.zeta, method=args.method, seed=args.seed)
+    return SolverOptions(zeta=args.zeta, method=args.method)
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -114,8 +114,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic graph")
-    p.add_argument("--family", required=True,
-                   choices=("hypercube", "grid2d", "complete", "random_regular", "barbell"))
+    p.add_argument("--family", required=True, choices=tuple(_FAMILIES))
     p.add_argument("--dim", type=int, help="hypercube dimension")
     p.add_argument("--side", type=int, help="grid side length")
     p.add_argument("--n", type=int, help="vertex count")
@@ -211,19 +210,13 @@ def _verification_payload(rec) -> dict:
 
 
 def _cmd_gen(args) -> dict:
-    params = {}
-    for name in ("dim", "side", "n", "degree", "clique_size", "seed"):
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = value
-    wanted = {"hypercube": ("dim",), "grid2d": ("side",), "complete": ("n",),
-              "random_regular": ("n", "degree", "seed"), "barbell": ("clique_size",)}[args.family]
-    g = generate(args.family, **{k: params[k] for k in wanted if k in params})
+    _, wanted = _FAMILIES[args.family]
+    params = {k: getattr(args, k) for k in wanted if getattr(args, k) is not None}
+    g = generate(args.family, **params)
     write_edgelist(g, args.out)
     return {
         "input": _digest(g, args.out),
-        "config": {"family": args.family,
-                   **{k: params[k] for k in wanted if k in params}},
+        "config": {"family": args.family, **params},
         "results": {"written": args.out, "n": g.n, "m": g.m},
     }
 

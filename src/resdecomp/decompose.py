@@ -20,7 +20,7 @@ import numpy as np
 from .graph import WeightedGraph, connected_components, induced_subgraph
 from .linalg import SolverOptions, exact_resistance_diameter
 from .sketch import SketchConfig, furthest_pair
-from .sweep import find_sparse_cut
+from .sweep import _far_pair_cut
 
 # Verification constants, calibrated on the hypercube/grid benchmark family
 # and frozen: observed loss fractions stay well under 1/delta and block
@@ -203,9 +203,18 @@ def _block_resistance(g: WeightedGraph, block: np.ndarray,
     sub, _ = induced_subgraph(g, block)
     if len(connected_components(sub)) > 1:
         return BlockResistance(math.inf, True)
+    return _connected_block_resistance(sub, cfg, opts, oracle_limit)
+
+
+def _connected_block_resistance(sub: WeightedGraph, cfg: SketchConfig,
+                                opts: SolverOptions, oracle_limit: int,
+                                estimate: float | None = None) -> BlockResistance:
+    # The dense oracle up to ``oracle_limit`` vertices; beyond it 2·e^beta
+    # times the far-pair estimate, sketched here unless the caller has it.
     if sub.n <= oracle_limit:
         return BlockResistance(exact_resistance_diameter(sub), True)
-    _, _, estimate = furthest_pair(sub, cfg, opts)
+    if estimate is None:
+        _, _, estimate = furthest_pair(sub, cfg, opts)
     return BlockResistance(2.0 * math.exp(cfg.beta) * estimate, False)
 
 
@@ -220,7 +229,10 @@ def partition_with_config(g: WeightedGraph, config: DecompositionConfig,
         raise ValueError("graph must be non-empty")
 
     acct = _Accounting(g)
-    blocks: list[np.ndarray] = []
+    # (root ids, certificate) per block. Pruning strips only edges at the
+    # vertices it isolates, so an accepted component's subgraph equals the
+    # root's induced subgraph on its ids and is certified where it is emitted.
+    blocks: list[tuple[np.ndarray, BlockResistance]] = []
     work: list[tuple[WeightedGraph, np.ndarray, int]] = [(g, np.arange(g.n), 0)]
     while work:
         h, ids, depth = work.pop()
@@ -233,14 +245,15 @@ def partition_with_config(g: WeightedGraph, config: DecompositionConfig,
         for comp in connected_components(pruned):
             root_ids = ids[comp]
             if comp.size == 1:
-                blocks.append(root_ids)
+                blocks.append((root_ids, BlockResistance(0.0, True)))
                 continue
             sub, _ = induced_subgraph(pruned, comp)
-            _, _, estimate = furthest_pair(sub, cfg, opts)
+            u, v, estimate = furthest_pair(sub, cfg, opts)
             if estimate <= config.resistance_target:
-                blocks.append(root_ids)
+                blocks.append((root_ids, _connected_block_resistance(
+                    sub, cfg, opts, ORACLE_BLOCK_LIMIT, estimate)))
                 continue
-            cut = find_sparse_cut(sub, config.epsilon, cfg, opts)
+            cut = _far_pair_cut(sub, config.epsilon, opts, u, v, estimate)
             acct.charge_cut(sub, root_ids, cut.subset,
                             cut.stats.boundary_weight, cut.stats.volume)
             inside = np.zeros(sub.n, dtype=bool)
@@ -252,13 +265,12 @@ def partition_with_config(g: WeightedGraph, config: DecompositionConfig,
             work.append((rest_graph, root_ids[rest], depth + 1))
             work.append((small_graph, root_ids[cut.subset], depth + 1))
 
-    blocks.sort(key=lambda b: int(b[0]))
+    blocks.sort(key=lambda b: int(b[0][0]))
     cut_weight = acct.type_i + acct.type_ii
-    part = Partition(blocks=blocks, cut_weight=cut_weight)
-    rdiams = [_block_resistance(g, b, cfg, opts) for b in blocks]
+    part = Partition(blocks=[b for b, _ in blocks], cut_weight=cut_weight)
     report = DecompositionReport(
         loss_fraction=cut_weight / g.total_weight if g.total_weight > 0 else 0.0,
-        per_block_rdiam=rdiams,
+        per_block_rdiam=[r for _, r in blocks],
         psi=acct.psi,
         type_i_weight=acct.type_i,
         type_ii_weight=acct.type_ii,

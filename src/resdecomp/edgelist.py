@@ -7,7 +7,6 @@ without it, n = 1 + max vertex id seen.
 """
 from __future__ import annotations
 
-import io
 import os
 
 from .graph import WeightedGraph, build_graph
@@ -85,7 +84,3 @@ def format_edgelist(g: WeightedGraph) -> str:
 def write_edgelist(g: WeightedGraph, path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_edgelist(g))
-
-
-def read_edgelist_io(fh: io.TextIOBase) -> WeightedGraph:
-    return parse_edgelist(fh.read())

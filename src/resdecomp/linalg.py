@@ -33,13 +33,11 @@ class SolverOptions:
     """Accuracy and method selection for Laplacian solves.
 
     ``zeta`` is the relative energy-norm tolerance; ``method`` is one of
-    "auto", "dense", "iterative". The seed is recorded for reproducibility
-    even though the current methods are deterministic.
+    "auto", "dense", "iterative". Every method is deterministic.
     """
     zeta: float = 1e-8
     max_iterations: int = 20000
     method: str = "auto"
-    seed: int = 0
 
     def __post_init__(self):
         if not (0 < self.zeta < 1):
@@ -77,13 +75,6 @@ def _offdiag_adjacency(L: sp.csr_matrix) -> sp.csr_matrix:
     return A
 
 
-def _check_connected(L: sp.csr_matrix) -> None:
-    ncomp, _ = csgraph.connected_components(_offdiag_adjacency(L), directed=False)
-    if ncomp > 1:
-        raise DisconnectedGraphError(
-            f"Laplacian has {ncomp} connected components; solve per component")
-
-
 def _dense_factor(L: sp.csr_matrix):
     # Grounding the last vertex makes the reduced system positive definite
     # for a connected graph; the grounded solution is fixed up to the
@@ -92,26 +83,20 @@ def _dense_factor(L: sp.csr_matrix):
     return sla.cho_factor(reduced, check_finite=False)
 
 
-def _dense_solve(factor, b: np.ndarray) -> np.ndarray:
-    y = sla.cho_solve(factor, b[:-1], check_finite=False)
-    x = np.append(y, 0.0)
-    x -= x.mean()
-    return x
-
-
-def _pcg_target(L: sp.csr_matrix, zeta: float, bnorm: float) -> float:
+def _pcg_scale(L: sp.csr_matrix, A: sp.csr_matrix) -> float:
     # Sufficient residual target for the energy-norm contract: with
     # e = L†b − x̂ and r = b − Lx̂ (both ⊥ 1) we have Le = r, hence
     #   ‖e‖_L² = ⟨r, L†r⟩ ≤ ‖r‖²/λ₂   and   ‖L†b‖_L² = ⟨b, L†b⟩ ≥ ‖b‖²/λmax,
     # so ‖r‖ ≤ ζ‖b‖·sqrt(λ₂/λmax) forces ‖e‖_L ≤ ζ‖L†b‖_L. λ₂ is replaced by
     # the certified lower bound min_w·(min_w/w(E))² and λmax by the
-    # Gershgorin bound 2·max_v deg(v).
+    # Gershgorin bound 2·max_v deg(v). Returns the factor sqrt(λ₂/λmax),
+    # which depends on L only; ``A`` is the off-diagonal adjacency of L.
     diag = L.diagonal()
-    minw = float(_offdiag_adjacency(L).data.min())
+    minw = float(A.data.min())
     w_total = float(diag.sum()) / 2.0
     lam2_lb = minw * (minw / w_total) ** 2
     lam_max_ub = 2.0 * float(diag.max())
-    return zeta * bnorm * np.sqrt(lam2_lb / lam_max_ub)
+    return np.sqrt(lam2_lb / lam_max_ub)
 
 
 def _pcg(L: sp.csr_matrix, b: np.ndarray, target: float, maxiter: int) -> np.ndarray:
@@ -157,27 +142,19 @@ def solve_laplacian(L: sp.csr_matrix, b: np.ndarray, opts: SolverOptions | None 
     The result satisfies the energy-norm accuracy contract for
     ``opts.zeta`` and is orthogonal to the all-ones vector.
     """
-    opts = opts or SolverOptions()
     b = np.asarray(b, dtype=np.float64)
     n = L.shape[0]
     if b.shape != (n,):
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({n},)")
-    if abs(b.sum()) > 1e-12 * max(1.0, np.abs(b).sum()):
-        raise ValueError(f"right-hand side must sum to zero, got sum {b.sum():.3e}")
-    _check_connected(L)
-    if not b.any():
-        return np.zeros(n)
-    if _resolve_method(L, opts) == "dense":
-        return _dense_solve(_dense_factor(L), b)
-    target = _pcg_target(L, opts.zeta, float(np.linalg.norm(b)))
-    return _pcg(L, b, target, opts.max_iterations)
+    return solve_laplacian_many(L, b[None], opts)[0]
 
 
 def solve_laplacian_many(L: sp.csr_matrix, B: np.ndarray, opts: SolverOptions | None = None) -> np.ndarray:
     """Solve L X[i] = B[i] for a batch of zero-sum right-hand-side rows.
 
     Same contract as :func:`solve_laplacian` per row; the dense path shares
-    one factorization across the batch.
+    one factorization across the batch, the iterative path one residual
+    bound.
     """
     opts = opts or SolverOptions()
     B = np.asarray(B, dtype=np.float64)
@@ -187,17 +164,23 @@ def solve_laplacian_many(L: sp.csr_matrix, B: np.ndarray, opts: SolverOptions | 
     sums = np.abs(B.sum(axis=1))
     if (sums > 1e-12 * np.maximum(1.0, np.abs(B).sum(axis=1))).any():
         raise ValueError("every right-hand side row must sum to zero")
-    _check_connected(L)
+    A = _offdiag_adjacency(L)
+    ncomp, _ = csgraph.connected_components(A, directed=False)
+    if ncomp > 1:
+        raise DisconnectedGraphError(
+            f"Laplacian has {ncomp} connected components; solve per component")
+    if not B.any():  # includes n = 1, where A has no entries for the PCG bound
+        return np.zeros_like(B)
     if _resolve_method(L, opts) == "dense":
-        factor = _dense_factor(L)
-        Y = sla.cho_solve(factor, B[:, :-1].T, check_finite=False).T
+        Y = sla.cho_solve(_dense_factor(L), B[:, :-1].T, check_finite=False).T
         X = np.hstack([Y, np.zeros((B.shape[0], 1))])
         X -= X.mean(axis=1, keepdims=True)
         return X
+    scale = _pcg_scale(L, A)
     out = np.zeros_like(B)
     for i in range(B.shape[0]):
         if B[i].any():
-            target = _pcg_target(L, opts.zeta, float(np.linalg.norm(B[i])))
+            target = opts.zeta * float(np.linalg.norm(B[i])) * scale
             out[i] = _pcg(L, B[i], target, opts.max_iterations)
     return out
 

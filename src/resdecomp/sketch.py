@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import WeightedGraph, is_connected
-from .errors import DisconnectedGraphError
+from .graph import WeightedGraph
 from .linalg import SolverOptions, assemble_laplacian, solve_laplacian, solve_laplacian_many
 
 # Probe budget ceil(C * ln n / beta^2). C = 8 is a conservative
@@ -62,14 +61,13 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
     With probability at least 1 − 1/n over the probe randomness every
     entry satisfies the two-sided e^{±beta} bracket; when the probe count
     is at least m the estimates are exact up to solver accuracy.
-    Deterministic for fixed (graph, cfg).
+    Deterministic for fixed (graph, cfg). A disconnected graph raises
+    :class:`DisconnectedGraphError` from the probe solve.
     """
     cfg = cfg or SketchConfig()
     opts = opts or SolverOptions()
     if not (0 <= u < g.n):
         raise ValueError(f"source {u} out of range [0, {g.n})")
-    if not is_connected(g):
-        raise DisconnectedGraphError("resistance sketch requires a connected graph")
     if g.n == 1:
         return np.zeros(1)
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegeneratePotentialError, DisconnectedGraphError
-from .graph import CutStats, WeightedGraph, is_connected
+from .errors import DegeneratePotentialError
+from .graph import CutStats, WeightedGraph
 from .linalg import PotentialVector, SolverOptions, required_solver_accuracy, st_potential
 from .sketch import SketchConfig, furthest_pair
 
@@ -126,18 +126,24 @@ def find_sparse_cut(g: WeightedGraph, epsilon: float = 0.25,
     sweep tolerates the approximation; solve; sweep; return the entry with
     the minimal score (earliest threshold on ties). The returned cut is the
     best level cut of this potential in every case; the certificate fields
-    let callers compare achieved against targeted score.
+    let callers compare achieved against targeted score. A disconnected
+    graph raises :class:`DisconnectedGraphError` from the sketch's solve.
     """
     cfg = cfg or SketchConfig()
     opts = opts or SolverOptions()
     if g.n < 2:
         raise ValueError(f"need at least 2 vertices, got {g.n}")
-    if not is_connected(g):
-        raise DisconnectedGraphError("find_sparse_cut requires a connected graph")
     if not (0 < epsilon < 0.5):
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
-
     u, v, estimate = furthest_pair(g, cfg, opts)
+    return _far_pair_cut(g, epsilon, opts, u, v, estimate)
+
+
+def _far_pair_cut(g: WeightedGraph, epsilon: float, opts: SolverOptions,
+                  u: int, v: int, estimate: float) -> CutResult:
+    """The steps of :func:`find_sparse_cut` after the sketch, for a far pair
+    (u, v) of the connected graph ``g`` with estimated resistance
+    ``estimate``."""
     deg_term = g.degrees[u] ** (-2 * epsilon) + g.degrees[v] ** (-2 * epsilon)
     target_c = math.sqrt(deg_term / (estimate * epsilon))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import resdecomp as rd
+from resdecomp import decompose, sweep
 
 from conftest import path_graph, random_connected_graph, two_triangles_bridge
 
@@ -212,6 +213,55 @@ class TestPartition:
         part, report = rd.partition(g, 4.0)
         assert [b.tolist() for b in part.blocks] == [[0], [1], [2]]
         assert report.loss_fraction == 0.0
+
+    def test_each_component_sketched_once(self, monkeypatch):
+        # the acceptance sketch also drives the cut and certifies the block
+        sketched = {"decompose": [], "sweep": []}
+
+        def counting(site, fn):
+            def wrapped(h, *args, **kwargs):
+                sketched[site].append(h)
+                return fn(h, *args, **kwargs)
+            return wrapped
+
+        for module in (decompose, sweep):
+            site = module.__name__.rpartition(".")[2]
+            monkeypatch.setattr(module, "furthest_pair", counting(site, module.furthest_pair))
+        components = []
+        real_components = decompose.connected_components
+
+        def recording_components(h):
+            comps = real_components(h)
+            components.extend(c for c in comps if c.size > 1)
+            return comps
+
+        monkeypatch.setattr(decompose, "connected_components", recording_components)
+        g = rd.grid2d(12)
+        config = rd.DecompositionConfig(delta=4.0, n_original=g.n,
+                                        cut_budget=g.total_weight / 4,
+                                        resistance_target=2.0)
+        _, report = rd.partition_with_config(g, config)
+        assert report.num_sparse_cuts >= 3
+        assert sketched["sweep"] == []
+        assert len(sketched["decompose"]) == len(components)
+        assert len({id(h) for h in sketched["decompose"]}) == len(components)
+
+    @pytest.mark.parametrize("probes", [None, 10])
+    def test_block_certificates_match_verifier(self, monkeypatch, probes):
+        # oracle-certified and sketch-certified blocks both occur below the
+        # lowered limit; probes=10 runs the sketch with fewer probes than edges
+        monkeypatch.setattr(decompose, "ORACLE_BLOCK_LIMIT", 8)
+        g = rd.grid2d(10)
+        cfg = rd.SketchConfig(probe_count=probes)
+        config = rd.DecompositionConfig(delta=4.0, n_original=g.n,
+                                        cut_budget=g.total_weight / 4,
+                                        resistance_target=2.0)
+        part, report = rd.partition_with_config(g, config, cfg)
+        rec = rd.verify_partition(g, part, 4.0, oracle_limit=8, cfg=cfg)
+        assert report.per_block_rdiam == rec.block_rdiams
+        kinds = {(b.size > 1, r.certified_exact)
+                 for b, r in zip(part.blocks, report.per_block_rdiam)}
+        assert {(True, True), (True, False)} <= kinds
 
 
 class TestVerifyPartition:
