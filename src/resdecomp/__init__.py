@@ -12,10 +12,10 @@ from .generators import (barbell, complete, generate, grid2d, hypercube,
                          random_regular)
 from .edgelist import (EdgeListFormatError, format_edgelist, parse_edgelist,
                        read_edgelist, write_edgelist)
-from .linalg import (PotentialVector, SolverOptions, assemble_laplacian,
-                     exact_reff, exact_reff_matrix, exact_resistance_diameter,
-                     implied_potential_accuracy, lambda2_lower_bound,
-                     required_solver_accuracy, solve_laplacian,
+from .linalg import (LaplacianSolver, PotentialVector, SolverOptions,
+                     assemble_laplacian, exact_reff, exact_reff_matrix,
+                     exact_resistance_diameter, implied_potential_accuracy,
+                     lambda2_lower_bound, required_solver_accuracy,
                      solve_laplacian_many, st_potential)
 from .sketch import SketchConfig, approx_reff_from_source, furthest_pair
 from .sweep import CutResult, SweepEntry, find_sparse_cut, sweep_level_sets
@@ -32,11 +32,10 @@ __all__ = [
     "barbell", "complete", "generate", "grid2d", "hypercube", "random_regular",
     "EdgeListFormatError", "format_edgelist", "parse_edgelist",
     "read_edgelist", "write_edgelist",
-    "PotentialVector", "SolverOptions", "assemble_laplacian", "exact_reff",
-    "exact_reff_matrix", "exact_resistance_diameter",
+    "LaplacianSolver", "PotentialVector", "SolverOptions", "assemble_laplacian",
+    "exact_reff", "exact_reff_matrix", "exact_resistance_diameter",
     "implied_potential_accuracy", "lambda2_lower_bound",
-    "required_solver_accuracy", "solve_laplacian", "solve_laplacian_many",
-    "st_potential",
+    "required_solver_accuracy", "solve_laplacian_many", "st_potential",
     "SketchConfig", "approx_reff_from_source", "furthest_pair",
     "CutResult", "SweepEntry", "find_sparse_cut", "sweep_level_sets",
     "BlockResistance", "DecompositionConfig", "DecompositionReport",

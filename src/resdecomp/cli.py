@@ -32,7 +32,7 @@ from .decompose import (C_LOSS, C_RES, DecompositionConfig,
 from .edgelist import read_edgelist, write_edgelist
 from .generators import _FAMILIES, generate
 from .graph import WeightedGraph
-from .linalg import SolverOptions, exact_reff, st_potential
+from .linalg import LaplacianSolver, SolverOptions, exact_reff, st_potential
 from .sketch import DEFAULT_BETA, SketchConfig
 from .sweep import find_sparse_cut
 
@@ -227,7 +227,7 @@ def _cmd_reff(args) -> dict:
         value = exact_reff(g, args.s, args.t)
         results = {"reff": value, "method": "exact"}
     else:
-        pot = st_potential(g, args.s, args.t, _solver_options(args))
+        pot = st_potential(LaplacianSolver(g, _solver_options(args)), args.s, args.t)
         results = {"reff": float(pot.values[args.s] - pot.values[args.t]),
                    "method": "potential", "eta": pot.eta}
     return {
@@ -308,7 +308,8 @@ def _cmd_verify(args) -> dict:
     return {
         "input": _digest(g, args.graph),
         "config": {"delta": args.delta, "c_r": args.c_r, "partition": args.partition,
-                   "c_loss": C_LOSS, "c_res": C_RES, "seed": args.seed},
+                   "beta": args.beta, "seed": args.seed, "probes": args.probes,
+                   "zeta": args.zeta, "method": args.method, "c_loss": C_LOSS, "c_res": C_RES},
         "results": _verification_payload(rec),
     }
 

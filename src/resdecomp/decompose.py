@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import WeightedGraph, connected_components, induced_subgraph
-from .linalg import SolverOptions, exact_resistance_diameter
+from .linalg import LaplacianSolver, SolverOptions, exact_resistance_diameter
 from .sketch import SketchConfig, furthest_pair
 from .sweep import _far_pair_cut
 
@@ -166,8 +166,9 @@ class _Accounting:
     """Mutable per-run cut-weight and charge bookkeeping over root edges."""
 
     def __init__(self, root: WeightedGraph):
-        eu, ev, _ = root.edges()
-        self.edge_index = {(int(a), int(b)): i for i, (a, b) in enumerate(zip(eu, ev))}
+        # canonical root edges are sorted by (u, v), so these keys ascend
+        self.n = root.n
+        self.edge_keys = root.edge_u * root.n + root.edge_v
         self.psi = np.zeros(root.m)
         self.charge_volumes: dict[int, list[float]] = {}
         self.type_i = 0.0
@@ -189,14 +190,15 @@ class _Accounting:
             self.uncharged += boundary_weight
             return
         charge = boundary_weight / internal_weight
-        for a, b in zip(root_ids[eu[internal]], root_ids[ev[internal]]):
-            i = self.edge_index[(int(min(a, b)), int(max(a, b)))]
-            self.psi[i] += charge
+        a, b = root_ids[eu[internal]], root_ids[ev[internal]]
+        idx = np.searchsorted(self.edge_keys, np.minimum(a, b) * self.n + np.maximum(a, b))
+        self.psi[idx] += charge
+        for i in idx.tolist():
             self.charge_volumes.setdefault(i, []).append(side_volume)
 
 
 def _block_resistance(g: WeightedGraph, block: np.ndarray,
-                      cfg: SketchConfig, opts: SolverOptions,
+                      cfg: SketchConfig, opts: SolverOptions | None,
                       oracle_limit: int = ORACLE_BLOCK_LIMIT) -> BlockResistance:
     if block.size <= 1:
         return BlockResistance(0.0, True)
@@ -207,14 +209,14 @@ def _block_resistance(g: WeightedGraph, block: np.ndarray,
 
 
 def _connected_block_resistance(sub: WeightedGraph, cfg: SketchConfig,
-                                opts: SolverOptions, oracle_limit: int,
+                                opts: SolverOptions | None, oracle_limit: int,
                                 estimate: float | None = None) -> BlockResistance:
     # The dense oracle up to ``oracle_limit`` vertices; beyond it 2·e^beta
     # times the far-pair estimate, sketched here unless the caller has it.
     if sub.n <= oracle_limit:
         return BlockResistance(exact_resistance_diameter(sub), True)
     if estimate is None:
-        _, _, estimate = furthest_pair(sub, cfg, opts)
+        _, _, estimate = furthest_pair(sub, cfg, LaplacianSolver(sub, opts))
     return BlockResistance(2.0 * math.exp(cfg.beta) * estimate, False)
 
 
@@ -224,7 +226,6 @@ def partition_with_config(g: WeightedGraph, config: DecompositionConfig,
                           ) -> tuple[Partition, DecompositionReport]:
     """Run the decomposition with explicit (possibly unvalidated) parameters."""
     cfg = cfg or SketchConfig()
-    opts = opts or SolverOptions()
     if g.n == 0:
         raise ValueError("graph must be non-empty")
 
@@ -248,12 +249,16 @@ def partition_with_config(g: WeightedGraph, config: DecompositionConfig,
                 blocks.append((root_ids, BlockResistance(0.0, True)))
                 continue
             sub, _ = induced_subgraph(pruned, comp)
-            u, v, estimate = furthest_pair(sub, cfg, opts)
-            if estimate <= config.resistance_target:
+            # one solver for the sketch and the cut, released before the next
+            solver = LaplacianSolver(sub, opts)
+            u, v, estimate = furthest_pair(sub, cfg, solver)
+            cut = (None if estimate <= config.resistance_target
+                   else _far_pair_cut(solver, config.epsilon, u, v, estimate))
+            del solver
+            if cut is None:
                 blocks.append((root_ids, _connected_block_resistance(
                     sub, cfg, opts, ORACLE_BLOCK_LIMIT, estimate)))
                 continue
-            cut = _far_pair_cut(sub, config.epsilon, opts, u, v, estimate)
             acct.charge_cut(sub, root_ids, cut.subset,
                             cut.stats.boundary_weight, cut.stats.volume)
             inside = np.zeros(sub.n, dtype=bool)
@@ -312,7 +317,6 @@ def verify_partition(g: WeightedGraph, p, delta: float,
     """Independently recheck a partition against the loss and resistance
     bounds. Rejects inputs that are not a partition of V."""
     cfg = cfg or SketchConfig()
-    opts = opts or SolverOptions()
     blocks = _as_blocks(p)
     label = np.full(g.n, -1, dtype=np.int64)
     total = 0

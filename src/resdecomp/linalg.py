@@ -2,10 +2,10 @@
 and the dense effective-resistance oracle.
 
 The solver contract is relative accuracy in the energy norm:
-``‖x̂ − L†b‖_L ≤ ζ·‖L†b‖_L``. A dense Cholesky factorization of the reduced
-system meets it trivially; the iterative path is preconditioned conjugate
-gradient with a residual target derived below that is sufficient for the
-same bound.
+``‖x̂ − L†b‖_L ≤ ζ·‖L†b‖_L``. A :class:`LaplacianSolver` prepares one graph
+once: its dense Cholesky factor of the reduced system meets the contract
+trivially; its iterative path is preconditioned conjugate gradient with a
+residual target, derived there, that is sufficient for the same bound.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from .errors import ConvergenceError, DisconnectedGraphError, InfiniteResistanceError
-from .graph import WeightedGraph
+from .graph import WeightedGraph, induced_subgraph
 
 # Above this order the auto method switches from dense Cholesky to PCG.
 DENSE_SOLVE_LIMIT = 2048
@@ -69,38 +69,48 @@ def assemble_laplacian(g: WeightedGraph) -> sp.csr_matrix:
     return L.tocsr()
 
 
-def _offdiag_adjacency(L: sp.csr_matrix) -> sp.csr_matrix:
-    A = (sp.diags(L.diagonal()) - L).tocsr()
-    A.eliminate_zeros()
-    return A
+class LaplacianSolver:
+    """The Laplacian of one connected graph, ready for any number of solves.
+
+    The constructor assembles L once, checks connectivity (raising
+    :class:`DisconnectedGraphError`), resolves the "auto" method by size, and
+    then either factors the grounded Laplacian (dense) or fixes the PCG
+    constants (iterative). Build one per graph and hand it to every solve on
+    that graph: the sketch, the patch solves and the cut's potential.
+    """
+
+    def __init__(self, g: WeightedGraph, opts: SolverOptions | None = None):
+        self.graph = g
+        self.opts = opts or SolverOptions()
+        self.laplacian = assemble_laplacian(g)
+        self.method = (self.opts.method if self.opts.method != "auto"
+                       else "dense" if g.n <= DENSE_SOLVE_LIMIT else "iterative")
+        if g.n <= 1:  # every zero-sum right-hand side is zero; nothing to factor
+            return
+        ncomp = int(_component_labels(g).max()) + 1
+        if ncomp > 1:
+            raise DisconnectedGraphError(
+                f"Laplacian has {ncomp} connected components; solve per component")
+        if self.method == "dense":
+            # Grounding the last vertex makes the reduced system positive
+            # definite; each solve then removes the constant shift.
+            self._factor = sla.cho_factor(self.laplacian.toarray()[:-1, :-1], check_finite=False)
+            return
+        # Sufficient residual target for the energy-norm contract: with
+        # e = L†b − x̂ and r = b − Lx̂ (both ⊥ 1) we have Le = r, hence
+        #   ‖e‖_L² = ⟨r, L†r⟩ ≤ ‖r‖²/λ₂   and   ‖L†b‖_L² = ⟨b, L†b⟩ ≥ ‖b‖²/λmax,
+        # so ‖r‖ ≤ ζ‖b‖·sqrt(λ₂/λmax) forces ‖e‖_L ≤ ζ‖L†b‖_L. λ₂ is replaced by
+        # the certified lower bound and λmax by the Gershgorin bound
+        # 2·max_v deg(v). w(E) is summed from the diagonal: g.total_weight
+        # can differ in the last bit, which would move every PCG target.
+        diag = self.laplacian.diagonal()
+        self._inv_diag = 1.0 / diag
+        lam2_lb = _lambda2_bound(g.min_weight(), float(diag.sum()) / 2.0)
+        self._residual_scale = np.sqrt(lam2_lb / (2.0 * float(diag.max())))
 
 
-def _dense_factor(L: sp.csr_matrix):
-    # Grounding the last vertex makes the reduced system positive definite
-    # for a connected graph; the grounded solution is fixed up to the
-    # constant shift removed by the caller.
-    reduced = L.toarray()[:-1, :-1]
-    return sla.cho_factor(reduced, check_finite=False)
-
-
-def _pcg_scale(L: sp.csr_matrix, A: sp.csr_matrix) -> float:
-    # Sufficient residual target for the energy-norm contract: with
-    # e = L†b − x̂ and r = b − Lx̂ (both ⊥ 1) we have Le = r, hence
-    #   ‖e‖_L² = ⟨r, L†r⟩ ≤ ‖r‖²/λ₂   and   ‖L†b‖_L² = ⟨b, L†b⟩ ≥ ‖b‖²/λmax,
-    # so ‖r‖ ≤ ζ‖b‖·sqrt(λ₂/λmax) forces ‖e‖_L ≤ ζ‖L†b‖_L. λ₂ is replaced by
-    # the certified lower bound min_w·(min_w/w(E))² and λmax by the
-    # Gershgorin bound 2·max_v deg(v). Returns the factor sqrt(λ₂/λmax),
-    # which depends on L only; ``A`` is the off-diagonal adjacency of L.
-    diag = L.diagonal()
-    minw = float(A.data.min())
-    w_total = float(diag.sum()) / 2.0
-    lam2_lb = minw * (minw / w_total) ** 2
-    lam_max_ub = 2.0 * float(diag.max())
-    return np.sqrt(lam2_lb / lam_max_ub)
-
-
-def _pcg(L: sp.csr_matrix, b: np.ndarray, target: float, maxiter: int) -> np.ndarray:
-    inv_diag = 1.0 / L.diagonal()
+def _pcg(solver: LaplacianSolver, b: np.ndarray, target: float) -> np.ndarray:
+    L, inv_diag, maxiter = solver.laplacian, solver._inv_diag, solver.opts.max_iterations
     x = np.zeros_like(b)
     r = b.copy()
     d = inv_diag * r
@@ -129,59 +139,35 @@ def _pcg(L: sp.csr_matrix, b: np.ndarray, target: float, maxiter: int) -> np.nda
     return x
 
 
-def _resolve_method(L: sp.csr_matrix, opts: SolverOptions) -> str:
-    if opts.method != "auto":
-        return opts.method
-    return "dense" if L.shape[0] <= DENSE_SOLVE_LIMIT else "iterative"
-
-
-def solve_laplacian(L: sp.csr_matrix, b: np.ndarray, opts: SolverOptions | None = None) -> np.ndarray:
-    """Solve L x = b on the space orthogonal to the all-ones vector.
-
-    Requires a connected underlying graph and a zero-sum right-hand side.
-    The result satisfies the energy-norm accuracy contract for
-    ``opts.zeta`` and is orthogonal to the all-ones vector.
-    """
-    b = np.asarray(b, dtype=np.float64)
-    n = L.shape[0]
-    if b.shape != (n,):
-        raise ValueError(f"right-hand side has shape {b.shape}, expected ({n},)")
-    return solve_laplacian_many(L, b[None], opts)[0]
-
-
-def solve_laplacian_many(L: sp.csr_matrix, B: np.ndarray, opts: SolverOptions | None = None) -> np.ndarray:
+def solve_laplacian_many(solver: LaplacianSolver, B: np.ndarray,
+                         zeta: float | None = None) -> np.ndarray:
     """Solve L X[i] = B[i] for a batch of zero-sum right-hand-side rows.
 
-    Same contract as :func:`solve_laplacian` per row; the dense path shares
-    one factorization across the batch, the iterative path one residual
-    bound.
+    Each row satisfies the energy-norm accuracy contract for ``zeta``
+    (default ``solver.opts.zeta``) and is orthogonal to the all-ones vector.
     """
-    opts = opts or SolverOptions()
+    zeta = solver.opts.zeta if zeta is None else zeta
+    if not (0 < zeta < 1):
+        raise ValueError(f"zeta must lie in (0, 1), got {zeta}")
     B = np.asarray(B, dtype=np.float64)
-    n = L.shape[0]
+    n = solver.graph.n
     if B.ndim != 2 or B.shape[1] != n:
         raise ValueError(f"batch must have shape (k, {n}), got {B.shape}")
     sums = np.abs(B.sum(axis=1))
     if (sums > 1e-12 * np.maximum(1.0, np.abs(B).sum(axis=1))).any():
         raise ValueError("every right-hand side row must sum to zero")
-    A = _offdiag_adjacency(L)
-    ncomp, _ = csgraph.connected_components(A, directed=False)
-    if ncomp > 1:
-        raise DisconnectedGraphError(
-            f"Laplacian has {ncomp} connected components; solve per component")
-    if not B.any():  # includes n = 1, where A has no entries for the PCG bound
+    if not B.any():  # includes n = 1, where nothing is factored
         return np.zeros_like(B)
-    if _resolve_method(L, opts) == "dense":
-        Y = sla.cho_solve(_dense_factor(L), B[:, :-1].T, check_finite=False).T
+    if solver.method == "dense":
+        Y = sla.cho_solve(solver._factor, B[:, :-1].T, check_finite=False).T
         X = np.hstack([Y, np.zeros((B.shape[0], 1))])
         X -= X.mean(axis=1, keepdims=True)
         return X
-    scale = _pcg_scale(L, A)
     out = np.zeros_like(B)
     for i in range(B.shape[0]):
         if B[i].any():
-            target = opts.zeta * float(np.linalg.norm(B[i])) * scale
-            out[i] = _pcg(L, B[i], target, opts.max_iterations)
+            target = zeta * float(np.linalg.norm(B[i])) * solver._residual_scale
+            out[i] = _pcg(solver, B[i], target)
     return out
 
 
@@ -207,22 +193,24 @@ def implied_potential_accuracy(g: WeightedGraph, zeta: float) -> float:
     return float(zeta * g.total_weight * np.sqrt(g.m) / minw ** 2)
 
 
-def st_potential(g: WeightedGraph, s: int, t: int, opts: SolverOptions | None = None) -> PotentialVector:
-    """Electric potentials for a unit flow injected at ``s`` and removed at
-    ``t``, shifted so the sink potential is exactly zero."""
-    opts = opts or SolverOptions()
+def st_potential(solver: LaplacianSolver, s: int, t: int,
+                 zeta: float | None = None) -> PotentialVector:
+    """Electric potentials of the solver's graph for a unit flow injected at
+    ``s`` and removed at ``t``, solved to ``zeta`` (default
+    ``solver.opts.zeta``) and shifted so the sink potential is exactly zero."""
+    g = solver.graph
+    zeta = solver.opts.zeta if zeta is None else zeta
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ValueError(f"vertices ({s}, {t}) out of range [0, {g.n})")
     if s == t:
         raise ValueError("source and sink must differ")
-    b = np.zeros(g.n)
-    b[s] = 1.0
-    b[t] = -1.0
-    x = solve_laplacian(assemble_laplacian(g), b, opts)
+    b = np.zeros((1, g.n))
+    b[0, [s, t]] = 1.0, -1.0
+    x = solve_laplacian_many(solver, b, zeta)[0]
     values = x - x[t]
     values.flags.writeable = False
     return PotentialVector(values=values, source=s, sink=t,
-                           eta=implied_potential_accuracy(g, opts.zeta))
+                           eta=implied_potential_accuracy(g, zeta))
 
 
 def _component_labels(g: WeightedGraph) -> np.ndarray:
@@ -245,19 +233,15 @@ def exact_reff(g: WeightedGraph, s: int, t: int) -> float:
         raise InfiniteResistanceError(
             f"vertices {s} and {t} lie in different components; resistance is infinite")
     comp = np.flatnonzero(labels == labels[s])
-    renumber = np.full(g.n, -1, dtype=np.int64)
-    renumber[comp] = np.arange(comp.size)
-    eu, ev, ew = g.edges()
-    keep = (labels[eu] == labels[s]) & (labels[ev] == labels[s])
+    cu, cv, cw = induced_subgraph(g, comp)[0].edges()
     k = comp.size
     L = np.zeros((k, k))
-    cu, cv, cw = renumber[eu[keep]], renumber[ev[keep]], ew[keep]
     np.add.at(L, (cu, cu), cw)
     np.add.at(L, (cv, cv), cw)
     np.subtract.at(L, (cu, cv), cw)
     np.subtract.at(L, (cv, cu), cw)
     # canonical orientation keeps the result bit-identical under (s, t) swap
-    a, bb = sorted((int(renumber[s]), int(renumber[t])))
+    a, bb = sorted(np.searchsorted(comp, [s, t]).tolist())
     idx = np.arange(k) != bb  # ground the larger index
     rhs = np.zeros(k)
     rhs[a] = 1.0
@@ -267,15 +251,19 @@ def exact_reff(g: WeightedGraph, s: int, t: int) -> float:
 
 
 def exact_reff_matrix(g: WeightedGraph) -> np.ndarray:
-    """All-pairs effective resistances via the dense pseudo-inverse."""
-    if g.n == 0:
-        return np.zeros((0, 0))
+    """All-pairs effective resistances via the inverse of the grounded
+    Laplacian: with G the inverse of L without its last row and column,
+    padded with zeros, Reff(u, v) = G_uu + G_vv − 2·G_uv."""
+    if g.n <= 1:
+        return np.zeros((g.n, g.n))
     if len(np.unique(_component_labels(g))) > 1:
         raise DisconnectedGraphError("resistance matrix requires a connected graph")
     L = assemble_laplacian(g).toarray()
-    P = np.linalg.pinv(L, hermitian=True)
-    d = np.diag(P)
-    R = d[:, None] + d[None, :] - 2 * P
+    G = np.zeros_like(L)
+    factor = sla.cho_factor(L[:-1, :-1], check_finite=False)
+    G[:-1, :-1] = sla.cho_solve(factor, np.eye(g.n - 1), check_finite=False)
+    d = np.diag(G)
+    R = d[:, None] + d[None, :] - 2 * G
     R = 0.5 * (R + R.T)
     np.fill_diagonal(R, 0.0)
     return np.maximum(R, 0.0)
@@ -288,6 +276,10 @@ def exact_resistance_diameter(g: WeightedGraph) -> float:
     return float(exact_reff_matrix(g).max())
 
 
+def _lambda2_bound(min_weight: float, total_weight: float) -> float:
+    return min_weight * (min_weight / total_weight) ** 2
+
+
 def lambda2_lower_bound(g: WeightedGraph) -> float:
     """Certified lower bound on the Laplacian spectral gap:
     min_e w · (min_e w / w(E))², with the universal constant fixed at 1."""
@@ -296,5 +288,4 @@ def lambda2_lower_bound(g: WeightedGraph) -> float:
     if g.m == 0:
         # single-vertex graph: no spectral gap to bound
         raise ValueError("graph has no edges")
-    minw = g.min_weight()
-    return float(minw * (minw / g.total_weight) ** 2)
+    return float(_lambda2_bound(g.min_weight(), g.total_weight))

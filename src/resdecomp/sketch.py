@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import WeightedGraph
-from .linalg import SolverOptions, assemble_laplacian, solve_laplacian, solve_laplacian_many
+from .linalg import LaplacianSolver, solve_laplacian_many
 
 # Probe budget ceil(C * ln n / beta^2). C = 8 is a conservative
 # Johnson-Lindenstrauss constant folding in a per-graph failure
@@ -55,21 +55,24 @@ def _num_probes(cfg: SketchConfig, n: int) -> int:
 
 def approx_reff_from_source(g: WeightedGraph, u: int,
                             cfg: SketchConfig | None = None,
-                            opts: SolverOptions | None = None) -> np.ndarray:
+                            solver: LaplacianSolver | None = None) -> np.ndarray:
     """Estimates ``A[v] ≈ Reff(u, v)`` for every vertex.
 
     With probability at least 1 − 1/n over the probe randomness every
     entry satisfies the two-sided e^{±beta} bracket; when the probe count
     is at least m the estimates are exact up to solver accuracy.
-    Deterministic for fixed (graph, cfg). A disconnected graph raises
-    :class:`DisconnectedGraphError` from the probe solve.
+    Deterministic for fixed (graph, cfg, solver options). ``solver`` must
+    be built for ``g``; by default one with default options is built, and a
+    disconnected graph raises :class:`DisconnectedGraphError` there.
     """
     cfg = cfg or SketchConfig()
-    opts = opts or SolverOptions()
     if not (0 <= u < g.n):
         raise ValueError(f"source {u} out of range [0, {g.n})")
     if g.n == 1:
         return np.zeros(1)
+    solver = solver or LaplacianSolver(g)
+    if solver.graph is not g:
+        raise ValueError("solver was built for a different graph")
 
     m = g.m
     k = _num_probes(cfg, g.n)
@@ -83,9 +86,8 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
     vals = np.concatenate([sqrt_w, -sqrt_w])
     incidence = sp.csr_matrix((vals, (rows, cols)), shape=(m, g.n))
 
-    L = assemble_laplacian(g)
     rhs = incidence.T.dot(probes.T).T  # rows B^T W^{1/2} q_i, each zero-sum
-    Z = solve_laplacian_many(L, rhs, opts)
+    Z = solve_laplacian_many(solver, rhs)
 
     diffs = Z - Z[:, [u]]                     # column v holds Q·W^{1/2}B·L†(e_u − e_v)
     gram = probes @ probes.T
@@ -98,21 +100,23 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
     estimates[u] = 0.0
 
     # a vanishing estimate for v != u means the probes missed that
-    # direction entirely; patch those entries with an exact pair solve
+    # direction entirely; patch those entries with one batch of exact pair
+    # solves, rows e_u − e_v
     bad = np.flatnonzero((estimates <= 0) & (np.arange(g.n) != u))
-    for v in bad:
-        rhs = np.zeros(g.n)
-        rhs[u] = 1.0
-        rhs[v] = -1.0
-        x = solve_laplacian(L, rhs, opts)
-        estimates[v] = x[u] - x[v]
+    if bad.size:
+        rows = np.arange(bad.size)
+        pairs = np.zeros((bad.size, g.n))
+        pairs[:, u] = 1.0
+        pairs[rows, bad] = -1.0
+        X = solve_laplacian_many(solver, pairs)
+        estimates[bad] = X[:, u] - X[rows, bad]
     estimates.flags.writeable = False
     return estimates
 
 
 def furthest_pair(g: WeightedGraph,
                   cfg: SketchConfig | None = None,
-                  opts: SolverOptions | None = None) -> tuple[int, int, float]:
+                  solver: LaplacianSolver | None = None) -> tuple[int, int, float]:
     """A vertex pair whose resistance is within a constant factor of the
     resistance diameter, plus its estimate.
 
@@ -123,6 +127,6 @@ def furthest_pair(g: WeightedGraph,
     """
     if g.n < 2:
         raise ValueError(f"need at least 2 vertices, got {g.n}")
-    estimates = approx_reff_from_source(g, 0, cfg, opts)
+    estimates = approx_reff_from_source(g, 0, cfg, solver)
     v = int(np.argmax(estimates))
     return 0, v, float(estimates[v])

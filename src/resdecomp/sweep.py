@@ -8,13 +8,14 @@ the sweep, returning the best-scoring level cut with its certificate data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegeneratePotentialError
 from .graph import CutStats, WeightedGraph
-from .linalg import PotentialVector, SolverOptions, required_solver_accuracy, st_potential
+from .linalg import (LaplacianSolver, PotentialVector, SolverOptions,
+                     required_solver_accuracy, st_potential)
 from .sketch import SketchConfig, furthest_pair
 
 # Gate constant for the certificate-soundness property: whenever the exact
@@ -126,24 +127,23 @@ def find_sparse_cut(g: WeightedGraph, epsilon: float = 0.25,
     sweep tolerates the approximation; solve; sweep; return the entry with
     the minimal score (earliest threshold on ties). The returned cut is the
     best level cut of this potential in every case; the certificate fields
-    let callers compare achieved against targeted score. A disconnected
-    graph raises :class:`DisconnectedGraphError` from the sketch's solve.
+    let callers compare achieved against targeted score. One solver serves the
+    sketch and the potential; its constructor rejects a disconnected graph.
     """
-    cfg = cfg or SketchConfig()
-    opts = opts or SolverOptions()
     if g.n < 2:
         raise ValueError(f"need at least 2 vertices, got {g.n}")
     if not (0 < epsilon < 0.5):
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
-    u, v, estimate = furthest_pair(g, cfg, opts)
-    return _far_pair_cut(g, epsilon, opts, u, v, estimate)
+    solver = LaplacianSolver(g, opts)
+    u, v, estimate = furthest_pair(g, cfg, solver)
+    return _far_pair_cut(solver, epsilon, u, v, estimate)
 
 
-def _far_pair_cut(g: WeightedGraph, epsilon: float, opts: SolverOptions,
+def _far_pair_cut(solver: LaplacianSolver, epsilon: float,
                   u: int, v: int, estimate: float) -> CutResult:
     """The steps of :func:`find_sparse_cut` after the sketch, for a far pair
-    (u, v) of the connected graph ``g`` with estimated resistance
-    ``estimate``."""
+    (u, v) of the solver's graph with estimated resistance ``estimate``."""
+    g = solver.graph
     deg_term = g.degrees[u] ** (-2 * epsilon) + g.degrees[v] ** (-2 * epsilon)
     target_c = math.sqrt(deg_term / (estimate * epsilon))
 
@@ -154,7 +154,7 @@ def _far_pair_cut(g: WeightedGraph, epsilon: float, opts: SolverOptions,
     eta = max(eta, 1e-12 * estimate)
     zeta = required_solver_accuracy(g, eta)
 
-    potential = st_potential(g, u, v, replace(opts, zeta=zeta))
+    potential = st_potential(solver, u, v, zeta)
     entries = sweep_level_sets(g, potential, epsilon)
     scores = np.array([e.score for e in entries])
     best = entries[int(np.argmin(scores))]

@@ -154,6 +154,21 @@ class TestDecomposeVerify:
         assert code == 2
         assert "raise delta" in report["error"]["message"]
 
+    def test_verify_reports_sketch_and_solver_settings(self, capsys, barbell4, tmp_path):
+        part_file = tmp_path / "part.json"
+        part_file.write_text(json.dumps({"blocks": [list(range(8))]}))
+        configs = []
+        for probes in ("5", "9"):
+            code, report = run_json(capsys, "verify", "--graph", barbell4,
+                                    "--partition", str(part_file), "--delta", "4",
+                                    "--probes", probes, "--zeta", "1e-6",
+                                    "--method", "iterative", "--beta", "0.5")
+            assert code == 0
+            configs.append(report["config"])
+        assert [c["probes"] for c in configs] == [5, 9]
+        for c in configs:
+            assert (c["beta"], c["zeta"], c["method"]) == (0.5, 1e-6, "iterative")
+
     def test_invalid_partition_file(self, capsys, barbell4, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"blocks": [[0, 1], [1, 2, 3, 4, 5, 6, 7]]}))

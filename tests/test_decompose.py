@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -246,6 +247,56 @@ class TestPartition:
         assert len(sketched["decompose"]) == len(components)
         assert len({id(h) for h in sketched["decompose"]}) == len(components)
 
+    def test_one_solver_per_component_shared_by_the_cut(self, monkeypatch):
+        # each non-singleton component gets one solver, released before the
+        # next is built; its sketch and its cut's potential both use it
+        built, sketched, potentials = [], [], []
+
+        class RecordingSolver(rd.LaplacianSolver):
+            def __init__(self, g, opts=None):
+                assert all(ref() is None for ref in built)
+                super().__init__(g, opts)
+                built.append(weakref.ref(self))
+
+        def recording_pair(real):
+            def wrapped(g, cfg=None, solver=None):
+                sketched.append(solver is built[-1]() and solver.graph is g)
+                return real(g, cfg, solver)
+            return wrapped
+
+        def recording_potential(solver, s, t, zeta=None):
+            potentials.append(solver is built[-1]())
+            return real_potential(solver, s, t, zeta)
+
+        real_potential = sweep.st_potential
+        for module in (decompose, sweep):
+            monkeypatch.setattr(module, "LaplacianSolver", RecordingSolver)
+            monkeypatch.setattr(module, "furthest_pair", recording_pair(module.furthest_pair))
+        monkeypatch.setattr(sweep, "st_potential", recording_potential)
+        components = []
+        real_components = decompose.connected_components
+
+        def recording_components(h):
+            comps = real_components(h)
+            components.extend(c for c in comps if c.size > 1)
+            return comps
+
+        monkeypatch.setattr(decompose, "connected_components", recording_components)
+        g = rd.grid2d(12)
+        config = rd.DecompositionConfig(delta=4.0, n_original=g.n,
+                                        cut_budget=g.total_weight / 4,
+                                        resistance_target=2.0)
+        _, report = rd.partition_with_config(g, config)
+        assert report.num_sparse_cuts >= 3
+        assert len(built) == len(components)
+        assert sketched == [True] * len(components)
+        assert potentials == [True] * report.num_sparse_cuts
+
+        for record in (built, sketched, potentials):
+            record.clear()
+        rd.find_sparse_cut(rd.barbell(4))
+        assert (len(built), sketched, potentials) == (1, [True], [True])
+
     @pytest.mark.parametrize("probes", [None, 10])
     def test_block_certificates_match_verifier(self, monkeypatch, probes):
         # oracle-certified and sketch-certified blocks both occur below the
@@ -262,6 +313,27 @@ class TestPartition:
         kinds = {(b.size > 1, r.certified_exact)
                  for b, r in zip(part.blocks, report.per_block_rdiam)}
         assert {(True, True), (True, False)} <= kinds
+
+
+class TestAccounting:
+    def test_charges_match_edge_loop_reference(self):
+        # root ids in descending order: the reversed grid is the same grid
+        g = rd.grid2d(4)
+        root_ids = np.arange(g.n)[::-1]
+        acct = decompose._Accounting(g)
+        acct.charge_cut(g, root_ids, np.arange(8), 2.0, 5.0)
+        eu, ev, ew = g.edges()
+        index = {(int(a), int(b)): i for i, (a, b) in enumerate(zip(eu, ev))}
+        internal = (eu < 8) & (ev < 8)
+        charge = 2.0 / float(ew[internal].sum())
+        expected = np.zeros(g.m)
+        volumes = {}
+        for a, b in zip(root_ids[eu[internal]], root_ids[ev[internal]]):
+            i = index[(int(min(a, b)), int(max(a, b)))]
+            expected[i] += charge
+            volumes.setdefault(i, []).append(5.0)
+        assert acct.psi.tobytes() == expected.tobytes()
+        assert list(acct.charge_volumes.items()) == list(volumes.items())
 
 
 class TestVerifyPartition:

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse.csgraph as csgraph
 
 import resdecomp as rd
+from resdecomp import linalg
 from resdecomp.linalg import ZETA_CAP, ZETA_FLOOR
 
 from conftest import path_graph, random_connected_graph
@@ -12,6 +13,11 @@ def dense_pinv_solution(g, b):
     """Independent oracle: pseudo-inverse applied to b."""
     L = rd.assemble_laplacian(g).toarray()
     return np.linalg.pinv(L) @ b
+
+
+def _solve(g, b, opts=None):
+    """One right-hand side as a one-row batch on a fresh solver for ``g``."""
+    return rd.solve_laplacian_many(rd.LaplacianSolver(g, opts), np.asarray(b)[None])[0]
 
 
 def energy_norm(g, x):
@@ -45,17 +51,17 @@ class TestAssembleLaplacian:
 class TestSolveLaplacian:
     def test_zero_rhs_gives_zero(self):
         g = path_graph(3)
-        x = rd.solve_laplacian(rd.assemble_laplacian(g), np.zeros(3))
+        x = _solve(g, np.zeros(3))
         assert np.array_equal(x, np.zeros(3))
 
     def test_single_edge_unit_drop(self):
         g = rd.build_graph(2, [(0, 1, 1.0)])
-        x = rd.solve_laplacian(rd.assemble_laplacian(g), np.array([1.0, -1.0]))
+        x = _solve(g, np.array([1.0, -1.0]))
         assert x[0] - x[1] == pytest.approx(1.0, abs=1e-10)
 
     def test_path_series_resistors(self):
         g = path_graph(3)
-        x = rd.solve_laplacian(rd.assemble_laplacian(g), np.array([1.0, 0.0, -1.0]))
+        x = _solve(g, np.array([1.0, 0.0, -1.0]))
         assert x[0] - x[2] == pytest.approx(2.0, abs=1e-10)
 
     def test_result_orthogonal_to_ones(self):
@@ -63,24 +69,24 @@ class TestSolveLaplacian:
         g = random_connected_graph(rng)
         b = rng.normal(size=g.n)
         b -= b.mean()
-        x = rd.solve_laplacian(rd.assemble_laplacian(g), b)
+        x = _solve(g, b)
         assert abs(x.sum()) < 1e-8 * max(1.0, np.abs(x).max())
 
     def test_disconnected_rejected(self):
         g = rd.build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(rd.DisconnectedGraphError):
-            rd.solve_laplacian(rd.assemble_laplacian(g), np.array([1.0, -1.0, 0.0, 0.0]))
+            _solve(g, np.array([1.0, -1.0, 0.0, 0.0]))
 
     def test_nonzero_sum_rejected(self):
         g = path_graph(3)
         with pytest.raises(ValueError, match="sum to zero"):
-            rd.solve_laplacian(rd.assemble_laplacian(g), np.array([1.0, 0.0, 0.0]))
+            _solve(g, np.array([1.0, 0.0, 0.0]))
 
     def test_iteration_budget_exhaustion_carries_residual(self):
         g = rd.grid2d(6)
         opts = rd.SolverOptions(zeta=1e-10, method="iterative", max_iterations=2)
         with pytest.raises(rd.ConvergenceError) as info:
-            rd.solve_laplacian(rd.assemble_laplacian(g), _unit_pair_rhs(g.n, 0, g.n - 1), opts)
+            _solve(g, _unit_pair_rhs(g.n, 0, g.n - 1), opts)
         assert info.value.residual > 0
 
     def test_energy_norm_contract_iterative(self, corpus):
@@ -90,52 +96,79 @@ class TestSolveLaplacian:
             exact = dense_pinv_solution(g, b)
             for zeta in (1e-2, 1e-6):
                 opts = rd.SolverOptions(zeta=zeta, method="iterative")
-                x = rd.solve_laplacian(rd.assemble_laplacian(g), b, opts)
+                x = _solve(g, b, opts)
                 assert energy_norm(g, x - exact) <= zeta * energy_norm(g, exact) + 1e-13
 
     def test_energy_norm_contract_dense(self, corpus):
         for g in corpus[:20]:
             b = _unit_pair_rhs(g.n, 0, 1)
             exact = dense_pinv_solution(g, b)
-            x = rd.solve_laplacian(rd.assemble_laplacian(g), b, rd.SolverOptions(zeta=1e-8))
+            x = _solve(g, b, rd.SolverOptions(zeta=1e-8))
             assert energy_norm(g, x - exact) <= 1e-8 * energy_norm(g, exact) + 1e-13
 
     def test_deterministic(self):
         g = rd.grid2d(5)
         b = _unit_pair_rhs(g.n, 0, 24)
         opts = rd.SolverOptions(zeta=1e-6, method="iterative")
-        x1 = rd.solve_laplacian(rd.assemble_laplacian(g), b, opts)
-        x2 = rd.solve_laplacian(rd.assemble_laplacian(g), b, opts)
+        x1 = _solve(g, b, opts)
+        x2 = _solve(g, b, opts)
         assert np.array_equal(x1, x2)
 
     def test_batch_matches_single(self):
         g = rd.grid2d(4)
-        L = rd.assemble_laplacian(g)
+        solver = rd.LaplacianSolver(g)
         B = np.stack([_unit_pair_rhs(g.n, 0, 5), _unit_pair_rhs(g.n, 3, 12)])
-        X = rd.solve_laplacian_many(L, B)
+        X = rd.solve_laplacian_many(solver, B)
         for row, b in zip(X, B):
-            single = rd.solve_laplacian(L, b)
+            single = rd.solve_laplacian_many(solver, b[None])[0]
             assert np.allclose(row, single, atol=1e-12)
 
     def test_batch_iterative_branch(self):
         g = rd.grid2d(6)
-        L = rd.assemble_laplacian(g)
-        opts = rd.SolverOptions(zeta=1e-6, method="iterative")
+        solver = rd.LaplacianSolver(g, rd.SolverOptions(zeta=1e-6, method="iterative"))
         B = np.stack([_unit_pair_rhs(g.n, 0, 35), np.zeros(g.n)])
-        X = rd.solve_laplacian_many(L, B, opts)
+        X = rd.solve_laplacian_many(solver, B)
         assert np.array_equal(X[1], np.zeros(g.n))
-        assert np.array_equal(X[0], rd.solve_laplacian(L, B[0], opts))
+        assert np.array_equal(X[0], rd.solve_laplacian_many(solver, B[:1])[0])
+
+
+class TestLaplacianSolver:
+    def test_auto_method_by_size(self, monkeypatch):
+        g = rd.grid2d(4)
+        assert rd.LaplacianSolver(g).method == "dense"
+        monkeypatch.setattr(linalg, "DENSE_SOLVE_LIMIT", g.n - 1)
+        assert rd.LaplacianSolver(g).method == "iterative"
+        assert rd.LaplacianSolver(g, rd.SolverOptions(method="dense")).method == "dense"
+
+    def test_disconnected_rejected_at_construction(self):
+        g = rd.build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        with pytest.raises(rd.DisconnectedGraphError, match="2 connected components"):
+            rd.LaplacianSolver(g)
 
     @pytest.mark.parametrize("method", ["dense", "iterative"])
-    def test_single_is_one_row_batch(self, method):
+    def test_shared_solver_matches_fresh(self, method):
+        # solves on a shared solver do not depend on the solves before them
         rng = np.random.default_rng(12)
         g = random_connected_graph(rng, max_n=30)
-        b = rng.normal(size=g.n)
-        b -= b.mean()
-        L = rd.assemble_laplacian(g)
+        B = rng.normal(size=(3, g.n))
+        B -= B.mean(axis=1, keepdims=True)
         opts = rd.SolverOptions(zeta=1e-6, method=method)
-        x = rd.solve_laplacian(L, b, opts)
-        assert x.tobytes() == rd.solve_laplacian_many(L, b[None], opts)[0].tobytes()
+        shared = rd.LaplacianSolver(g, opts)
+        rd.solve_laplacian_many(shared, B[:2])
+        fresh = rd.LaplacianSolver(g, opts)
+        assert (rd.solve_laplacian_many(shared, B[2:]).tobytes()
+                == rd.solve_laplacian_many(fresh, B[2:]).tobytes())
+
+    def test_pcg_factor_from_spectral_gap_bound(self, corpus):
+        for g in corpus[:10]:
+            solver = rd.LaplacianSolver(g, rd.SolverOptions(method="iterative"))
+            expected = np.sqrt(rd.lambda2_lower_bound(g) / (2.0 * g.degrees.max()))
+            assert solver._residual_scale == pytest.approx(expected, rel=1e-12)
+
+    def test_zeta_validated(self):
+        g = path_graph(3)
+        with pytest.raises(ValueError, match="zeta"):
+            rd.solve_laplacian_many(rd.LaplacianSolver(g), _unit_pair_rhs(3, 0, 2)[None], 1.0)
 
 
 def _unit_pair_rhs(n, s, t):
@@ -148,41 +181,48 @@ def _unit_pair_rhs(n, s, t):
 class TestStPotential:
     def test_single_edge(self):
         g = rd.build_graph(2, [(0, 1, 1.0)])
-        p = rd.st_potential(g, 0, 1)
+        p = rd.st_potential(rd.LaplacianSolver(g), 0, 1)
         assert p.values[1] == 0.0
         assert p.values[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_path_linear_drop(self):
-        p = rd.st_potential(path_graph(3), 0, 2)
+        p = rd.st_potential(rd.LaplacianSolver(path_graph(3)), 0, 2)
         assert np.allclose(p.values, [2.0, 1.0, 0.0], atol=1e-10)
 
     def test_triangle_against_pinv_oracle(self):
         g = rd.complete(3)
         expected = dense_pinv_solution(g, _unit_pair_rhs(3, 0, 1))
         expected -= expected[1]
-        p = rd.st_potential(g, 0, 1)
+        p = rd.st_potential(rd.LaplacianSolver(g), 0, 1)
         assert np.allclose(p.values, expected, atol=1e-10)
         assert np.allclose(p.values, [2 / 3, 0.0, 1 / 3], atol=1e-10)
 
     def test_sink_exactly_zero(self, corpus):
         for g in corpus[:10]:
-            p = rd.st_potential(g, 0, g.n - 1)
+            p = rd.st_potential(rd.LaplacianSolver(g), 0, g.n - 1)
             assert p.values[g.n - 1] == 0.0
 
     def test_maximum_principle_within_slack(self, corpus):
         for g in corpus[:20]:
-            p = rd.st_potential(g, 0, g.n - 1)
+            p = rd.st_potential(rd.LaplacianSolver(g), 0, g.n - 1)
             slack = 2 * p.eta + 1e-12
             assert p.values.max() <= p.values[0] + slack
             assert p.values.min() >= p.values[g.n - 1] - slack
 
     def test_same_vertex_rejected(self):
         with pytest.raises(ValueError, match="differ"):
-            rd.st_potential(path_graph(3), 1, 1)
+            rd.st_potential(rd.LaplacianSolver(path_graph(3)), 1, 1)
+
+    def test_zeta_overrides_solver_default(self):
+        g = rd.grid2d(5)
+        solver = rd.LaplacianSolver(g, rd.SolverOptions(zeta=0.5, method="iterative"))
+        p = rd.st_potential(solver, 0, g.n - 1, 1e-10)
+        assert p.eta == rd.implied_potential_accuracy(g, 1e-10)
+        assert p.values[0] == pytest.approx(rd.exact_reff(g, 0, g.n - 1), abs=1e-8)
 
     def test_eta_metadata_matches_inverse_formula(self):
         g = path_graph(3)
-        p = rd.st_potential(g, 0, 2, rd.SolverOptions(zeta=1e-6))
+        p = rd.st_potential(rd.LaplacianSolver(g), 0, 2, 1e-6)
         assert p.eta == pytest.approx(rd.implied_potential_accuracy(g, 1e-6))
 
 
@@ -224,6 +264,20 @@ class TestExactReff:
             for t in range(s + 1, g.n):
                 assert R[s, t] == pytest.approx(rd.exact_reff(g, s, t), abs=1e-9)
 
+    def test_matrix_matches_pinv_reference(self, corpus):
+        base = rd.grid2d(10)
+        w = np.exp(np.random.default_rng(3).uniform(np.log(1e-2), np.log(1e2), base.m))
+        skewed = rd.build_graph(base.n, zip(base.edge_u.tolist(), base.edge_v.tolist(), w))
+        for g in corpus + [skewed]:
+            P = np.linalg.pinv(rd.assemble_laplacian(g).toarray(), hermitian=True)
+            d = np.diag(P)
+            reference = d[:, None] + d[None, :] - 2 * P
+            np.fill_diagonal(reference, 0.0)
+            assert np.allclose(rd.exact_reff_matrix(g), reference, rtol=1e-10, atol=0.0)
+
+    def test_matrix_single_vertex(self):
+        assert rd.exact_reff_matrix(rd.build_graph(1, [])).tolist() == [[0.0]]
+
     def test_resistance_diameter(self):
         assert rd.exact_resistance_diameter(path_graph(5)) == pytest.approx(4.0, rel=1e-9)
 
@@ -232,7 +286,7 @@ class TestResistanceProperties:
     def test_thomson_consistency(self, corpus):
         for g in corpus[:15]:
             zeta = rd.required_solver_accuracy(g, 1e-8)
-            p = rd.st_potential(g, 0, g.n - 1, rd.SolverOptions(zeta=zeta))
+            p = rd.st_potential(rd.LaplacianSolver(g), 0, g.n - 1, zeta)
             drop = p.values[0] - p.values[g.n - 1]
             assert abs(drop - rd.exact_reff(g, 0, g.n - 1)) <= 1e-6
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import resdecomp as rd
+from resdecomp import sketch
 from resdecomp.sketch import PROBE_COUNT_CONSTANT, _num_probes
 
 from conftest import path_graph
@@ -64,6 +65,31 @@ class TestApproxReffFromSource:
         g = rd.build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(rd.DisconnectedGraphError):
             rd.approx_reff_from_source(g, 0)
+
+    @pytest.mark.parametrize("g, seed", [(rd.complete(4), 1), (rd.grid2d(3), 3)],
+                             ids=["complete4-seed1", "grid3-seed3"])
+    def test_vanished_estimates_patched_by_exact_solves(self, monkeypatch, g, seed):
+        # one probe misses some directions; those entries come from one
+        # batch of pair solves with rows e_u - e_v
+        batches = []
+        real = sketch.solve_laplacian_many
+
+        def recording(solver, B, *args):
+            batches.append(np.array(B))
+            return real(solver, B, *args)
+
+        monkeypatch.setattr(sketch, "solve_laplacian_many", recording)
+        A = rd.approx_reff_from_source(g, 0, rd.SketchConfig(probe_count=1, seed=seed))
+        assert len(batches) == 2
+        pairs = batches[1]
+        assert (pairs[:, 0] == 1.0).all() and (pairs.sum(axis=1) == 0.0).all()
+        for v in pairs.argmin(axis=1):
+            assert A[v] == pytest.approx(rd.exact_reff(g, 0, int(v)), abs=1e-9)
+
+    def test_solver_for_other_graph_rejected(self):
+        solver = rd.LaplacianSolver(path_graph(3))
+        with pytest.raises(ValueError, match="different graph"):
+            rd.approx_reff_from_source(path_graph(3), 0, solver=solver)
 
     def test_probe_budget_formula(self):
         cfg = rd.SketchConfig()

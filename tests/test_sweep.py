@@ -47,7 +47,7 @@ class TestSweepLevelSets:
 
     def test_barbell_bridge_cut_present(self):
         g = rd.barbell(4)
-        p = rd.st_potential(g, 0, 5, rd.SolverOptions(zeta=1e-10))
+        p = rd.st_potential(rd.LaplacianSolver(g), 0, 5, 1e-10)
         entries = rd.sweep_level_sets(g, p, 0.25)
         bridge = [e for e in entries
                   if e.stats.boundary_weight == pytest.approx(1.0, abs=1e-9)
@@ -61,13 +61,13 @@ class TestSweepLevelSets:
 
     def test_accepts_potential_vector(self):
         g = path_graph(3)
-        p = rd.st_potential(g, 0, 2)
+        p = rd.st_potential(rd.LaplacianSolver(g), 0, 2)
         entries = rd.sweep_level_sets(g, p, 0.25)
         assert entries[0].stats.subset.tolist() == [0]
 
     def test_monotone_prefix_volume(self, corpus):
         for g in corpus[:10]:
-            p = rd.st_potential(g, 0, g.n - 1)
+            p = rd.st_potential(rd.LaplacianSolver(g), 0, g.n - 1)
             entries = rd.sweep_level_sets(g, p, 0.25)
             prefix_vols = [e.stats.volume if e.side == "threshold"
                            else 2 * g.total_weight - e.stats.volume for e in entries]
@@ -75,7 +75,7 @@ class TestSweepLevelSets:
 
     def test_reported_side_never_exceeds_half(self, corpus):
         for g in corpus[:10]:
-            p = rd.st_potential(g, 0, g.n - 1)
+            p = rd.st_potential(rd.LaplacianSolver(g), 0, g.n - 1)
             for e in rd.sweep_level_sets(g, p, 0.25):
                 assert e.stats.volume <= g.total_weight + 1e-9
                 assert e.score == pytest.approx(
@@ -120,7 +120,7 @@ class TestFindSparseCut:
         g = rd.complete(8)
         res = rd.find_sparse_cut(g, 0.25)
         # replay the same potential and check the sweep minimum was returned
-        p = rd.st_potential(g, res.source, res.sink, rd.SolverOptions(zeta=res.zeta))
+        p = rd.st_potential(rd.LaplacianSolver(g), res.source, res.sink, res.zeta)
         entries = rd.sweep_level_sets(g, p, 0.25)
         assert res.certificate_c == min(e.score for e in entries)
         # the diameter really is tiny here, so no useful sparse cut exists:
@@ -141,7 +141,7 @@ class TestFindSparseCut:
         axis_score = axis.conductance * axis.volume ** 0.25
         assert res.certificate_c <= 1.8 * axis_score
         # and the returned cut is the best level cut of its own potential
-        p = rd.st_potential(g, res.source, res.sink, rd.SolverOptions(zeta=res.zeta))
+        p = rd.st_potential(rd.LaplacianSolver(g), res.source, res.sink, res.zeta)
         entries = rd.sweep_level_sets(g, p, 0.25)
         assert res.certificate_c == min(e.score for e in entries)
 
