@@ -104,7 +104,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--zeta", type=float, default=1e-8,
                    help="relative solve tolerance in the energy norm")
     p.add_argument("--method", choices=("auto", "dense", "iterative"), default="auto",
-                   help="linear solver selection")
+                   help="linear solver selection; auto: dense ≤ 2048 vertices, "
+                        "else sparse LU when the fill probe allows, else PCG")
 
 
 def _build_parser() -> _Parser:

@@ -16,9 +16,12 @@ class DegeneratePotentialError(ValueError):
 class ConvergenceError(RuntimeError):
     """Iterative solve exhausted its iteration budget before reaching tolerance.
 
-    Carries the last residual 2-norm in ``residual``.
+    Carries the last residual 2-norm in ``residual`` and, in
+    ``attained_zeta``, the energy-norm tolerance that residual certifies:
+    the requested ζ scaled by residual / target residual.
     """
 
-    def __init__(self, message: str, residual: float):
+    def __init__(self, message: str, residual: float, attained_zeta: float):
         super().__init__(message)
         self.residual = residual
+        self.attained_zeta = attained_zeta

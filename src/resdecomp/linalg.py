@@ -3,9 +3,19 @@ and the dense effective-resistance oracle.
 
 The solver contract is relative accuracy in the energy norm:
 ``‖x̂ − L†b‖_L ≤ ζ·‖L†b‖_L``. A :class:`LaplacianSolver` prepares one graph
-once: its dense Cholesky factor of the reduced system meets the contract
-trivially; its iterative path is preconditioned conjugate gradient with a
-residual target, derived there, that is sufficient for the same bound.
+once, with one of three backends:
+
+- "dense": a Cholesky factor of the grounded Laplacian;
+- "sparse": a sparse LU factor (SuperLU) of the grounded Laplacian;
+- "iterative": Jacobi-preconditioned conjugate gradient with a residual
+  target, derived there, that is sufficient for the contract.
+
+The two direct backends meet the contract up to rounding. "auto" takes the
+dense factor up to ``DENSE_SOLVE_LIMIT`` vertices. Above it a fill probe
+decides: the envelope of L under reverse Cuthill–McKee ordering, which stays
+near n^{3/2} on planar meshes (whose factors stay nearly linear) and grows far
+beyond it on expanders (which PCG solves in a few dozen iterations and
+nothing factors cheaply).
 """
 from __future__ import annotations
 
@@ -15,12 +25,21 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
+import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, DisconnectedGraphError, InfiniteResistanceError
 from .graph import WeightedGraph, induced_subgraph
 
-# Above this order the auto method switches from dense Cholesky to PCG.
+# Up to this order the auto method takes dense Cholesky; above it, the fill
+# probe chooses between sparse LU and PCG.
 DENSE_SOLVE_LIMIT = 2048
+# The fill probe admits sparse LU when the RCM envelope of L is at most this
+# factor times n^{3/2}. Measured envelope/n^{3/2}: 2-d grids 0.67 from 46 to
+# 316 per side; hypercube(12) 10.8, random_regular(3000, 4) 11.4.
+SPARSE_ENVELOPE_FACTOR = 2.0
+# Sparse LU solves this many right-hand sides at a time: SuperLU's workspace
+# grows with the batch, and this keeps it out of the peak memory.
+SPARSE_SOLVE_CHUNK = 64
 # Requested solve tolerances are clamped to [ZETA_FLOOR, ZETA_CAP]: below the
 # floor the demanded accuracy is unattainable in double precision, and a cap
 # keeps the value a valid relative tolerance.
@@ -33,7 +52,9 @@ class SolverOptions:
     """Accuracy and method selection for Laplacian solves.
 
     ``zeta`` is the relative energy-norm tolerance; ``method`` is one of
-    "auto", "dense", "iterative". Every method is deterministic.
+    "auto", "dense", "iterative", where "auto" lets :class:`LaplacianSolver`
+    pick dense Cholesky, sparse LU or PCG per graph. Every method is
+    deterministic.
     """
     zeta: float = 1e-8
     max_iterations: int = 20000
@@ -73,28 +94,42 @@ class LaplacianSolver:
     """The Laplacian of one connected graph, ready for any number of solves.
 
     The constructor assembles L once, checks connectivity (raising
-    :class:`DisconnectedGraphError`), resolves the "auto" method by size, and
-    then either factors the grounded Laplacian (dense) or fixes the PCG
-    constants (iterative). Build one per graph and hand it to every solve on
-    that graph: the sketch, the patch solves and the cut's potential.
+    :class:`DisconnectedGraphError`) and resolves the method: "dense" and
+    "iterative" are taken as given; "auto" is "dense" up to
+    ``DENSE_SOLVE_LIMIT`` vertices, and above it "sparse" when the RCM
+    envelope of L is at most ``SPARSE_ENVELOPE_FACTOR``·n^{3/2}, else
+    "iterative". ``method`` holds the resolved backend. The constructor then
+    factors the grounded Laplacian (dense Cholesky or sparse LU) or fixes the
+    PCG constants (iterative). Build one per graph and hand it to every solve
+    on that graph: the sketch, the patch solves and the cut's potential.
     """
 
     def __init__(self, g: WeightedGraph, opts: SolverOptions | None = None):
         self.graph = g
         self.opts = opts or SolverOptions()
         self.laplacian = assemble_laplacian(g)
-        self.method = (self.opts.method if self.opts.method != "auto"
-                       else "dense" if g.n <= DENSE_SOLVE_LIMIT else "iterative")
+        self.method = self.opts.method
+        if self.method == "auto" and g.n <= DENSE_SOLVE_LIMIT:
+            self.method = "dense"
         if g.n <= 1:  # every zero-sum right-hand side is zero; nothing to factor
             return
         ncomp = int(_component_labels(g).max()) + 1
         if ncomp > 1:
             raise DisconnectedGraphError(
                 f"Laplacian has {ncomp} connected components; solve per component")
+        if self.method == "auto":
+            fits = _rcm_envelope(self.laplacian) <= SPARSE_ENVELOPE_FACTOR * g.n ** 1.5
+            self.method = "sparse" if fits else "iterative"
+        # Grounding the last vertex makes the reduced system positive
+        # definite; each direct solve then removes the constant shift.
         if self.method == "dense":
-            # Grounding the last vertex makes the reduced system positive
-            # definite; each solve then removes the constant shift.
             self._factor = sla.cho_factor(self.laplacian.toarray()[:-1, :-1], check_finite=False)
+            return
+        if self.method == "sparse":
+            # SPD system: pivot on the diagonal, order for A + Aᵀ.
+            self._factor = spla.splu(self.laplacian[:-1, :-1].tocsc(),
+                                     permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                     options=dict(SymmetricMode=True))
             return
         # Sufficient residual target for the energy-norm contract: with
         # e = L†b − x̂ and r = b − Lx̂ (both ⊥ 1) we have Le = r, hence
@@ -109,8 +144,21 @@ class LaplacianSolver:
         self._residual_scale = np.sqrt(lam2_lb / (2.0 * float(diag.max())))
 
 
-def _pcg(solver: LaplacianSolver, b: np.ndarray, target: float) -> np.ndarray:
+def _rcm_envelope(L: sp.csr_matrix) -> int:
+    """Envelope of L under reverse Cuthill–McKee ordering: the sum over rows
+    of the distance from the diagonal to the row's first nonzero column. It
+    bounds the fill of a profile factorization, so it is a cheap proxy for
+    the fill of the sparse LU factor."""
+    perm = csgraph.reverse_cuthill_mckee(L, symmetric_mode=True)
+    P = L[perm][:, perm]
+    P.sort_indices()
+    first = P.indices[P.indptr[:-1]]  # the diagonal is nonzero, so first <= row
+    return int((np.arange(L.shape[0]) - first).sum())
+
+
+def _pcg(solver: LaplacianSolver, b: np.ndarray, zeta: float) -> np.ndarray:
     L, inv_diag, maxiter = solver.laplacian, solver._inv_diag, solver.opts.max_iterations
+    target = zeta * float(np.linalg.norm(b)) * solver._residual_scale
     x = np.zeros_like(b)
     r = b.copy()
     d = inv_diag * r
@@ -119,9 +167,11 @@ def _pcg(solver: LaplacianSolver, b: np.ndarray, target: float) -> np.ndarray:
     it = 0
     while resnorm > target:
         if it >= maxiter:
+            attained = zeta * resnorm / target
             raise ConvergenceError(
                 f"PCG did not reach residual {target:.3e} within {maxiter} iterations "
-                f"(residual {resnorm:.3e})", residual=resnorm)
+                f"(residual {resnorm:.3e}, attained zeta {attained:.3e})",
+                residual=resnorm, attained_zeta=attained)
         q = L @ d
         alpha = delta / float(d @ q)
         x += alpha * d
@@ -158,17 +208,24 @@ def solve_laplacian_many(solver: LaplacianSolver, B: np.ndarray,
         raise ValueError("every right-hand side row must sum to zero")
     if not B.any():  # includes n = 1, where nothing is factored
         return np.zeros_like(B)
-    if solver.method == "dense":
-        Y = sla.cho_solve(solver._factor, B[:, :-1].T, check_finite=False).T
-        X = np.hstack([Y, np.zeros((B.shape[0], 1))])
-        X -= X.mean(axis=1, keepdims=True)
+    if solver.method == "iterative":
+        X = np.zeros_like(B)
+        for i in range(B.shape[0]):
+            if B[i].any():
+                X[i] = _pcg(solver, B[i], zeta)
         return X
-    out = np.zeros_like(B)
-    for i in range(B.shape[0]):
-        if B[i].any():
-            target = zeta * float(np.linalg.norm(B[i])) * solver._residual_scale
-            out[i] = _pcg(solver, B[i], target)
-    return out
+    # direct backends: solve the grounded system, pad the grounded vertex
+    # with zero, then remove the mean. X is C-ordered whatever the order of
+    # B, so each row mean is summed along a contiguous row.
+    X = np.zeros(B.shape)
+    if solver.method == "dense":
+        X[:, :-1] = sla.cho_solve(solver._factor, B[:, :-1].T, check_finite=False).T
+    else:
+        for i in range(0, B.shape[0], SPARSE_SOLVE_CHUNK):
+            chunk = slice(i, i + SPARSE_SOLVE_CHUNK)
+            X[chunk, :-1] = solver._factor.solve(B[chunk, :-1].T).T
+    X -= X.mean(axis=1, keepdims=True)
+    return X
 
 
 def required_solver_accuracy(g: WeightedGraph, eta: float, floor: float = ZETA_FLOOR) -> float:

@@ -32,6 +32,13 @@ def path_graph(n, weight=1.0):
     return rd.build_graph(n, [(i, i + 1, weight) for i in range(n - 1)])
 
 
+def log_uniform_mesh(side, lo, hi, seed):
+    """grid2d(side) with edge weights log-uniform on [lo, hi]."""
+    base = rd.grid2d(side)
+    w = np.exp(np.random.default_rng(seed).uniform(np.log(lo), np.log(hi), base.m))
+    return rd.build_graph(base.n, zip(base.edge_u.tolist(), base.edge_v.tolist(), w.tolist()))
+
+
 @pytest.fixture(scope="session")
 def corpus():
     """50 seeded random connected graphs, n <= 12, weights in [0.1, 10]."""

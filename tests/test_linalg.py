@@ -6,7 +6,7 @@ import resdecomp as rd
 from resdecomp import linalg
 from resdecomp.linalg import ZETA_CAP, ZETA_FLOOR
 
-from conftest import path_graph, random_connected_graph
+from conftest import log_uniform_mesh, path_graph, random_connected_graph
 
 
 def dense_pinv_solution(g, b):
@@ -84,10 +84,18 @@ class TestSolveLaplacian:
 
     def test_iteration_budget_exhaustion_carries_residual(self):
         g = rd.grid2d(6)
+        b = _unit_pair_rhs(g.n, 0, g.n - 1)
         opts = rd.SolverOptions(zeta=1e-10, method="iterative", max_iterations=2)
         with pytest.raises(rd.ConvergenceError) as info:
-            _solve(g, _unit_pair_rhs(g.n, 0, g.n - 1), opts)
-        assert info.value.residual > 0
+            _solve(g, b, opts)
+        err = info.value
+        assert err.residual > 0
+        # attained = zeta * residual / target, target = zeta * |b| * residual scale
+        scale = rd.LaplacianSolver(g, opts)._residual_scale
+        expected = err.residual / (np.linalg.norm(b) * scale)
+        assert err.attained_zeta == pytest.approx(expected, rel=1e-12)
+        assert err.attained_zeta > opts.zeta
+        assert f"attained zeta {err.attained_zeta:.3e}" in str(err)
 
     def test_energy_norm_contract_iterative(self, corpus):
         # the PCG stopping rule is a sufficient condition; check the real thing
@@ -134,11 +142,40 @@ class TestSolveLaplacian:
 
 class TestLaplacianSolver:
     def test_auto_method_by_size(self, monkeypatch):
-        g = rd.grid2d(4)
-        assert rd.LaplacianSolver(g).method == "dense"
-        monkeypatch.setattr(linalg, "DENSE_SOLVE_LIMIT", g.n - 1)
-        assert rd.LaplacianSolver(g).method == "iterative"
-        assert rd.LaplacianSolver(g, rd.SolverOptions(method="dense")).method == "dense"
+        grid, cube = rd.grid2d(4), rd.hypercube(8)
+        assert rd.LaplacianSolver(grid).method == "dense"
+        monkeypatch.setattr(linalg, "DENSE_SOLVE_LIMIT", grid.n - 1)
+        # above the limit the fill probe decides: a grid factors, a hypercube iterates
+        assert rd.LaplacianSolver(grid).method == "sparse"
+        assert rd.LaplacianSolver(cube).method == "iterative"
+        # explicit methods are taken as given
+        assert rd.LaplacianSolver(grid, rd.SolverOptions(method="dense")).method == "dense"
+        assert rd.LaplacianSolver(grid, rd.SolverOptions(method="iterative")).method == "iterative"
+
+    def test_fill_probe_at_real_limit(self):
+        cases = [(rd.grid2d(46), "sparse"), (rd.hypercube(12), "iterative"),
+                 (rd.random_regular(3000, 4, 0), "iterative")]
+        for g, method in cases:
+            assert g.n > linalg.DENSE_SOLVE_LIMIT
+            assert rd.LaplacianSolver(g).method == method
+
+    def test_sparse_backend_contract_on_weighted_grid(self, monkeypatch):
+        g = log_uniform_mesh(20, 1.0, 10.0, seed=5)
+        monkeypatch.setattr(linalg, "DENSE_SOLVE_LIMIT", 100)
+        solver = rd.LaplacianSolver(g)
+        assert solver.method == "sparse"
+        rng = np.random.default_rng(6)
+        # more rows than one solve chunk, and a zero row
+        B = rng.normal(size=(linalg.SPARSE_SOLVE_CHUNK + 7, g.n))
+        B -= B.mean(axis=1, keepdims=True)
+        B[3] = 0.0
+        X = rd.solve_laplacian_many(solver, B)
+        exact = rd.solve_laplacian_many(rd.LaplacianSolver(g, rd.SolverOptions(method="dense")), B)
+        zeta = solver.opts.zeta
+        assert np.array_equal(X[3], np.zeros(g.n))
+        for x, x_ref in zip(X, exact):
+            assert abs(x.mean()) <= 1e-14 * max(1.0, np.abs(x).max())
+            assert energy_norm(g, x - x_ref) <= zeta * energy_norm(g, x_ref)
 
     def test_disconnected_rejected_at_construction(self):
         g = rd.build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
@@ -158,6 +195,21 @@ class TestLaplacianSolver:
         fresh = rd.LaplacianSolver(g, opts)
         assert (rd.solve_laplacian_many(shared, B[2:]).tobytes()
                 == rd.solve_laplacian_many(fresh, B[2:]).tobytes())
+
+    @pytest.mark.parametrize("method", ["dense", "sparse"])
+    def test_direct_solve_independent_of_batch_order(self, method, monkeypatch):
+        # the sketch hands in Fortran-ordered batches; the row means of a
+        # direct solve must be summed as for a C-ordered copy
+        g = rd.grid2d(12)
+        if method == "sparse":
+            monkeypatch.setattr(linalg, "DENSE_SOLVE_LIMIT", g.n - 1)
+        solver = rd.LaplacianSolver(g)
+        assert solver.method == method
+        B = np.random.default_rng(8).normal(size=(g.n, 40)).T
+        B -= B.mean(axis=1, keepdims=True)
+        assert B.flags.f_contiguous and not B.flags.c_contiguous
+        X = rd.solve_laplacian_many(solver, B)
+        assert X.tobytes() == rd.solve_laplacian_many(solver, np.ascontiguousarray(B)).tobytes()
 
     def test_pcg_factor_from_spectral_gap_bound(self, corpus):
         for g in corpus[:10]:

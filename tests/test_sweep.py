@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import resdecomp as rd
+from resdecomp.linalg import DENSE_SOLVE_LIMIT
 from resdecomp.sweep import CERTIFICATE_DIAMETER_FACTOR
 
-from conftest import path_graph
+from conftest import log_uniform_mesh, path_graph
 
 
 def brute_force_sweep(g, values, epsilon):
@@ -165,6 +166,27 @@ class TestFindSparseCut:
             side_vol = min(st.volume, 2 * g.total_weight - st.volume)
             assert res.stats.boundary_weight == pytest.approx(st.boundary_weight, rel=1e-9)
             assert res.stats.volume == pytest.approx(side_vol, rel=1e-9)
+
+    def test_sparse_backend_matches_pcg_on_mesh(self):
+        # 46x46 with weight spread 10: above the dense limit, auto factors it
+        g = log_uniform_mesh(46, 1.0, 10.0, seed=7)
+        assert rd.LaplacianSolver(g).method == "sparse"
+        auto = rd.find_sparse_cut(g)
+        pcg = rd.find_sparse_cut(g, opts=rd.SolverOptions(method="iterative"))
+        assert (auto.source, auto.sink) == (pcg.source, pcg.sink)
+        assert auto.subset.tolist() == pcg.subset.tolist()
+        assert auto.certificate_c == pytest.approx(pcg.certificate_c, rel=1e-9)
+
+    def test_skewed_weights_above_dense_limit(self):
+        # weights spanning 10^4 drive the PCG residual target below what
+        # double precision attains; the mesh now goes to sparse LU instead
+        g = log_uniform_mesh(60, 1e-2, 1e2, seed=1)
+        assert g.n > DENSE_SOLVE_LIMIT
+        res = rd.find_sparse_cut(g)
+        st = rd.cut_stats(g, res.subset)
+        side_vol = min(st.volume, 2 * g.total_weight - st.volume)
+        assert res.stats.boundary_weight == pytest.approx(st.boundary_weight, rel=1e-9)
+        assert res.stats.volume == pytest.approx(side_vol, rel=1e-9)
 
     def test_deterministic(self):
         g = rd.grid2d(6)
