@@ -13,6 +13,7 @@ surviving internal edges as per-edge charges.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,7 +200,11 @@ class _Accounting:
 
 def _block_resistance(g: WeightedGraph, block: np.ndarray,
                       cfg: SketchConfig, opts: SolverOptions | None,
-                      oracle_limit: int = ORACLE_BLOCK_LIMIT) -> BlockResistance:
+                      oracle_limit: int | None = None) -> BlockResistance:
+    # the limit is read here, not bound at import, so that the partition and
+    # the verifier certify alike under a patched ORACLE_BLOCK_LIMIT
+    if oracle_limit is None:
+        oracle_limit = ORACLE_BLOCK_LIMIT
     if block.size <= 1:
         return BlockResistance(0.0, True)
     sub, _ = induced_subgraph(g, block)
@@ -311,13 +316,26 @@ def _as_blocks(p) -> list[np.ndarray]:
 def verify_partition(g: WeightedGraph, p, delta: float,
                      c_loss: float = C_LOSS, c_res: float = C_RES,
                      c_r: float = 1.0,
-                     oracle_limit: int = ORACLE_BLOCK_LIMIT,
+                     oracle_limit: int | None = None,
                      cfg: SketchConfig | None = None,
                      opts: SolverOptions | None = None) -> VerificationRecord:
     """Independently recheck a partition against the loss and resistance
-    bounds. Rejects inputs that are not a partition of V."""
+    bounds, certifying every block afresh. Rejects inputs that are not a
+    partition of V. ``oracle_limit`` defaults to :data:`ORACLE_BLOCK_LIMIT`."""
     cfg = cfg or SketchConfig()
     blocks = _as_blocks(p)
+    # a generator: blocks are certified only once the cover has been checked
+    rdiams = (_block_resistance(g, b, cfg, opts, oracle_limit) for b in blocks)
+    return _verification_record(g, blocks, delta, rdiams, c_loss, c_res, c_r)
+
+
+def _verification_record(g: WeightedGraph, blocks: list[np.ndarray], delta: float,
+                         rdiams: Iterable[BlockResistance],
+                         c_loss: float, c_res: float, c_r: float) -> VerificationRecord:
+    """The verification record of ``blocks`` given their certificates.
+
+    The cover, cut weight and loss come from ``g``; ``rdiams`` is consumed
+    only after the cover is checked."""
     label = np.full(g.n, -1, dtype=np.int64)
     total = 0
     for i, b in enumerate(blocks):
@@ -335,7 +353,7 @@ def verify_partition(g: WeightedGraph, p, delta: float,
     loss_fraction = cut_weight / g.total_weight if g.total_weight > 0 else 0.0
     loss_bound = c_loss / delta
 
-    rdiams = [_block_resistance(g, b, cfg, opts, oracle_limit) for b in blocks]
+    rdiams = list(rdiams)
     if g.total_weight > 0:
         rdiam_bound = c_res * delta ** 3 * g.n / g.total_weight
         resistance_target = c_r * delta ** 3 * g.n / g.total_weight

@@ -68,14 +68,34 @@ def _potential_values(g: WeightedGraph, p) -> np.ndarray:
     return values
 
 
-def sweep_level_sets(g: WeightedGraph, p, epsilon: float) -> list[SweepEntry]:
-    """Score every level set of the potential ``p``.
+@dataclass(frozen=True)
+class _LevelProfile:
+    """Scores of every level set of a potential, without the subsets.
 
-    Vertices are sorted by potential descending (ties by ascending id) and
-    one entry is produced per strict drop in the sorted values; boundary
-    weight and volume are updated in O(deg) per vertex. Each entry reports
-    the side with volume at most half the total.
+    ``order`` lists the vertices by potential descending (ties by ascending
+    id); level set i is ``order[: ends[i] + 1]``. Per level, ``inside`` says
+    whether the stats describe that threshold set (else its complement), and
+    ``boundary``, ``volume`` and ``scores`` are that side's figures.
     """
+    order: np.ndarray
+    ends: np.ndarray
+    thresholds: np.ndarray
+    inside: np.ndarray
+    boundary: np.ndarray
+    volume: np.ndarray
+    scores: np.ndarray
+
+    def stats(self, i: int) -> CutStats:
+        """Cut stats of level set i, materializing its (smaller) side."""
+        end = self.ends[i] + 1
+        side = self.order[:end] if self.inside[i] else self.order[end:]
+        volume = self.volume[i]
+        return CutStats(subset=np.sort(side), boundary_weight=self.boundary[i],
+                        volume=volume,
+                        conductance=self.boundary[i] / volume if volume > 0 else None)
+
+
+def _level_profile(g: WeightedGraph, p, epsilon: float) -> _LevelProfile:
     if not (0 < epsilon < 0.5):
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
     values = _potential_values(g, p)
@@ -83,38 +103,46 @@ def sweep_level_sets(g: WeightedGraph, p, epsilon: float) -> list[SweepEntry]:
         raise DegeneratePotentialError("graph has fewer than 2 vertices")
 
     order = np.lexsort((np.arange(g.n), -values))
-    half_volume = g.total_weight  # vol(G)/2
-    in_set = np.zeros(g.n, dtype=bool)
-    boundary = 0.0
-    volume = 0.0
-    entries: list[SweepEntry] = []
-    for pos in range(g.n - 1):
-        v = order[pos]
-        nbrs, wts = g.neighbors(v)
-        inside = in_set[nbrs]
-        boundary += float(wts[~inside].sum()) - float(wts[inside].sum())
-        in_set[v] = True
-        volume += g.degrees[v]
-        if values[v] <= values[order[pos + 1]]:
-            continue  # tie: not a distinct sorted position
-        if volume <= half_volume:
-            side = "threshold"
-            subset = np.sort(order[: pos + 1])
-            side_volume = volume
-        else:
-            side = "complement"
-            subset = np.sort(order[pos + 1:])
-            side_volume = 2.0 * g.total_weight - volume
-        conductance = boundary / side_volume if side_volume > 0 else None
-        score = (conductance * side_volume ** (0.5 - epsilon)
-                 if conductance is not None else math.inf)
-        stats = CutStats(subset=subset, boundary_weight=boundary,
-                         volume=side_volume, conductance=conductance)
-        entries.append(SweepEntry(threshold=float(values[v]), side=side,
-                                  stats=stats, score=float(score)))
-    if not entries:
+    ranked = values[order]
+    # a level set ends where the sorted potential strictly drops
+    ends = np.flatnonzero(~(ranked[:-1] <= ranked[1:]))
+    if not ends.size:
         raise DegeneratePotentialError("all potentials are equal; no nontrivial level set")
-    return entries
+
+    # Adding the vertex at position i to the threshold set puts its edges to
+    # later vertices on the boundary and takes its edges to earlier ones off.
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[order] = np.arange(g.n)
+    eu, ev, ew = g.edges()
+    earlier = np.minimum(rank[eu], rank[ev])
+    later = np.maximum(rank[eu], rank[ev])
+    boundary = np.cumsum(np.bincount(earlier, ew, minlength=g.n)
+                         - np.bincount(later, ew, minlength=g.n))[ends]
+    volume = np.cumsum(g.degrees[order])[ends]
+    inside = volume <= g.total_weight  # vol(G)/2
+    volume = np.where(inside, volume, 2.0 * g.total_weight - volume)
+    # scalar powers: numpy's vectorized power may round differently from
+    # libm, and the scores pick the cut
+    exponent = 0.5 - epsilon
+    scores = np.array([b / v * v ** exponent if v > 0 else math.inf
+                       for b, v in zip(boundary.tolist(), volume.tolist())])
+    return _LevelProfile(order=order, ends=ends, thresholds=ranked[ends], inside=inside,
+                         boundary=boundary, volume=volume, scores=scores)
+
+
+def sweep_level_sets(g: WeightedGraph, p, epsilon: float) -> list[SweepEntry]:
+    """Score every level set of the potential ``p``.
+
+    Vertices are sorted by potential descending (ties by ascending id) and
+    one entry is produced per strict drop in the sorted values; boundary
+    weight and volume of every prefix are cumulative sums over that order.
+    Each entry reports the side with volume at most half the total.
+    """
+    prof = _level_profile(g, p, epsilon)
+    return [SweepEntry(threshold=float(prof.thresholds[i]),
+                       side="threshold" if prof.inside[i] else "complement",
+                       stats=prof.stats(i), score=float(prof.scores[i]))
+            for i in range(prof.ends.size)]
 
 
 def find_sparse_cut(g: WeightedGraph, epsilon: float = 0.25,
@@ -155,12 +183,12 @@ def _far_pair_cut(solver: LaplacianSolver, epsilon: float,
     zeta = required_solver_accuracy(g, eta)
 
     potential = st_potential(solver, u, v, zeta)
-    entries = sweep_level_sets(g, potential, epsilon)
-    scores = np.array([e.score for e in entries])
-    best = entries[int(np.argmin(scores))]
+    prof = _level_profile(g, potential, epsilon)
+    best = int(np.argmin(prof.scores))
+    stats = prof.stats(best)
 
     slack = potential.eta * (48.0 * g.m ** (0.5 - epsilon) * math.log(g.n) + 2.0 * target_c) / target_c
-    return CutResult(subset=best.stats.subset, stats=best.stats, epsilon=epsilon,
-                     certificate_c=best.score, target_c=target_c,
+    return CutResult(subset=stats.subset, stats=stats, epsilon=epsilon,
+                     certificate_c=float(prof.scores[best]), target_c=target_c,
                      source=u, sink=v, reff_estimate=estimate,
                      eta=potential.eta, zeta=zeta, approx_slack=float(slack))

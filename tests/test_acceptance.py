@@ -12,6 +12,7 @@ import scipy.sparse.csgraph as csgraph
 
 import resdecomp as rd
 from resdecomp.cli import execute
+from resdecomp.sketch import _num_probes
 
 from conftest import path_graph, two_triangles_bridge
 
@@ -85,6 +86,24 @@ def test_criterion_3_sketch_guarantee(corpus):
     ok = good_seeds >= 49
     _verdict(3, ok, f"two-sided e^beta sketch bracket held for {good_seeds}/50 seeds "
                     f"across the corpus (need >= 49)")
+
+
+def test_criterion_3_sketch_guarantee_below_edge_count():
+    # the corpus above has k >= m probes, where the estimate is exact; these
+    # graphs have k < m, where the bracket rests on the random probes
+    bound = math.exp(BETA)
+    worst = 1.0
+    for g in (rd.grid2d(30), rd.random_regular(800, 6, 0), rd.hypercube(9)):
+        assert _num_probes(rd.SketchConfig(), g.n) < g.m
+        R = rd.exact_reff_matrix(g)
+        solver = rd.LaplacianSolver(g)
+        for seed in range(10):
+            A = rd.approx_reff_from_source(g, 0, rd.SketchConfig(seed=seed), solver)
+            ratios = A[1:] / R[0, 1:]
+            worst = max(worst, ratios.max(), 1.0 / ratios.min())
+    ok = worst <= bound
+    _verdict(3, ok, f"e^beta sketch bracket with fewer probes than edges, 3 graphs x 10 "
+                    f"seeds: worst ratio {worst:.3f} (<= {bound:.3f})")
 
 
 def test_criterion_4_furthest_pair_factor(corpus100):

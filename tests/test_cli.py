@@ -3,7 +3,9 @@ import json
 import pytest
 
 import resdecomp as rd
+from resdecomp import decompose, sweep
 from resdecomp.cli import execute
+from resdecomp.decompose import ORACLE_BLOCK_LIMIT
 
 
 def run(capsys, *argv):
@@ -28,6 +30,20 @@ def path3(tmp_path):
 def barbell4(tmp_path):
     p = tmp_path / "b4.txt"
     rd.write_edgelist(rd.barbell(4), p)
+    return str(p)
+
+
+@pytest.fixture(scope="module")
+def bridged_meshes(tmp_path_factory):
+    """Two grid2d(46) joined corner to corner by an edge of weight 0.01: one
+    cut at the bridge leaves two blocks above the oracle limit."""
+    grid = rd.grid2d(46)
+    assert grid.n > ORACLE_BLOCK_LIMIT
+    edges = [(int(u) + off, int(v) + off, 1.0)
+             for off in (0, grid.n) for u, v in zip(grid.edge_u, grid.edge_v)]
+    edges.append((grid.n - 1, grid.n, 0.01))
+    p = tmp_path_factory.mktemp("bridged") / "meshes.txt"
+    rd.write_edgelist(rd.build_graph(2 * grid.n, edges), p)
     return str(p)
 
 
@@ -148,6 +164,44 @@ class TestDecomposeVerify:
                                 "--delta", "4", "--exact-verify")
         assert code == 0
         assert report["results"]["verification"]["passed"] is True
+
+    def test_exact_verify_matches_verify_command(self, capsys, bridged_meshes, tmp_path):
+        # the embedded record reuses the run's sketch certificates; the
+        # verify command re-derives them and must agree
+        part_file = tmp_path / "part.json"
+        code, report = run_json(capsys, "decompose", "--graph", bridged_meshes,
+                                "--delta", "4", "--exact-verify",
+                                "--partition-out", str(part_file))
+        assert code == 0
+        res = report["results"]
+        assert res["num_sparse_cuts"] == 1
+        assert [r["certified_exact"] for r in res["per_block_rdiam"]] == [False, False]
+        code2, verify_report = run_json(capsys, "verify", "--graph", bridged_meshes,
+                                        "--partition", str(part_file), "--delta", "4")
+        assert code2 == 0
+        assert res["verification"] == verify_report["results"]
+        assert res["verification"]["block_rdiams"] == res["per_block_rdiam"]
+        assert res["verification"]["passed"] is True
+
+    def test_exact_verify_sketches_each_component_once(self, capsys, monkeypatch,
+                                                       bridged_meshes):
+        calls = []
+
+        def counting(fn):
+            def wrapped(h, *args, **kwargs):
+                calls.append(h.n)
+                return fn(h, *args, **kwargs)
+            return wrapped
+
+        for module in (decompose, sweep):
+            monkeypatch.setattr(module, "furthest_pair", counting(module.furthest_pair))
+        code, report = run_json(capsys, "decompose", "--graph", bridged_meshes,
+                                "--delta", "4", "--exact-verify")
+        assert code == 0
+        res = report["results"]
+        # every non-singleton component is either cut or accepted as a block
+        components = res["num_sparse_cuts"] + sum(len(b) > 1 for b in res["blocks"])
+        assert len(calls) == components == 3
 
     def test_delta_guard_reported(self, capsys, barbell4):
         code, report = run_json(capsys, "decompose", "--graph", barbell4, "--delta", "2")

@@ -314,6 +314,14 @@ class TestPartition:
                  for b, r in zip(part.blocks, report.per_block_rdiam)}
         assert {(True, True), (True, False)} <= kinds
 
+    def test_verifier_reads_patched_oracle_limit(self, monkeypatch):
+        # the limit is read when verify_partition runs, as the partition reads it
+        g = rd.grid2d(6)
+        blocks = [np.arange(g.n)]
+        assert rd.verify_partition(g, blocks, 4.0).block_rdiams[0].certified_exact
+        monkeypatch.setattr(decompose, "ORACLE_BLOCK_LIMIT", 8)
+        assert not rd.verify_partition(g, blocks, 4.0).block_rdiams[0].certified_exact
+
 
 class TestAccounting:
     def test_charges_match_edge_loop_reference(self):

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import resdecomp as rd
 from resdecomp.linalg import DENSE_SOLVE_LIMIT
-from resdecomp.sweep import CERTIFICATE_DIAMETER_FACTOR
+from resdecomp.sweep import CERTIFICATE_DIAMETER_FACTOR, _level_profile
 
 from conftest import log_uniform_mesh, path_graph
 
@@ -103,6 +104,22 @@ class TestSweepLevelSets:
         assert len(entries) == 2
         assert entries[0].stats.subset.tolist() == [0]
         assert entries[1].stats.subset.tolist() == [3]
+
+    def test_profile_memory_linear(self):
+        # every prefix of a path is a level set: storing each side, as a list
+        # of entries does, takes about 34 MB here
+        n = 4000
+        g = path_graph(n)
+        tracemalloc.start()
+        try:
+            prof = _level_profile(g, -np.arange(n, dtype=float), 0.25)
+            best = prof.stats(int(np.argmin(prof.scores)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prof.ends.size == n - 1
+        assert best.subset.size == n // 2
+        assert peak < 40 * 8 * (g.n + g.m)
 
 
 class TestFindSparseCut:
