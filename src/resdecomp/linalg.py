@@ -40,6 +40,9 @@ SPARSE_ENVELOPE_FACTOR = 2.0
 # Sparse LU solves this many right-hand sides at a time: SuperLU's workspace
 # grows with the batch, and this keeps it out of the peak memory.
 SPARSE_SOLVE_CHUNK = 64
+# The zero-sum check of a batch takes |B| this many rows at a time, so it
+# never holds a second copy of the batch.
+_CHECK_CHUNK = 64
 # Requested solve tolerances are clamped to [ZETA_FLOOR, ZETA_CAP]: below the
 # floor the demanded accuracy is unattainable in double precision, and a cap
 # keeps the value a valid relative tolerance.
@@ -113,7 +116,7 @@ class LaplacianSolver:
             self.method = "dense"
         if g.n <= 1:  # every zero-sum right-hand side is zero; nothing to factor
             return
-        ncomp = int(_component_labels(g).max()) + 1
+        ncomp, _ = csgraph.connected_components(self.laplacian, directed=False)
         if ncomp > 1:
             raise DisconnectedGraphError(
                 f"Laplacian has {ncomp} connected components; solve per component")
@@ -203,9 +206,10 @@ def solve_laplacian_many(solver: LaplacianSolver, B: np.ndarray,
     n = solver.graph.n
     if B.ndim != 2 or B.shape[1] != n:
         raise ValueError(f"batch must have shape (k, {n}), got {B.shape}")
-    sums = np.abs(B.sum(axis=1))
-    if (sums > 1e-12 * np.maximum(1.0, np.abs(B).sum(axis=1))).any():
-        raise ValueError("every right-hand side row must sum to zero")
+    for i in range(0, B.shape[0], _CHECK_CHUNK):
+        rows = B[i:i + _CHECK_CHUNK]
+        if (np.abs(rows.sum(axis=1)) > 1e-12 * np.maximum(1.0, np.abs(rows).sum(axis=1))).any():
+            raise ValueError("every right-hand side row must sum to zero")
     if not B.any():  # includes n = 1, where nothing is factored
         return np.zeros_like(B)
     if solver.method == "iterative":
@@ -313,9 +317,10 @@ def exact_reff_matrix(g: WeightedGraph) -> np.ndarray:
     padded with zeros, Reff(u, v) = G_uu + G_vv − 2·G_uv."""
     if g.n <= 1:
         return np.zeros((g.n, g.n))
-    if len(np.unique(_component_labels(g))) > 1:
+    L = assemble_laplacian(g)
+    if csgraph.connected_components(L, directed=False)[0] > 1:
         raise DisconnectedGraphError("resistance matrix requires a connected graph")
-    L = assemble_laplacian(g).toarray()
+    L = L.toarray()
     G = np.zeros_like(L)
     factor = sla.cho_factor(L[:-1, :-1], check_finite=False)
     G[:-1, :-1] = sla.cho_solve(factor, np.eye(g.n - 1), check_finite=False)

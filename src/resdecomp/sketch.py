@@ -7,6 +7,12 @@ probe Gram matrix replaces the usual 1/k normalization; when the probe count
 reaches the edge count the corrected estimate reproduces the quadratic form
 exactly, so small graphs match the dense oracle while large graphs get
 Johnson-Lindenstrauss-style concentration.
+
+Memory: with k probes, a sketch holds the k×m probe signs as int8 (k·m
+bytes), drawn a few rows at a time, plus two k×n float64 arrays: the probe
+right-hand sides, later overwritten by the Gram-corrected solutions, and the
+solutions. Sparse-LU and PCG solves add only per-chunk temporaries; a dense
+solve (at most ``DENSE_SOLVE_LIMIT`` vertices) copies the batch for LAPACK.
 """
 from __future__ import annotations
 
@@ -26,6 +32,12 @@ from .linalg import LaplacianSolver, solve_laplacian_many
 PROBE_COUNT_CONSTANT = 8.0
 
 DEFAULT_BETA = math.log(1.5)
+
+# Probe rows drawn, stored and pushed through the incidence matrix at a time,
+# and probe columns per step of the Gram sum; both bound the sketch's
+# temporaries, neither changes a bit of its output.
+_PROBE_CHUNK = 32
+_GRAM_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -53,6 +65,38 @@ def _num_probes(cfg: SketchConfig, n: int) -> int:
     return max(1, math.ceil(PROBE_COUNT_CONSTANT * math.log(max(n, 2)) / cfg.beta ** 2))
 
 
+def _probe_system(g: WeightedGraph, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k×n right-hand sides ``B^T W^{1/2} q_i`` (each row zero-sum) and
+    the k×k probe Gram for k signed probes q_i drawn from ``seed``.
+
+    Probe rows are drawn a chunk at a time, which reproduces the one-shot
+    k×m draw of the generator bit for bit, and kept as int8.
+    """
+    m, n = g.m, g.n
+    eu, ev, ew = g.edges()
+    sqrt_w = np.sqrt(ew)
+    rows = np.concatenate([np.arange(m), np.arange(m)])
+    cols = np.concatenate([eu, ev])
+    vals = np.concatenate([sqrt_w, -sqrt_w])
+    incidence_t = sp.csr_matrix((vals, (rows, cols)), shape=(m, n)).T
+
+    rng = np.random.default_rng(seed)
+    probes = np.empty((k, m), dtype=np.int8)
+    rhs = np.empty((k, n))
+    for start in range(0, k, _PROBE_CHUNK):
+        stop = min(start + _PROBE_CHUNK, k)
+        signs = rng.integers(0, 2, size=(stop - start, m)) * 2 - 1
+        probes[start:stop] = signs
+        rhs[start:stop] = incidence_t.dot(np.ascontiguousarray(signs.T, dtype=np.float64)).T
+    # The Gram of ±1 probes is integer-valued with entries at most m < 2^53,
+    # so summing it over column blocks is exact.
+    gram = np.zeros((k, k))
+    for start in range(0, m, _GRAM_BLOCK):
+        block = probes[:, start:start + _GRAM_BLOCK].astype(np.float64)
+        gram += block @ block.T
+    return rhs, gram
+
+
 def approx_reff_from_source(g: WeightedGraph, u: int,
                             cfg: SketchConfig | None = None,
                             solver: LaplacianSolver | None = None) -> np.ndarray:
@@ -76,27 +120,18 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
 
     m = g.m
     k = _num_probes(cfg, g.n)
-    rng = np.random.default_rng(cfg.seed)
-    probes = (rng.integers(0, 2, size=(k, m)) * 2 - 1).astype(np.float64)
-
-    eu, ev, ew = g.edges()
-    sqrt_w = np.sqrt(ew)
-    rows = np.concatenate([np.arange(m), np.arange(m)])
-    cols = np.concatenate([eu, ev])
-    vals = np.concatenate([sqrt_w, -sqrt_w])
-    incidence = sp.csr_matrix((vals, (rows, cols)), shape=(m, g.n))
-
-    rhs = incidence.T.dot(probes.T).T  # rows B^T W^{1/2} q_i, each zero-sum
+    rhs, gram = _probe_system(g, k, cfg.seed)
     Z = solve_laplacian_many(solver, rhs)
-
-    diffs = Z - Z[:, [u]]                     # column v holds Q·W^{1/2}B·L†(e_u − e_v)
-    gram = probes @ probes.T
+    Z -= Z[:, [u]]  # column v holds Q·W^{1/2}B·L†(e_u − e_v)
     # one SVD serves both the pseudo-inverse and the rank
     U_, sv, Vt = np.linalg.svd(gram, hermitian=True)
     tol = sv.max() * k * np.finfo(float).eps if sv.size else 0.0
     rank = int((sv > tol).sum())
     inv = (Vt[:rank].T / sv[:rank]) @ U_[:, :rank].T
-    estimates = (m / rank) * np.einsum("iv,iv->v", diffs, inv @ diffs)
+    # the spent right-hand sides take the corrected probes in one product;
+    # splitting it by columns moves last bits
+    np.matmul(inv, Z, out=rhs)
+    estimates = (m / rank) * np.einsum("iv,iv->v", Z, rhs)
     estimates[u] = 0.0
 
     # a vanishing estimate for v != u means the probes missed that

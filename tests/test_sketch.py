@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import resdecomp as rd
 from resdecomp import sketch
 from resdecomp.sketch import PROBE_COUNT_CONSTANT, _num_probes
 
-from conftest import path_graph
+from conftest import log_uniform_mesh, path_graph
 
 
 BETA = math.log(1.5)
@@ -99,6 +101,87 @@ class TestApproxReffFromSource:
     def test_beta_validation(self):
         with pytest.raises(ValueError):
             rd.SketchConfig(beta=0.0)
+
+
+def one_shot_estimates(g, u, cfg, solver):
+    """The sketch with its probes drawn as one k×m float64 matrix: the
+    formula the streamed sketch must reproduce bit for bit."""
+    m = g.m
+    k = _num_probes(cfg, g.n)
+    rng = np.random.default_rng(cfg.seed)
+    probes = (rng.integers(0, 2, size=(k, m)) * 2 - 1).astype(np.float64)
+    eu, ev, ew = g.edges()
+    sqrt_w = np.sqrt(ew)
+    rows = np.concatenate([np.arange(m), np.arange(m)])
+    cols = np.concatenate([eu, ev])
+    vals = np.concatenate([sqrt_w, -sqrt_w])
+    incidence = sp.csr_matrix((vals, (rows, cols)), shape=(m, g.n))
+    rhs = incidence.T.dot(probes.T).T
+    Z = rd.solve_laplacian_many(solver, rhs)
+    diffs = Z - Z[:, [u]]
+    gram = probes @ probes.T
+    U_, sv, Vt = np.linalg.svd(gram, hermitian=True)
+    tol = sv.max() * k * np.finfo(float).eps if sv.size else 0.0
+    rank = int((sv > tol).sum())
+    inv = (Vt[:rank].T / sv[:rank]) @ U_[:, :rank].T
+    estimates = (m / rank) * np.einsum("iv,iv->v", diffs, inv @ diffs)
+    estimates[u] = 0.0
+    bad = np.flatnonzero((estimates <= 0) & (np.arange(g.n) != u))
+    if bad.size:
+        rows = np.arange(bad.size)
+        pairs = np.zeros((bad.size, g.n))
+        pairs[:, u] = 1.0
+        pairs[rows, bad] = -1.0
+        X = rd.solve_laplacian_many(solver, pairs)
+        estimates[bad] = X[:, u] - X[rows, bad]
+    return estimates
+
+
+class TestStreamedSketch:
+    # Between them the cases put k below and above m, leave a last chunk of
+    # odd size times odd m, and run the dense, sparse-LU and PCG backends.
+    CASES = [
+        pytest.param(lambda: rd.grid2d(12), None, "dense", id="grid12"),
+        pytest.param(lambda: rd.grid2d(12), 300, "dense", id="grid12-k-above-m"),
+        pytest.param(lambda: rd.barbell(8), None, "dense", id="barbell8-odd-m"),
+        pytest.param(lambda: rd.barbell(8), 1, "dense", id="barbell8-one-probe"),
+        pytest.param(lambda: rd.barbell(8), 7, "dense", id="barbell8-seven-probes"),
+        pytest.param(lambda: rd.hypercube(10), None, "iterative", id="hypercube10-pcg"),
+        pytest.param(lambda: rd.random_regular(3000, 4, 1), None, "iterative",
+                     id="expander3000-pcg"),
+        pytest.param(lambda: log_uniform_mesh(46, 1.0, 10.0, seed=7), None, "sparse",
+                     id="mesh46-sparse-lu"),
+    ]
+
+    @pytest.mark.parametrize("make, probe_count, backend", CASES)
+    def test_matches_one_shot_draw_bit_for_bit(self, make, probe_count, backend):
+        g = make()
+        cfg = rd.SketchConfig(seed=3, probe_count=probe_count)
+        method = "iterative" if backend == "iterative" else "auto"
+        solver = rd.LaplacianSolver(g, rd.SolverOptions(method=method))
+        assert solver.method == backend
+        A = rd.approx_reff_from_source(g, 0, cfg, solver)
+        assert np.array_equal(A, one_shot_estimates(g, 0, cfg, solver))
+
+    def test_cases_reach_chunk_edges(self):
+        k = _num_probes(rd.SketchConfig(), rd.grid2d(12).n)
+        assert k % sketch._PROBE_CHUNK != 0 and k < rd.grid2d(12).m < 300
+        g = rd.barbell(8)
+        last = _num_probes(rd.SketchConfig(), g.n) % sketch._PROBE_CHUNK
+        assert g.m % 2 == 1 and last % 2 == 1
+
+    def test_peak_memory_without_dense_probe_matrix(self):
+        # int8 probes (k·m bytes) plus at most three k×n float64 arrays; the
+        # one-shot draw holds k×m float64 and int64 matrices
+        g = rd.random_regular(3000, 4, 1)
+        k = _num_probes(rd.SketchConfig(), g.n)
+        tracemalloc.start()
+        try:
+            rd.approx_reff_from_source(g, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < k * g.m + 3 * 8 * k * g.n + 2 ** 21
 
 
 class TestFurthestPair:
