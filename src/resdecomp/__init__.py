@@ -15,8 +15,8 @@ from .edgelist import (EdgeListFormatError, format_edgelist, parse_edgelist,
 from .linalg import (LaplacianSolver, PotentialVector, SolverOptions,
                      assemble_laplacian, exact_reff, exact_reff_matrix,
                      exact_resistance_diameter, implied_potential_accuracy,
-                     lambda2_lower_bound, required_solver_accuracy,
-                     solve_laplacian_many, st_potential)
+                     required_solver_accuracy, solve_laplacian_many,
+                     st_potential)
 from .sketch import SketchConfig, approx_reff_from_source, furthest_pair
 from .sweep import CutResult, SweepEntry, find_sparse_cut, sweep_level_sets
 from .decompose import (BlockResistance, DecompositionConfig,
@@ -34,8 +34,8 @@ __all__ = [
     "read_edgelist", "write_edgelist",
     "LaplacianSolver", "PotentialVector", "SolverOptions", "assemble_laplacian",
     "exact_reff", "exact_reff_matrix", "exact_resistance_diameter",
-    "implied_potential_accuracy", "lambda2_lower_bound",
-    "required_solver_accuracy", "solve_laplacian_many", "st_potential",
+    "implied_potential_accuracy", "required_solver_accuracy",
+    "solve_laplacian_many", "st_potential",
     "SketchConfig", "approx_reff_from_source", "furthest_pair",
     "CutResult", "SweepEntry", "find_sparse_cut", "sweep_level_sets",
     "BlockResistance", "DecompositionConfig", "DecompositionReport",

@@ -18,7 +18,8 @@ class ConvergenceError(RuntimeError):
 
     Carries the last residual 2-norm in ``residual`` and, in
     ``attained_zeta``, the energy-norm tolerance that residual certifies:
-    the requested ζ scaled by residual / target residual.
+    sqrt(E·λmax)/‖b‖, with E the residual's spanning-tree flow energy and
+    λmax = 2·max deg.
     """
 
     def __init__(self, message: str, residual: float, attained_zeta: float):

@@ -7,15 +7,24 @@ once, with one of three backends:
 
 - "dense": a Cholesky factor of the grounded Laplacian;
 - "sparse": a sparse LU factor (SuperLU) of the grounded Laplacian;
-- "iterative": Jacobi-preconditioned conjugate gradient with a residual
-  target, derived there, that is sufficient for the contract.
+- "iterative": Jacobi-preconditioned conjugate gradient, stopped by a
+  certificate of the contract built from one spanning tree.
 
-The two direct backends meet the contract up to rounding. "auto" takes the
-dense factor up to ``DENSE_SOLVE_LIMIT`` vertices. Above it a fill probe
-decides: the envelope of L under reverse Cuthill–McKee ordering, which stays
-near n^{3/2} on planar meshes (whose factors stay nearly linear) and grows far
-beyond it on expanders (which PCG solves in a few dozen iterations and
-nothing factors cheaply).
+The two direct backends meet the contract up to rounding. PCG stops on
+Thomson's principle: the error e = x̂ − L†b solves Le = r for the residual
+r = b − Lx̂, so ‖e‖²_L = rᵀL†r, the energy of the electrical flow that
+routes r, and any other flow that routes r has at least that energy. The
+flow along a shortest-path spanning tree T (edge lengths 1/w) puts on each
+tree edge the sum of r over the subtree below it, and its energy
+Σ_{e∈T} f_e²/w_e is O(n) to evaluate. With ‖L†b‖²_L ≥ ‖b‖²/λmax and
+λmax ≤ 2·max deg, a tree energy of at most ζ²‖b‖²/(2·max deg) certifies the
+contract.
+
+"auto" takes the dense factor up to ``DENSE_SOLVE_LIMIT`` vertices. Above it
+a fill probe decides: the envelope of L under reverse Cuthill–McKee
+ordering, which stays near n^{3/2} on planar meshes (whose factors stay
+nearly linear) and grows far beyond it on expanders (which PCG solves in a
+few dozen iterations and nothing factors cheaply).
 """
 from __future__ import annotations
 
@@ -102,9 +111,12 @@ class LaplacianSolver:
     ``DENSE_SOLVE_LIMIT`` vertices, and above it "sparse" when the RCM
     envelope of L is at most ``SPARSE_ENVELOPE_FACTOR``·n^{3/2}, else
     "iterative". ``method`` holds the resolved backend. The constructor then
-    factors the grounded Laplacian (dense Cholesky or sparse LU) or fixes the
-    PCG constants (iterative). Build one per graph and hand it to every solve
-    on that graph: the sketch, the patch solves and the cut's potential.
+    factors the grounded Laplacian (dense Cholesky or sparse LU), or, for
+    PCG, builds the shortest-path spanning tree from vertex 0 (edge lengths
+    1/w) whose flow energy certifies each stop: PCG stops once the tree
+    energy of the residual is at most ζ²‖b‖²/(2·max deg). Build one per
+    graph and hand it to every solve on that graph: the sketch, the patch
+    solves and the cut's potential.
     """
 
     def __init__(self, g: WeightedGraph, opts: SolverOptions | None = None):
@@ -134,17 +146,47 @@ class LaplacianSolver:
                                      permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                      options=dict(SymmetricMode=True))
             return
-        # Sufficient residual target for the energy-norm contract: with
-        # e = L†b − x̂ and r = b − Lx̂ (both ⊥ 1) we have Le = r, hence
-        #   ‖e‖_L² = ⟨r, L†r⟩ ≤ ‖r‖²/λ₂   and   ‖L†b‖_L² = ⟨b, L†b⟩ ≥ ‖b‖²/λmax,
-        # so ‖r‖ ≤ ζ‖b‖·sqrt(λ₂/λmax) forces ‖e‖_L ≤ ζ‖L†b‖_L. λ₂ is replaced by
-        # the certified lower bound and λmax by the Gershgorin bound
-        # 2·max_v deg(v). w(E) is summed from the diagonal: g.total_weight
-        # can differ in the last bit, which would move every PCG target.
+        # λmax ≤ 2·max deg (Gershgorin) lower-bounds ‖L†b‖²_L by ‖b‖²/λmax.
         diag = self.laplacian.diagonal()
         self._inv_diag = 1.0 / diag
-        lam2_lb = _lambda2_bound(g.min_weight(), float(diag.sum()) / 2.0)
-        self._residual_scale = np.sqrt(lam2_lb / (2.0 * float(diag.max())))
+        self._lambda_max = 2.0 * float(diag.max())
+        self._tree_order, self._tree_last, self._tree_res = _spanning_tree(g)
+
+
+def _spanning_tree(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The shortest-path tree of g from vertex 0 under edge lengths 1/w.
+
+    Returns the tree's vertices in preorder; for each preorder position
+    i ≥ 1, the last position of the subtree rooted there (a subtree is a
+    contiguous preorder range); and the resistance 1/w of the edge from that
+    vertex to its parent.
+    """
+    n = g.n
+    lengths = sp.csr_matrix((1.0 / g.weights, g.indices, g.indptr), shape=(n, n))
+    _, pred = csgraph.dijkstra(lengths, directed=False, indices=0, return_predecessors=True)
+    tree = sp.csr_matrix((np.ones(n - 1), (pred[1:], np.arange(1, n))), shape=(n, n))
+    order = csgraph.depth_first_order(tree, 0, directed=True, return_predecessors=False)
+    size = [1] * n
+    up = pred.tolist()
+    for v in order[:0:-1].tolist():
+        size[up[v]] += size[v]
+    below = order[1:]
+    last = np.arange(1, n) + np.asarray(size)[below] - 1
+    res = np.asarray(lengths[pred[below], below]).ravel()
+    return order, last, res
+
+
+def _tree_energy(solver: LaplacianSolver, r: np.ndarray) -> float:
+    """Energy Σ_{e∈T} f_e²/w_e of the flow that routes r − mean(r) along the
+    solver's spanning tree T, where f_e is the sum of r − mean(r) over the
+    subtree below e. By Thomson's principle it is at least rᵀL†r."""
+    c = r[solver._tree_order]
+    c -= c.mean()
+    np.cumsum(c, out=c)
+    f = c[solver._tree_last]
+    f -= c[:-1]
+    f *= f
+    return float(f @ solver._tree_res)
 
 
 def _rcm_envelope(L: sp.csr_matrix) -> int:
@@ -161,31 +203,45 @@ def _rcm_envelope(L: sp.csr_matrix) -> int:
 
 def _pcg(solver: LaplacianSolver, b: np.ndarray, zeta: float) -> np.ndarray:
     L, inv_diag, maxiter = solver.laplacian, solver._inv_diag, solver.opts.max_iterations
-    target = zeta * float(np.linalg.norm(b)) * solver._residual_scale
+    lam_max = solver._lambda_max
+    bnorm = float(np.linalg.norm(b))
+    goal = (zeta * bnorm) ** 2 / lam_max
+    # The tree energy is evaluated only once ‖r‖² times the last measured
+    # energy/‖r‖² reaches the goal; that ratio is at least 1/λmax.
+    ratio = 1.0 / lam_max
     x = np.zeros_like(b)
     r = b.copy()
-    d = inv_diag * r
-    delta = float(r @ d)
-    resnorm = float(np.linalg.norm(r))
+    s = inv_diag * r
+    d = s.copy()
+    delta = float(r @ s)
     it = 0
-    while resnorm > target:
+    while True:
+        rr = float(r @ r)
+        if rr * ratio <= goal:
+            energy = _tree_energy(solver, r)
+            if energy <= goal:
+                break
+            ratio = energy / rr
         if it >= maxiter:
-            attained = zeta * resnorm / target
+            resnorm = float(np.sqrt(rr))
+            attained = float(np.sqrt(_tree_energy(solver, r) * lam_max)) / bnorm
             raise ConvergenceError(
-                f"PCG did not reach residual {target:.3e} within {maxiter} iterations "
+                f"PCG did not certify zeta {zeta:.3e} within {maxiter} iterations "
                 f"(residual {resnorm:.3e}, attained zeta {attained:.3e})",
                 residual=resnorm, attained_zeta=attained)
         q = L @ d
         alpha = delta / float(d @ q)
-        x += alpha * d
+        np.multiply(d, alpha, out=s)
+        x += s
         if (it + 1) % 50 == 0:
             r = b - L @ x  # periodic refresh against drift
         else:
-            r -= alpha * q
-        resnorm = float(np.linalg.norm(r))
-        s = inv_diag * r
+            q *= alpha
+            r -= q
+        np.multiply(inv_diag, r, out=s)
         delta_new = float(r @ s)
-        d = s + (delta_new / delta) * d
+        d *= delta_new / delta
+        d += s
         delta = delta_new
         it += 1
     x -= x.mean()
@@ -234,14 +290,18 @@ def solve_laplacian_many(solver: LaplacianSolver, B: np.ndarray,
 
 def required_solver_accuracy(g: WeightedGraph, eta: float, floor: float = ZETA_FLOOR) -> float:
     """Solve tolerance that guarantees additive per-entry potential accuracy
-    ``eta``: zeta = eta * (min_e w)^2 / (w(E) * sqrt(m)), clamped to the
-    representable range."""
+    ``eta``: zeta = eta * min_e w / (n - 1), clamped to the representable
+    range.
+
+    An error e with ‖e‖_L ≤ zeta·‖L†b‖_L moves each potential difference by
+    at most ‖e‖_L·sqrt(Reff(v, t)) ≤ zeta·R_diam, and every resistance is at
+    most that of a spanning-tree path, (n - 1) / min_e w.
+    """
     if g.m == 0:
         raise ValueError("graph has no edges")
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    minw = g.min_weight()
-    zeta = eta * minw ** 2 / (g.total_weight * np.sqrt(g.m))
+    zeta = eta * g.min_weight() / (g.n - 1)
     return float(min(max(zeta, floor), ZETA_CAP))
 
 
@@ -250,8 +310,7 @@ def implied_potential_accuracy(g: WeightedGraph, zeta: float) -> float:
     ``zeta`` (the inverse of :func:`required_solver_accuracy`)."""
     if g.m == 0:
         raise ValueError("graph has no edges")
-    minw = g.min_weight()
-    return float(zeta * g.total_weight * np.sqrt(g.m) / minw ** 2)
+    return float(zeta * (g.n - 1) / g.min_weight())
 
 
 def st_potential(solver: LaplacianSolver, s: int, t: int,
@@ -337,17 +396,3 @@ def exact_resistance_diameter(g: WeightedGraph) -> float:
         return 0.0
     return float(exact_reff_matrix(g).max())
 
-
-def _lambda2_bound(min_weight: float, total_weight: float) -> float:
-    return min_weight * (min_weight / total_weight) ** 2
-
-
-def lambda2_lower_bound(g: WeightedGraph) -> float:
-    """Certified lower bound on the Laplacian spectral gap:
-    min_e w · (min_e w / w(E))², with the universal constant fixed at 1."""
-    if g.n == 0 or not np.all(_component_labels(g) == 0):
-        raise DisconnectedGraphError("spectral gap bound requires a connected graph")
-    if g.m == 0:
-        # single-vertex graph: no spectral gap to bound
-        raise ValueError("graph has no edges")
-    return float(_lambda2_bound(g.min_weight(), g.total_weight))

@@ -88,11 +88,13 @@ def _probe_system(g: WeightedGraph, k: int, seed: int) -> tuple[np.ndarray, np.n
         signs = rng.integers(0, 2, size=(stop - start, m)) * 2 - 1
         probes[start:stop] = signs
         rhs[start:stop] = incidence_t.dot(np.ascontiguousarray(signs.T, dtype=np.float64)).T
-    # The Gram of ±1 probes is integer-valued with entries at most m < 2^53,
-    # so summing it over column blocks is exact.
+    # The Gram of ±1 probes is integer-valued. Within a block every partial
+    # sum is an integer of magnitude at most _GRAM_BLOCK < 2^24, so float32
+    # products are exact; summed in float64 over blocks (entries at most
+    # m < 2^53), the Gram is exact.
     gram = np.zeros((k, k))
     for start in range(0, m, _GRAM_BLOCK):
-        block = probes[:, start:start + _GRAM_BLOCK].astype(np.float64)
+        block = probes[:, start:start + _GRAM_BLOCK].astype(np.float32)
         gram += block @ block.T
     return rhs, gram
 

@@ -32,6 +32,13 @@ def path_graph(n, weight=1.0):
     return rd.build_graph(n, [(i, i + 1, weight) for i in range(n - 1)])
 
 
+def skewed(g, spread, seed=0):
+    """g with edge weights log-uniform on [1/spread, spread], drawn in edge
+    order."""
+    w = np.exp(np.random.default_rng(seed).uniform(-np.log(spread), np.log(spread), g.m))
+    return rd.build_graph(g.n, zip(g.edge_u.tolist(), g.edge_v.tolist(), w.tolist()))
+
+
 def log_uniform_mesh(side, lo, hi, seed):
     """grid2d(side) with edge weights log-uniform on [lo, hi]."""
     base = rd.grid2d(side)

@@ -6,7 +6,7 @@ import resdecomp as rd
 from resdecomp import linalg
 from resdecomp.linalg import ZETA_CAP, ZETA_FLOOR
 
-from conftest import log_uniform_mesh, path_graph, random_connected_graph
+from conftest import log_uniform_mesh, path_graph, random_connected_graph, skewed
 
 
 def dense_pinv_solution(g, b):
@@ -89,23 +89,60 @@ class TestSolveLaplacian:
         with pytest.raises(rd.ConvergenceError) as info:
             _solve(g, b, opts)
         err = info.value
-        assert err.residual > 0
-        # attained = zeta * residual / target, target = zeta * |b| * residual scale
-        scale = rd.LaplacianSolver(g, opts)._residual_scale
-        expected = err.residual / (np.linalg.norm(b) * scale)
+        # replay two Jacobi PCG steps; the attained zeta is
+        # sqrt(tree energy of the residual * 2 max deg) / |b|
+        L = rd.assemble_laplacian(g)
+        inv_diag = 1.0 / L.diagonal()
+        x, r = np.zeros(g.n), b.copy()
+        d = inv_diag * r
+        for _ in range(2):
+            q = L @ d
+            alpha = (r @ (inv_diag * r)) / (d @ q)
+            x = x + alpha * d
+            r_new = r - alpha * q
+            d = inv_diag * r_new + (r_new @ (inv_diag * r_new)) / (r @ (inv_diag * r)) * d
+            r = r_new
+        assert err.residual == pytest.approx(np.linalg.norm(r), rel=1e-12)
+        lam_max = 2.0 * g.degrees.max()
+        expected = np.sqrt(tree_flow_energy(g, r) * lam_max) / np.linalg.norm(b)
         assert err.attained_zeta == pytest.approx(expected, rel=1e-12)
         assert err.attained_zeta > opts.zeta
+        # and it certifies the error of the iterate it stopped at
+        exact = dense_pinv_solution(g, b)
+        assert energy_norm(g, x - exact) <= err.attained_zeta * energy_norm(g, exact)
         assert f"attained zeta {err.attained_zeta:.3e}" in str(err)
 
     def test_energy_norm_contract_iterative(self, corpus):
         # the PCG stopping rule is a sufficient condition; check the real thing
-        for g in corpus[:20]:
+        skew = [skewed(rd.grid2d(6), 1e3), skewed(rd.hypercube(5), 1e3),
+                skewed(rd.random_regular(60, 4, 0), 1e2)]
+        for g in corpus[:20] + skew:
             b = _unit_pair_rhs(g.n, 0, g.n - 1)
             exact = dense_pinv_solution(g, b)
             for zeta in (1e-2, 1e-6):
                 opts = rd.SolverOptions(zeta=zeta, method="iterative")
                 x = _solve(g, b, opts)
                 assert energy_norm(g, x - exact) <= zeta * energy_norm(g, exact) + 1e-13
+
+    @pytest.mark.parametrize("g", [skewed(rd.hypercube(6), 1e2),
+                                   skewed(rd.random_regular(100, 4, 2), 1e3)],
+                             ids=["hypercube6-skew1e2", "expander100-skew1e3"])
+    def test_pcg_stops_at_tree_certificate(self, g):
+        zeta = 1e-6
+        b = _unit_pair_rhs(g.n, 0, g.n - 1)
+        goal = zeta ** 2 * (b @ b) / (2.0 * g.degrees.max())
+        # the smallest iteration budget that succeeds: its iterate is
+        # certified, and the one before it is not
+        for budget in range(1, 1000):
+            opts = rd.SolverOptions(zeta=zeta, method="iterative", max_iterations=budget)
+            try:
+                x = _solve(g, b, opts)
+                break
+            except rd.ConvergenceError as err:
+                before = err
+        assert before.attained_zeta > zeta
+        r = b - rd.assemble_laplacian(g) @ x
+        assert tree_flow_energy(g, r) <= goal * (1 + 1e-6)
 
     def test_energy_norm_contract_dense(self, corpus):
         for g in corpus[:20]:
@@ -211,16 +248,31 @@ class TestLaplacianSolver:
         X = rd.solve_laplacian_many(solver, B)
         assert X.tobytes() == rd.solve_laplacian_many(solver, np.ascontiguousarray(B)).tobytes()
 
-    def test_pcg_factor_from_spectral_gap_bound(self, corpus):
-        for g in corpus[:10]:
-            solver = rd.LaplacianSolver(g, rd.SolverOptions(method="iterative"))
-            expected = np.sqrt(rd.lambda2_lower_bound(g) / (2.0 * g.degrees.max()))
-            assert solver._residual_scale == pytest.approx(expected, rel=1e-12)
-
     def test_zeta_validated(self):
         g = path_graph(3)
         with pytest.raises(ValueError, match="zeta"):
             rd.solve_laplacian_many(rd.LaplacianSolver(g), _unit_pair_rhs(3, 0, 2)[None], 1.0)
+
+
+def tree_flow_energy(g, r):
+    """Energy of the flow routing r − mean(r) along the shortest-path tree
+    from vertex 0 (edge lengths 1/w), each tree edge carrying the sum of
+    r − mean(r) over the vertices whose tree path to the root crosses it."""
+    lengths = g.adjacency_matrix().copy()
+    lengths.data = 1.0 / lengths.data
+    _, pred = csgraph.dijkstra(lengths, directed=False, indices=0, return_predecessors=True)
+    r = r - r.mean()
+    energy = 0.0
+    for v in range(1, g.n):
+        below = [u for u in range(g.n) if _on_tree_path(pred, u, v)]
+        energy += r[below].sum() ** 2 * lengths[pred[v], v]
+    return energy
+
+
+def _on_tree_path(pred, u, v):
+    while u > 0 and u != v:
+        u = pred[u]
+    return u == v
 
 
 def _unit_pair_rhs(n, s, t):
@@ -374,31 +426,41 @@ class TestResistanceProperties:
             assert r_h == pytest.approx(r_g / alpha, rel=1e-9)
 
 
-class TestLambda2LowerBound:
-    def test_k3(self):
-        g = rd.complete(3)
-        bound = rd.lambda2_lower_bound(g)
-        assert bound == pytest.approx(1 / 9, rel=1e-12)
-        lam2 = np.linalg.eigvalsh(rd.assemble_laplacian(g).toarray())[1]
-        assert lam2 == pytest.approx(3.0, abs=1e-9)
-        assert bound <= lam2
+class TestTreeEnergyBound:
+    """The PCG stop certificate: the energy of the flow that routes r along
+    the solver's spanning tree bounds rᵀL†r, the squared energy-norm error."""
 
-    def test_single_edges(self):
-        g1 = rd.build_graph(2, [(0, 1, 1.0)])
-        assert rd.lambda2_lower_bound(g1) == pytest.approx(1.0)
-        g4 = rd.build_graph(2, [(0, 1, 4.0)])
-        assert rd.lambda2_lower_bound(g4) == pytest.approx(4.0)
-        assert np.linalg.eigvalsh(rd.assemble_laplacian(g4).toarray())[1] == pytest.approx(8.0)
+    @staticmethod
+    def _ratios(g, count, seed):
+        solver = rd.LaplacianSolver(g, rd.SolverOptions(method="iterative"))
+        P = np.linalg.pinv(rd.assemble_laplacian(g).toarray(), hermitian=True)
+        R = np.random.default_rng(seed).normal(size=(count, g.n))
+        R -= R.mean(axis=1, keepdims=True)
+        return np.array([linalg._tree_energy(solver, r) / (r @ P @ r) for r in R])
 
-    def test_certified_on_corpus(self, corpus):
+    def test_dominates_electrical_energy_on_corpus(self, corpus):
         for g in corpus:
-            lam2 = np.linalg.eigvalsh(rd.assemble_laplacian(g).toarray())[1]
-            assert rd.lambda2_lower_bound(g) <= lam2 + 1e-12
+            assert (self._ratios(g, 5, 1) >= 1 - 1e-9).all()
 
-    def test_disconnected_rejected(self):
-        g = rd.build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        with pytest.raises(rd.DisconnectedGraphError):
-            rd.lambda2_lower_bound(g)
+    def test_dominates_electrical_energy_on_skewed_graphs(self):
+        for base in (rd.grid2d(8), rd.hypercube(6), rd.random_regular(100, 4, 2)):
+            for spread in (1e2, 1e3):
+                assert (self._ratios(skewed(base, spread), 5, 2) >= 1 - 1e-9).all()
+
+    def test_matches_independent_tree_flow(self):
+        g = skewed(rd.grid2d(5), 1e2)
+        solver = rd.LaplacianSolver(g, rd.SolverOptions(method="iterative"))
+        r = np.random.default_rng(3).normal(size=g.n)
+        assert linalg._tree_energy(solver, r) == pytest.approx(tree_flow_energy(g, r), rel=1e-12)
+
+    def test_equality_on_weighted_tree(self):
+        # a tree routes r one way only, so the bound is the energy itself
+        rng = np.random.default_rng(4)
+        n = 40
+        parents = [int(rng.integers(0, v)) for v in range(1, n)]
+        w = np.exp(rng.uniform(-np.log(10.0), np.log(10.0), n - 1))
+        g = rd.build_graph(n, [(p, v, float(x)) for p, v, x in zip(parents, range(1, n), w)])
+        assert self._ratios(g, 5, 5) == pytest.approx(np.ones(5), rel=1e-12)
 
 
 class TestRequiredSolverAccuracy:
@@ -407,12 +469,13 @@ class TestRequiredSolverAccuracy:
         assert rd.required_solver_accuracy(g, 1e-3) == pytest.approx(1e-3, rel=1e-12)
 
     def test_unit_path(self):
+        # zeta = eta * min_w / (n - 1)
         zeta = rd.required_solver_accuracy(path_graph(3), 1e-3)
-        assert zeta == pytest.approx(1e-3 / (2 * np.sqrt(2)), rel=1e-12)
+        assert zeta == pytest.approx(1e-3 / 2, rel=1e-12)
 
     def test_doubled_weights(self):
         zeta = rd.required_solver_accuracy(path_graph(3, weight=2.0), 1e-3)
-        assert zeta == pytest.approx(1e-3 * 4 / (4 * np.sqrt(2)), rel=1e-12)
+        assert zeta == pytest.approx(1e-3, rel=1e-12)
 
     def test_no_edges_rejected(self):
         with pytest.raises(ValueError, match="no edges"):

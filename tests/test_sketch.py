@@ -139,13 +139,15 @@ def one_shot_estimates(g, u, cfg, solver):
 
 class TestStreamedSketch:
     # Between them the cases put k below and above m, leave a last chunk of
-    # odd size times odd m, and run the dense, sparse-LU and PCG backends.
+    # odd size times odd m, sum the Gram over more than two column blocks
+    # with an odd tail, and run the dense, sparse-LU and PCG backends.
     CASES = [
         pytest.param(lambda: rd.grid2d(12), None, "dense", id="grid12"),
         pytest.param(lambda: rd.grid2d(12), 300, "dense", id="grid12-k-above-m"),
         pytest.param(lambda: rd.barbell(8), None, "dense", id="barbell8-odd-m"),
         pytest.param(lambda: rd.barbell(8), 1, "dense", id="barbell8-one-probe"),
         pytest.param(lambda: rd.barbell(8), 7, "dense", id="barbell8-seven-probes"),
+        pytest.param(lambda: rd.complete(70), None, "dense", id="complete70-gram-tail"),
         pytest.param(lambda: rd.hypercube(10), None, "iterative", id="hypercube10-pcg"),
         pytest.param(lambda: rd.random_regular(3000, 4, 1), None, "iterative",
                      id="expander3000-pcg"),
@@ -169,6 +171,8 @@ class TestStreamedSketch:
         g = rd.barbell(8)
         last = _num_probes(rd.SketchConfig(), g.n) % sketch._PROBE_CHUNK
         assert g.m % 2 == 1 and last % 2 == 1
+        m = rd.complete(70).m  # more than two Gram blocks and an odd tail
+        assert m > 2 * sketch._GRAM_BLOCK and (m % sketch._GRAM_BLOCK) % 2 == 1
 
     def test_peak_memory_without_dense_probe_matrix(self):
         # int8 probes (k·m bytes) plus at most three k×n float64 arrays; the

@@ -8,7 +8,7 @@ import resdecomp as rd
 from resdecomp.linalg import DENSE_SOLVE_LIMIT
 from resdecomp.sweep import CERTIFICATE_DIAMETER_FACTOR, _level_profile
 
-from conftest import log_uniform_mesh, path_graph
+from conftest import log_uniform_mesh, path_graph, skewed
 
 
 def brute_force_sweep(g, values, epsilon):
@@ -204,6 +204,30 @@ class TestFindSparseCut:
         side_vol = min(st.volume, 2 * g.total_weight - st.volume)
         assert res.stats.boundary_weight == pytest.approx(st.boundary_weight, rel=1e-9)
         assert res.stats.volume == pytest.approx(side_vol, rel=1e-9)
+
+    @pytest.mark.parametrize("make", [lambda: rd.hypercube(8),
+                                      lambda: rd.random_regular(200, 4, 0)],
+                             ids=["hypercube8", "expander200"])
+    @pytest.mark.parametrize("spread", [1e2, 1e3])
+    def test_skewed_weights_on_pcg(self, make, spread):
+        # the tree-energy stop certifies PCG on skewed weights, where a
+        # residual target from a worst-case spectral-gap bound is out of reach
+        g = skewed(make(), spread)
+        opts = rd.SolverOptions(method="iterative")
+        res = rd.find_sparse_cut(g, opts=opts)
+        st = rd.cut_stats(g, res.subset)
+        assert 0 < res.subset.size < g.n
+        assert res.stats.subset.tolist() == st.subset.tolist()
+        assert res.stats.boundary_weight == pytest.approx(st.boundary_weight, rel=1e-9)
+        assert res.stats.volume == pytest.approx(st.volume, rel=1e-9)
+        assert res.certificate_c == pytest.approx(
+            st.conductance * st.volume ** (0.5 - res.epsilon), rel=1e-9)
+        # the cut's potential is within its eta of the dense oracle
+        p = rd.st_potential(rd.LaplacianSolver(g, opts), res.source, res.sink, res.zeta)
+        exact = rd.st_potential(rd.LaplacianSolver(g, rd.SolverOptions(method="dense")),
+                                res.source, res.sink)
+        assert p.eta == res.eta
+        assert np.abs(p.values - exact.values).max() <= p.eta
 
     def test_deterministic(self):
         g = rd.grid2d(6)
