@@ -95,12 +95,15 @@ def _solver_options(args) -> SolverOptions:
     return SolverOptions(zeta=args.zeta, method=args.method)
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+def _add_sketch_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="seed for randomized internals")
     p.add_argument("--beta", type=float, default=DEFAULT_BETA,
                    help="multiplicative sketch tolerance (default ln(3/2))")
     p.add_argument("--probes", type=int, default=None,
                    help="override the automatic probe count")
+
+
+def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--zeta", type=float, default=1e-8,
                    help="relative solve tolerance in the energy norm")
     p.add_argument("--method", choices=("auto", "dense", "iterative"), default="auto",
@@ -139,6 +142,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--epsilon", type=float, default=0.25)
     p.add_argument("--out", default=None)
     p.add_argument("--timing", action="store_true")
+    _add_sketch_flags(p)
     _add_solver_flags(p)
 
     p = sub.add_parser("decompose", help="partition into bounded-resistance blocks")
@@ -154,6 +158,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--partition-out", dest="partition_out", default=None,
                    help="also write the blocks as a partition JSON file")
     p.add_argument("--timing", action="store_true")
+    _add_sketch_flags(p)
     _add_solver_flags(p)
 
     p = sub.add_parser("verify", help="recheck a partition file")
@@ -163,6 +168,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--c-r", type=float, dest="c_r", default=1.0)
     p.add_argument("--out", default=None)
     p.add_argument("--timing", action="store_true")
+    _add_sketch_flags(p)
     _add_solver_flags(p)
     return parser
 
@@ -236,7 +242,7 @@ def _cmd_reff(args) -> dict:
     return {
         "input": _digest(g, args.graph),
         "config": {"s": args.s, "t": args.t, "exact": args.exact,
-                   "zeta": args.zeta, "method": args.method, "seed": args.seed},
+                   "zeta": args.zeta, "method": args.method},
         "results": results,
     }
 
@@ -291,7 +297,7 @@ def _cmd_decompose(args) -> dict:
         # the run certified these blocks with the verifier's settings; the
         # cover, cut weight and loss are rechecked from the input graph
         rec = _verification_record(g, part.blocks, args.delta, report.per_block_rdiam,
-                                   C_LOSS, C_RES, args.c_r)
+                                   args.c_r)
         results["verification"] = _verification_payload(rec)
     return {
         "input": _digest(g, args.graph),

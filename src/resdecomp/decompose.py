@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DisconnectedGraphError
 from .graph import WeightedGraph, connected_components, induced_subgraph
 from .linalg import LaplacianSolver, SolverOptions, exact_resistance_diameter
 from .sketch import SketchConfig, furthest_pair
@@ -208,9 +209,10 @@ def _block_resistance(g: WeightedGraph, block: np.ndarray,
     if block.size <= 1:
         return BlockResistance(0.0, True)
     sub, _ = induced_subgraph(g, block)
-    if len(connected_components(sub)) > 1:
+    try:
+        return _connected_block_resistance(sub, cfg, opts, oracle_limit)
+    except DisconnectedGraphError:  # the oracle and the solver both check
         return BlockResistance(math.inf, True)
-    return _connected_block_resistance(sub, cfg, opts, oracle_limit)
 
 
 def _connected_block_resistance(sub: WeightedGraph, cfg: SketchConfig,
@@ -313,25 +315,23 @@ def _as_blocks(p) -> list[np.ndarray]:
     return [np.unique(np.asarray(list(b), dtype=np.int64)) for b in raw]
 
 
-def verify_partition(g: WeightedGraph, p, delta: float,
-                     c_loss: float = C_LOSS, c_res: float = C_RES,
-                     c_r: float = 1.0,
+def verify_partition(g: WeightedGraph, p, delta: float, c_r: float = 1.0,
                      oracle_limit: int | None = None,
                      cfg: SketchConfig | None = None,
                      opts: SolverOptions | None = None) -> VerificationRecord:
     """Independently recheck a partition against the loss and resistance
-    bounds, certifying every block afresh. Rejects inputs that are not a
-    partition of V. ``oracle_limit`` defaults to :data:`ORACLE_BLOCK_LIMIT`."""
+    bounds (:data:`C_LOSS`/delta and :data:`C_RES`·delta³·n/w(E)), certifying
+    every block afresh. Rejects inputs that are not a partition of V.
+    ``oracle_limit`` defaults to :data:`ORACLE_BLOCK_LIMIT`."""
     cfg = cfg or SketchConfig()
     blocks = _as_blocks(p)
     # a generator: blocks are certified only once the cover has been checked
     rdiams = (_block_resistance(g, b, cfg, opts, oracle_limit) for b in blocks)
-    return _verification_record(g, blocks, delta, rdiams, c_loss, c_res, c_r)
+    return _verification_record(g, blocks, delta, rdiams, c_r)
 
 
 def _verification_record(g: WeightedGraph, blocks: list[np.ndarray], delta: float,
-                         rdiams: Iterable[BlockResistance],
-                         c_loss: float, c_res: float, c_r: float) -> VerificationRecord:
+                         rdiams: Iterable[BlockResistance], c_r: float) -> VerificationRecord:
     """The verification record of ``blocks`` given their certificates.
 
     The cover, cut weight and loss come from ``g``; ``rdiams`` is consumed
@@ -351,11 +351,11 @@ def _verification_record(g: WeightedGraph, blocks: list[np.ndarray], delta: floa
     eu, ev, ew = g.edges()
     cut_weight = float(ew[label[eu] != label[ev]].sum())
     loss_fraction = cut_weight / g.total_weight if g.total_weight > 0 else 0.0
-    loss_bound = c_loss / delta
+    loss_bound = C_LOSS / delta
 
     rdiams = list(rdiams)
     if g.total_weight > 0:
-        rdiam_bound = c_res * delta ** 3 * g.n / g.total_weight
+        rdiam_bound = C_RES * delta ** 3 * g.n / g.total_weight
         resistance_target = c_r * delta ** 3 * g.n / g.total_weight
     else:
         rdiam_bound = math.inf

@@ -7,6 +7,7 @@ without it, n = 1 + max vertex id seen.
 """
 from __future__ import annotations
 
+import math
 import os
 
 from .graph import WeightedGraph, build_graph
@@ -51,8 +52,8 @@ def parse_edgelist(text: str) -> WeightedGraph:
             raise EdgeListFormatError(lineno, f"could not parse edge {line!r}") from None
         if u < 0 or v < 0:
             raise EdgeListFormatError(lineno, f"negative vertex id in {line!r}")
-        if not (w > 0):
-            raise EdgeListFormatError(lineno, f"weight must be positive, got {tokens[2]}")
+        if not (0 < w < math.inf):
+            raise EdgeListFormatError(lineno, f"weight must be positive and finite, got {tokens[2]}")
         seen_edge = True
         max_id = max(max_id, u, v)
         edges.append((u, v, w))

@@ -57,9 +57,6 @@ class WeightedGraph:
         lo, hi = self.indptr[v], self.indptr[v + 1]
         return self.indices[lo:hi], self.weights[lo:hi]
 
-    def degree(self, v: int) -> float:
-        return float(self.degrees[v])
-
     def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Canonical edge arrays ``(u, v, w)`` with u < v."""
         return self.edge_u, self.edge_v, self.edge_w
@@ -174,10 +171,6 @@ def connected_components(g: WeightedGraph) -> list[np.ndarray]:
     comps = [np.flatnonzero(labels == c) for c in range(ncomp)]
     comps.sort(key=lambda c: int(c[0]))
     return comps
-
-
-def is_connected(g: WeightedGraph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
 
 
 def scale_weights(g: WeightedGraph, alpha: float) -> WeightedGraph:

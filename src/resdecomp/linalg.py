@@ -37,7 +37,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, DisconnectedGraphError, InfiniteResistanceError
-from .graph import WeightedGraph, induced_subgraph
+from .graph import WeightedGraph, connected_components, induced_subgraph
 
 # Up to this order the auto method takes dense Cholesky; above it, the fill
 # probe chooses between sparse LU and PCG.
@@ -288,7 +288,7 @@ def solve_laplacian_many(solver: LaplacianSolver, B: np.ndarray,
     return X
 
 
-def required_solver_accuracy(g: WeightedGraph, eta: float, floor: float = ZETA_FLOOR) -> float:
+def required_solver_accuracy(g: WeightedGraph, eta: float) -> float:
     """Solve tolerance that guarantees additive per-entry potential accuracy
     ``eta``: zeta = eta * min_e w / (n - 1), clamped to the representable
     range.
@@ -302,7 +302,7 @@ def required_solver_accuracy(g: WeightedGraph, eta: float, floor: float = ZETA_F
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
     zeta = eta * g.min_weight() / (g.n - 1)
-    return float(min(max(zeta, floor), ZETA_CAP))
+    return float(min(max(zeta, ZETA_FLOOR), ZETA_CAP))
 
 
 def implied_potential_accuracy(g: WeightedGraph, zeta: float) -> float:
@@ -333,9 +333,12 @@ def st_potential(solver: LaplacianSolver, s: int, t: int,
                            eta=implied_potential_accuracy(g, zeta))
 
 
-def _component_labels(g: WeightedGraph) -> np.ndarray:
-    _, labels = csgraph.connected_components(g.adjacency_matrix(), directed=False)
-    return labels
+def _grounded_cholesky(L: sp.csr_matrix, ground: int) -> tuple:
+    """Dense Cholesky factor of the Laplacian ``L`` of a connected graph with
+    vertex ``ground`` grounded: its row and column removed, which leaves a
+    positive definite matrix."""
+    keep = np.arange(L.shape[0]) != ground
+    return sla.cho_factor(L.toarray()[np.ix_(keep, keep)], check_finite=False)
 
 
 def exact_reff(g: WeightedGraph, s: int, t: int) -> float:
@@ -348,26 +351,17 @@ def exact_reff(g: WeightedGraph, s: int, t: int) -> float:
         raise ValueError(f"vertices ({s}, {t}) out of range [0, {g.n})")
     if s == t:
         return 0.0
-    labels = _component_labels(g)
-    if labels[s] != labels[t]:
+    comp = next(c for c in connected_components(g) if s in c)
+    if t not in comp:
         raise InfiniteResistanceError(
             f"vertices {s} and {t} lie in different components; resistance is infinite")
-    comp = np.flatnonzero(labels == labels[s])
-    cu, cv, cw = induced_subgraph(g, comp)[0].edges()
-    k = comp.size
-    L = np.zeros((k, k))
-    np.add.at(L, (cu, cu), cw)
-    np.add.at(L, (cv, cv), cw)
-    np.subtract.at(L, (cu, cv), cw)
-    np.subtract.at(L, (cv, cu), cw)
-    # canonical orientation keeps the result bit-identical under (s, t) swap
-    a, bb = sorted(np.searchsorted(comp, [s, t]).tolist())
-    idx = np.arange(k) != bb  # ground the larger index
-    rhs = np.zeros(k)
+    # canonical orientation keeps the result bit-identical under (s, t) swap:
+    # ground the larger index, so the smaller keeps its place
+    a, b = sorted(np.searchsorted(comp, [s, t]).tolist())
+    factor = _grounded_cholesky(assemble_laplacian(induced_subgraph(g, comp)[0]), b)
+    rhs = np.zeros(comp.size - 1)
     rhs[a] = 1.0
-    factor = sla.cho_factor(L[np.ix_(idx, idx)], check_finite=False)
-    y = sla.cho_solve(factor, rhs[idx], check_finite=False)
-    return float(y[a])
+    return float(sla.cho_solve(factor, rhs, check_finite=False)[a])
 
 
 def exact_reff_matrix(g: WeightedGraph) -> np.ndarray:
@@ -379,10 +373,9 @@ def exact_reff_matrix(g: WeightedGraph) -> np.ndarray:
     L = assemble_laplacian(g)
     if csgraph.connected_components(L, directed=False)[0] > 1:
         raise DisconnectedGraphError("resistance matrix requires a connected graph")
-    L = L.toarray()
-    G = np.zeros_like(L)
-    factor = sla.cho_factor(L[:-1, :-1], check_finite=False)
-    G[:-1, :-1] = sla.cho_solve(factor, np.eye(g.n - 1), check_finite=False)
+    G = np.zeros((g.n, g.n))
+    G[:-1, :-1] = sla.cho_solve(_grounded_cholesky(L, g.n - 1), np.eye(g.n - 1),
+                                check_finite=False)
     d = np.diag(G)
     R = d[:, None] + d[None, :] - 2 * G
     R = 0.5 * (R + R.T)

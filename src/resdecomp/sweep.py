@@ -27,20 +27,6 @@ CERTIFICATE_DIAMETER_FACTOR = 1.0
 
 
 @dataclass(frozen=True)
-class SweepEntry:
-    """One prefix split of the sweep; stats describe the smaller-volume side.
-
-    ``threshold`` is the potential of the last vertex inside the threshold
-    set, ``side`` records which side the stats describe ("threshold" or
-    "complement"), and ``score`` = conductance · volume^(1/2 − epsilon).
-    """
-    threshold: float
-    side: str
-    stats: CutStats
-    score: float
-
-
-@dataclass(frozen=True)
 class CutResult:
     """Best level cut found by :func:`find_sparse_cut` plus audit data.
 
@@ -79,7 +65,6 @@ class _LevelProfile:
     """
     order: np.ndarray
     ends: np.ndarray
-    thresholds: np.ndarray
     inside: np.ndarray
     boundary: np.ndarray
     volume: np.ndarray
@@ -126,23 +111,8 @@ def _level_profile(g: WeightedGraph, p, epsilon: float) -> _LevelProfile:
     exponent = 0.5 - epsilon
     scores = np.array([b / v * v ** exponent if v > 0 else math.inf
                        for b, v in zip(boundary.tolist(), volume.tolist())])
-    return _LevelProfile(order=order, ends=ends, thresholds=ranked[ends], inside=inside,
+    return _LevelProfile(order=order, ends=ends, inside=inside,
                          boundary=boundary, volume=volume, scores=scores)
-
-
-def sweep_level_sets(g: WeightedGraph, p, epsilon: float) -> list[SweepEntry]:
-    """Score every level set of the potential ``p``.
-
-    Vertices are sorted by potential descending (ties by ascending id) and
-    one entry is produced per strict drop in the sorted values; boundary
-    weight and volume of every prefix are cumulative sums over that order.
-    Each entry reports the side with volume at most half the total.
-    """
-    prof = _level_profile(g, p, epsilon)
-    return [SweepEntry(threshold=float(prof.thresholds[i]),
-                       side="threshold" if prof.inside[i] else "complement",
-                       stats=prof.stats(i), score=float(prof.scores[i]))
-            for i in range(prof.ends.size)]
 
 
 def find_sparse_cut(g: WeightedGraph, epsilon: float = 0.25,
@@ -152,8 +122,8 @@ def find_sparse_cut(g: WeightedGraph, epsilon: float = 0.25,
 
     Pipeline: sketch a far pair (u, v); set the target score from their
     estimated resistance and degrees; pick the potential accuracy so the
-    sweep tolerates the approximation; solve; sweep; return the entry with
-    the minimal score (earliest threshold on ties). The returned cut is the
+    sweep tolerates the approximation; solve; sweep; return the level set
+    with the minimal score (earliest threshold on ties). The returned cut is the
     best level cut of this potential in every case; the certificate fields
     let callers compare achieved against targeted score. One solver serves the
     sketch and the potential; its constructor rejects a disconnected graph.

@@ -119,6 +119,14 @@ class TestReff:
         assert code == 2
         assert "range" in report["error"]["message"]
 
+    @pytest.mark.parametrize("flag", ["--probes", "--seed", "--beta"])
+    def test_sketch_flags_are_usage_errors(self, capsys, path3, flag):
+        # reff never sketches, so it takes only the solver flags
+        assert execute(["reff", "--graph", path3, "-s", "0", "-t", "2", flag, "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} 5" in captured.err
+
 
 class TestCut:
     def test_barbell_bridge(self, capsys, barbell4):

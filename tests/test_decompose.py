@@ -387,9 +387,12 @@ class TestVerifyPartition:
 
     def test_disconnected_block_infinite_diameter(self):
         g = path_graph(4)
-        rec = rd.verify_partition(g, [[0, 3], [1, 2]], 4.0)
-        assert math.isinf(rec.block_rdiams[0].value)
-        assert not rec.rdiam_ok
+        # the dense oracle, then the solver above the oracle limit
+        for oracle_limit in (None, 1):
+            rec = rd.verify_partition(g, [[0, 3], [1, 2]], 4.0, oracle_limit=oracle_limit)
+            assert math.isinf(rec.block_rdiams[0].value)
+            assert rec.block_rdiams[0].certified_exact
+            assert not rec.rdiam_ok
 
     def test_decompose_then_verify_passes(self, corpus):
         for g in corpus[:10]:

@@ -6,6 +6,11 @@ import resdecomp as rd
 from conftest import random_connected_graph
 
 
+def test_public_api_resolves():
+    assert [name for name in rd.__all__ if not hasattr(rd, name)] == []
+    assert len(rd.__all__) == len(set(rd.__all__))
+
+
 class TestBuildGraph:
     def test_parallel_edges_merge_by_sum(self):
         g = rd.build_graph(2, [(0, 1, 1.0), (0, 1, 2.0)])
@@ -245,9 +250,10 @@ class TestEdgeList:
         with pytest.raises(rd.EdgeListFormatError, match="line 3"):
             rd.parse_edgelist("0 1 1.0\n1 2 1.0\n2 3\n")
 
-    def test_bad_weight_reported(self):
+    @pytest.mark.parametrize("weight", ["-2.0", "inf", "1e400", "nan"])
+    def test_bad_weight_reported(self, weight):
         with pytest.raises(rd.EdgeListFormatError, match="line 1"):
-            rd.parse_edgelist("0 1 -2.0\n")
+            rd.parse_edgelist(f"0 1 {weight}\n")
 
     def test_header_too_small_rejected(self):
         with pytest.raises(ValueError, match="n=2"):

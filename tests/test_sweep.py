@@ -33,81 +33,85 @@ def brute_force_sweep(g, values, epsilon):
 class TestSweepLevelSets:
     def test_path_example(self):
         g = path_graph(3)
-        entries = rd.sweep_level_sets(g, np.array([2.0, 1.0, 0.0]), 0.25)
-        assert len(entries) == 2
-        first, second = entries
-        assert first.stats.subset.tolist() == [0]
-        assert first.side == "threshold"
-        assert (first.stats.conductance, first.stats.volume) == (1.0, 1.0)
-        assert second.stats.subset.tolist() == [2]
-        assert second.side == "complement"
-        assert (second.stats.conductance, second.stats.volume) == (1.0, 1.0)
+        prof = _level_profile(g, np.array([2.0, 1.0, 0.0]), 0.25)
+        assert prof.ends.size == 2
+        first, second = prof.stats(0), prof.stats(1)
+        assert first.subset.tolist() == [0]
+        assert prof.inside[0]
+        assert (first.conductance, first.volume) == (1.0, 1.0)
+        assert second.subset.tolist() == [2]
+        assert not prof.inside[1]
+        assert (second.conductance, second.volume) == (1.0, 1.0)
 
     def test_constant_potential_degenerate(self):
         with pytest.raises(rd.DegeneratePotentialError):
-            rd.sweep_level_sets(path_graph(3), np.ones(3), 0.25)
+            _level_profile(path_graph(3), np.ones(3), 0.25)
 
     def test_barbell_bridge_cut_present(self):
         g = rd.barbell(4)
         p = rd.st_potential(rd.LaplacianSolver(g), 0, 5, 1e-10)
-        entries = rd.sweep_level_sets(g, p, 0.25)
-        bridge = [e for e in entries
-                  if e.stats.boundary_weight == pytest.approx(1.0, abs=1e-9)
-                  and e.stats.volume == pytest.approx(13.0, abs=1e-9)]
+        prof = _level_profile(g, p, 0.25)
+        bridge = [st for st in map(prof.stats, range(prof.ends.size))
+                  if st.boundary_weight == pytest.approx(1.0, abs=1e-9)
+                  and st.volume == pytest.approx(13.0, abs=1e-9)]
         assert bridge, "bridge cut missing from the sweep"
-        assert bridge[0].stats.conductance == pytest.approx(1 / 13, rel=1e-9)
+        assert bridge[0].conductance == pytest.approx(1 / 13, rel=1e-9)
 
     def test_epsilon_validated(self):
         with pytest.raises(ValueError):
-            rd.sweep_level_sets(path_graph(3), np.array([2.0, 1.0, 0.0]), 0.5)
+            _level_profile(path_graph(3), np.array([2.0, 1.0, 0.0]), 0.5)
 
     def test_accepts_potential_vector(self):
         g = path_graph(3)
         p = rd.st_potential(rd.LaplacianSolver(g), 0, 2)
-        entries = rd.sweep_level_sets(g, p, 0.25)
-        assert entries[0].stats.subset.tolist() == [0]
+        prof = _level_profile(g, p, 0.25)
+        assert prof.stats(0).subset.tolist() == [0]
 
     def test_monotone_prefix_volume(self, corpus):
         for g in corpus[:10]:
             p = rd.st_potential(rd.LaplacianSolver(g), 0, g.n - 1)
-            entries = rd.sweep_level_sets(g, p, 0.25)
-            prefix_vols = [e.stats.volume if e.side == "threshold"
-                           else 2 * g.total_weight - e.stats.volume for e in entries]
+            prof = _level_profile(g, p, 0.25)
+            prefix_vols = [prof.stats(i).volume if prof.inside[i]
+                           else 2 * g.total_weight - prof.stats(i).volume
+                           for i in range(prof.ends.size)]
             assert all(a <= b + 1e-9 for a, b in zip(prefix_vols, prefix_vols[1:]))
 
     def test_reported_side_never_exceeds_half(self, corpus):
         for g in corpus[:10]:
             p = rd.st_potential(rd.LaplacianSolver(g), 0, g.n - 1)
-            for e in rd.sweep_level_sets(g, p, 0.25):
-                assert e.stats.volume <= g.total_weight + 1e-9
-                assert e.score == pytest.approx(
-                    e.stats.conductance * e.stats.volume ** 0.25, rel=1e-12)
+            prof = _level_profile(g, p, 0.25)
+            for i in range(prof.ends.size):
+                stats = prof.stats(i)
+                assert stats.volume <= g.total_weight + 1e-9
+                assert prof.scores[i] == pytest.approx(
+                    stats.conductance * stats.volume ** 0.25, rel=1e-12)
 
     def test_incremental_matches_direct_recompute(self, corpus):
         rng = np.random.default_rng(77)
         graphs = corpus[:8] + [rd.grid2d(8), rd.barbell(5)]
         for g in graphs:
             values = rng.normal(size=g.n)
-            entries = rd.sweep_level_sets(g, values, 0.3)
+            prof = _level_profile(g, values, 0.3)
             oracle = brute_force_sweep(g, values, 0.3)
-            assert len(entries) == len(oracle)
-            for e, (side, boundary, vol, score) in zip(entries, oracle):
-                assert e.stats.subset.tolist() == side
-                assert e.stats.boundary_weight == pytest.approx(boundary, rel=1e-9, abs=1e-12)
-                assert e.stats.volume == pytest.approx(vol, rel=1e-9)
-                assert e.score == pytest.approx(score, rel=1e-9)
+            assert prof.ends.size == len(oracle)
+            for i, (side, boundary, vol, score) in enumerate(oracle):
+                stats = prof.stats(i)
+                assert stats.subset.tolist() == side
+                assert stats.boundary_weight == pytest.approx(boundary, rel=1e-9, abs=1e-12)
+                assert stats.volume == pytest.approx(vol, rel=1e-9)
+                assert prof.scores[i] == pytest.approx(score, rel=1e-9)
 
     def test_tie_handling_merges_equal_potentials(self):
         g = rd.complete(4)
-        entries = rd.sweep_level_sets(g, np.array([1.0, 0.5, 0.5, 0.0]), 0.25)
+        prof = _level_profile(g, np.array([1.0, 0.5, 0.5, 0.0]), 0.25)
         # only two strict drops: after {0} and after {0,1,2}
-        assert len(entries) == 2
-        assert entries[0].stats.subset.tolist() == [0]
-        assert entries[1].stats.subset.tolist() == [3]
+        assert prof.ends.size == 2
+        assert prof.stats(0).subset.tolist() == [0]
+        assert prof.stats(1).subset.tolist() == [3]
 
     def test_profile_memory_linear(self):
-        # every prefix of a path is a level set: storing each side, as a list
-        # of entries does, takes about 34 MB here
+        # every prefix of a path is a level set: storing each side would
+        # take about 34 MB here
         n = 4000
         g = path_graph(n)
         tracemalloc.start()
@@ -139,8 +143,8 @@ class TestFindSparseCut:
         res = rd.find_sparse_cut(g, 0.25)
         # replay the same potential and check the sweep minimum was returned
         p = rd.st_potential(rd.LaplacianSolver(g), res.source, res.sink, res.zeta)
-        entries = rd.sweep_level_sets(g, p, 0.25)
-        assert res.certificate_c == min(e.score for e in entries)
+        prof = _level_profile(g, p, 0.25)
+        assert res.certificate_c == min(prof.scores)
         # the diameter really is tiny here, so no useful sparse cut exists:
         # the target derived from Reff = 1/4 sits above every balanced score
         assert rd.exact_resistance_diameter(g) == pytest.approx(0.25, rel=1e-9)
@@ -160,8 +164,8 @@ class TestFindSparseCut:
         assert res.certificate_c <= 1.8 * axis_score
         # and the returned cut is the best level cut of its own potential
         p = rd.st_potential(rd.LaplacianSolver(g), res.source, res.sink, res.zeta)
-        entries = rd.sweep_level_sets(g, p, 0.25)
-        assert res.certificate_c == min(e.score for e in entries)
+        prof = _level_profile(g, p, 0.25)
+        assert res.certificate_c == min(prof.scores)
 
     def test_certificate_soundness_gated(self, corpus):
         # whenever the true diameter exceeds the gate times the driving
