@@ -32,7 +32,7 @@ from .decompose import (C_LOSS, C_RES, DecompositionConfig, _verification_record
 from .edgelist import read_edgelist, write_edgelist
 from .generators import _FAMILIES, generate
 from .graph import WeightedGraph
-from .linalg import LaplacianSolver, SolverOptions, exact_reff, st_potential
+from .linalg import LaplacianSolver, SolverOptions, _pair_component, exact_reff, st_potential
 from .sketch import DEFAULT_BETA, SketchConfig
 from .sweep import find_sparse_cut
 
@@ -203,14 +203,23 @@ def _stats_payload(stats) -> dict:
     }
 
 
+def _rdiams_payload(rdiams) -> list[dict]:
+    return [{"value": r.value, "certified_exact": r.certified_exact} for r in rdiams]
+
+
+def _settings_payload(args) -> dict:
+    """The sketch, solver and verifier settings decompose and verify echo."""
+    return {"beta": args.beta, "seed": args.seed, "probes": args.probes,
+            "zeta": args.zeta, "method": args.method, "c_loss": C_LOSS, "c_res": C_RES}
+
+
 def _verification_payload(rec) -> dict:
     return {
         "cut_weight": rec.cut_weight,
         "loss_fraction": rec.loss_fraction,
         "loss_bound": rec.loss_bound,
         "loss_ok": rec.loss_ok,
-        "block_rdiams": [{"value": r.value, "certified_exact": r.certified_exact}
-                         for r in rec.block_rdiams],
+        "block_rdiams": _rdiams_payload(rec.block_rdiams),
         "rdiam_bound": rec.rdiam_bound,
         "rdiam_ok": rec.rdiam_ok,
         "resistance_target": rec.resistance_target,
@@ -236,8 +245,10 @@ def _cmd_reff(args) -> dict:
         value = exact_reff(g, args.s, args.t)
         results = {"reff": value, "method": "exact"}
     else:
-        pot = st_potential(LaplacianSolver(g, _solver_options(args)), args.s, args.t)
-        results = {"reff": float(pot.values[args.s] - pot.values[args.t]),
+        # solved on the component of s, as the dense oracle does
+        sub, s, t = _pair_component(g, args.s, args.t)
+        pot = st_potential(LaplacianSolver(sub, _solver_options(args)), s, t)
+        results = {"reff": float(pot.values[s] - pot.values[t]),
                    "method": "potential", "eta": pot.eta}
     return {
         "input": _digest(g, args.graph),
@@ -270,16 +281,14 @@ def _cmd_cut(args) -> dict:
 def _cmd_decompose(args) -> dict:
     g = _load_graph(args.graph)
     config = DecompositionConfig.for_graph(g, args.delta, args.c_r)
-    cfg = _sketch_config(args)
-    opts = _solver_options(args)
-    part, report = partition_with_config(g, config, cfg, opts)
+    part, report = partition_with_config(g, config, _sketch_config(args), _solver_options(args))
+    blocks = [b.tolist() for b in part.blocks]
     if args.partition_out:
-        payload = {"blocks": [b.tolist() for b in part.blocks]}
         with open(args.partition_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump({"blocks": blocks}, fh, indent=2, sort_keys=True)
             fh.write("\n")
     results = {
-        "blocks": [b.tolist() for b in part.blocks],
+        "blocks": blocks,
         "num_blocks": len(part.blocks),
         "cut_weight": part.cut_weight,
         "loss_fraction": report.loss_fraction,
@@ -290,8 +299,7 @@ def _cmd_decompose(args) -> dict:
         "psi_weighted_sum": float((report.psi * g.edge_w).sum()) if g.m else 0.0,
         "num_sparse_cuts": report.num_sparse_cuts,
         "num_pruned_vertices": report.num_pruned_vertices,
-        "per_block_rdiam": [{"value": r.value, "certified_exact": r.certified_exact}
-                            for r in report.per_block_rdiam],
+        "per_block_rdiam": _rdiams_payload(report.per_block_rdiam),
     }
     if args.exact_verify:
         # the run certified these blocks with the verifier's settings; the
@@ -304,10 +312,7 @@ def _cmd_decompose(args) -> dict:
         "config": {"delta": args.delta, "epsilon": config.epsilon, "c_r": args.c_r,
                    "cut_budget": config.cut_budget,
                    "resistance_target": config.resistance_target,
-                   "prune_threshold": config.prune_threshold,
-                   "beta": args.beta, "seed": args.seed, "probes": args.probes,
-                   "zeta": args.zeta, "method": args.method,
-                   "c_loss": C_LOSS, "c_res": C_RES},
+                   "prune_threshold": config.prune_threshold, **_settings_payload(args)},
         "results": results,
     }
 
@@ -320,8 +325,7 @@ def _cmd_verify(args) -> dict:
     return {
         "input": _digest(g, args.graph),
         "config": {"delta": args.delta, "c_r": args.c_r, "partition": args.partition,
-                   "beta": args.beta, "seed": args.seed, "probes": args.probes,
-                   "zeta": args.zeta, "method": args.method, "c_loss": C_LOSS, "c_res": C_RES},
+                   **_settings_payload(args)},
         "results": _verification_payload(rec),
     }
 
@@ -346,18 +350,17 @@ def execute(argv) -> int:
         return 1
     started = time.monotonic()
     report = {"schema": SCHEMA_VERSION, "command": args.command}
+    code = 0
     try:
         report.update(_COMMANDS[args.command](args))
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        if getattr(args, "timing", False):
-            report["timing_seconds"] = time.monotonic() - started
-        _emit(report, getattr(args, "out", None) if args.command != "gen" else None)
-        return 2
-    if getattr(args, "timing", False):
+        code = 2
+    if args.timing:
         report["timing_seconds"] = time.monotonic() - started
-    _emit(report, getattr(args, "out", None) if args.command != "gen" else None)
-    return 0
+    # gen's --out is the edge list; its report goes to stdout
+    _emit(report, args.out if args.command != "gen" else None)
+    return code
 
 
 def main() -> None:

@@ -59,21 +59,21 @@ class DecompositionConfig:
         return self.cut_budget / (2.0 * self.n_original)
 
     @classmethod
-    def for_graph(cls, g: WeightedGraph, delta: float, c_r: float = 1.0,
-                  epsilon: float = 0.25) -> "DecompositionConfig":
+    def for_graph(cls, g: WeightedGraph, delta: float, c_r: float = 1.0) -> "DecompositionConfig":
         if g.n == 0:
             raise ValueError("graph must be non-empty")
         if delta < 2:
             raise ValueError(f"delta must be at least 2, got {delta}")
-        if c_r * delta ** 2 < 4.0 / epsilon:
+        floor = 4.0 / cls.epsilon  # at the default sweep epsilon
+        if c_r * delta ** 2 < floor:
             raise ValueError(
                 f"c_r * delta^2 = {c_r * delta ** 2:g} is below the charge-amortization "
-                f"floor {4.0 / epsilon:g}; raise delta (or c_r) so the per-edge charge "
+                f"floor {floor:g}; raise delta (or c_r) so the per-edge charge "
                 f"bound applies")
         budget = g.total_weight / delta
         target = c_r * delta ** 2 * g.n / budget if budget > 0 else math.inf
         return cls(delta=delta, n_original=g.n, cut_budget=budget,
-                   resistance_target=target, epsilon=epsilon, c_r=c_r)
+                   resistance_target=target, c_r=c_r)
 
 
 @dataclass(frozen=True)
@@ -199,31 +199,22 @@ class _Accounting:
             self.charge_volumes.setdefault(i, []).append(side_volume)
 
 
-def _block_resistance(g: WeightedGraph, block: np.ndarray,
-                      cfg: SketchConfig, opts: SolverOptions | None,
-                      oracle_limit: int | None = None) -> BlockResistance:
-    # the limit is read here, not bound at import, so that the partition and
-    # the verifier certify alike under a patched ORACLE_BLOCK_LIMIT
-    if oracle_limit is None:
-        oracle_limit = ORACLE_BLOCK_LIMIT
-    if block.size <= 1:
-        return BlockResistance(0.0, True)
-    sub, _ = induced_subgraph(g, block)
+def _certify_block(sub: WeightedGraph, cfg: SketchConfig, opts: SolverOptions | None,
+                   estimate: float | None = None) -> BlockResistance:
+    """Certified resistance diameter of a block of two or more vertices,
+    given its induced subgraph ``sub``: the dense oracle up to
+    ``ORACLE_BLOCK_LIMIT`` vertices, beyond it 2·e^beta times the far-pair
+    estimate, sketched here unless the caller has it. The limit is read at
+    call time, so the partition and the verifier certify alike under a
+    patched limit. A disconnected block (the oracle and the solver both
+    detect one) has infinite diameter."""
     try:
-        return _connected_block_resistance(sub, cfg, opts, oracle_limit)
-    except DisconnectedGraphError:  # the oracle and the solver both check
+        if sub.n <= ORACLE_BLOCK_LIMIT:
+            return BlockResistance(exact_resistance_diameter(sub), True)
+        if estimate is None:
+            _, _, estimate = furthest_pair(sub, cfg, LaplacianSolver(sub, opts))
+    except DisconnectedGraphError:
         return BlockResistance(math.inf, True)
-
-
-def _connected_block_resistance(sub: WeightedGraph, cfg: SketchConfig,
-                                opts: SolverOptions | None, oracle_limit: int,
-                                estimate: float | None = None) -> BlockResistance:
-    # The dense oracle up to ``oracle_limit`` vertices; beyond it 2·e^beta
-    # times the far-pair estimate, sketched here unless the caller has it.
-    if sub.n <= oracle_limit:
-        return BlockResistance(exact_resistance_diameter(sub), True)
-    if estimate is None:
-        _, _, estimate = furthest_pair(sub, cfg, LaplacianSolver(sub, opts))
     return BlockResistance(2.0 * math.exp(cfg.beta) * estimate, False)
 
 
@@ -263,15 +254,12 @@ def partition_with_config(g: WeightedGraph, config: DecompositionConfig,
                    else _far_pair_cut(solver, config.epsilon, u, v, estimate))
             del solver
             if cut is None:
-                blocks.append((root_ids, _connected_block_resistance(
-                    sub, cfg, opts, ORACLE_BLOCK_LIMIT, estimate)))
+                blocks.append((root_ids, _certify_block(sub, cfg, opts, estimate)))
                 continue
             acct.charge_cut(sub, root_ids, cut.subset,
                             cut.stats.boundary_weight, cut.stats.volume)
-            inside = np.zeros(sub.n, dtype=bool)
-            inside[cut.subset] = True
             small_graph, _ = induced_subgraph(sub, cut.subset)
-            rest = np.flatnonzero(~inside)
+            rest = np.delete(np.arange(sub.n), cut.subset)
             rest_graph, _ = induced_subgraph(sub, rest)
             # smaller-volume side is processed first (LIFO)
             work.append((rest_graph, root_ids[rest], depth + 1))
@@ -316,17 +304,16 @@ def _as_blocks(p) -> list[np.ndarray]:
 
 
 def verify_partition(g: WeightedGraph, p, delta: float, c_r: float = 1.0,
-                     oracle_limit: int | None = None,
                      cfg: SketchConfig | None = None,
                      opts: SolverOptions | None = None) -> VerificationRecord:
     """Independently recheck a partition against the loss and resistance
     bounds (:data:`C_LOSS`/delta and :data:`C_RES`·delta³·n/w(E)), certifying
-    every block afresh. Rejects inputs that are not a partition of V.
-    ``oracle_limit`` defaults to :data:`ORACLE_BLOCK_LIMIT`."""
+    every block afresh. Rejects inputs that are not a partition of V."""
     cfg = cfg or SketchConfig()
     blocks = _as_blocks(p)
     # a generator: blocks are certified only once the cover has been checked
-    rdiams = (_block_resistance(g, b, cfg, opts, oracle_limit) for b in blocks)
+    rdiams = (_certify_block(induced_subgraph(g, b)[0], cfg, opts) if b.size > 1
+              else BlockResistance(0.0, True) for b in blocks)
     return _verification_record(g, blocks, delta, rdiams, c_r)
 
 

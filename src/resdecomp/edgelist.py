@@ -25,14 +25,13 @@ def parse_edgelist(text: str) -> WeightedGraph:
     n_declared = None
     edges = []
     max_id = -1
-    seen_edge = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
         if tokens[0] == "n":
-            if seen_edge or n_declared is not None:
+            if edges or n_declared is not None:
                 raise EdgeListFormatError(lineno, "header 'n <count>' must appear once, before any edge")
             if len(tokens) != 2:
                 raise EdgeListFormatError(lineno, f"expected 'n <count>', got {line!r}")
@@ -54,7 +53,6 @@ def parse_edgelist(text: str) -> WeightedGraph:
             raise EdgeListFormatError(lineno, f"negative vertex id in {line!r}")
         if not (0 < w < math.inf):
             raise EdgeListFormatError(lineno, f"weight must be positive and finite, got {tokens[2]}")
-        seen_edge = True
         max_id = max(max_id, u, v)
         edges.append((u, v, w))
     n = n_declared if n_declared is not None else max_id + 1

@@ -168,9 +168,12 @@ def connected_components(g: WeightedGraph) -> list[np.ndarray]:
     if g.n == 0:
         return []
     ncomp, labels = csgraph.connected_components(g.adjacency_matrix(), directed=False)
-    comps = [np.flatnonzero(labels == c) for c in range(ncomp)]
-    comps.sort(key=lambda c: int(c[0]))
-    return comps
+    # a stable sort groups vertices by label, each group ascending from its least id
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.bincount(labels, minlength=ncomp)).tolist()
+    starts = [0] + ends[:-1]
+    comps = [order[a:b] for a, b in zip(starts, ends)]
+    return [comps[i] for i in np.argsort(order[starts]).tolist()]
 
 
 def scale_weights(g: WeightedGraph, alpha: float) -> WeightedGraph:

@@ -37,7 +37,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, DisconnectedGraphError, InfiniteResistanceError
-from .graph import WeightedGraph, connected_components, induced_subgraph
+from .graph import WeightedGraph, induced_subgraph
 
 # Up to this order the auto method takes dense Cholesky; above it, the fill
 # probe chooses between sparse LU and PCG.
@@ -57,6 +57,8 @@ _CHECK_CHUNK = 64
 # keeps the value a valid relative tolerance.
 ZETA_FLOOR = 1e-13
 ZETA_CAP = 0.5
+# Iterations one PCG solve may take before ConvergenceError; read per solve.
+PCG_MAX_ITERATIONS = 20000
 
 
 @dataclass(frozen=True)
@@ -69,14 +71,11 @@ class SolverOptions:
     deterministic.
     """
     zeta: float = 1e-8
-    max_iterations: int = 20000
     method: str = "auto"
 
     def __post_init__(self):
         if not (0 < self.zeta < 1):
             raise ValueError(f"zeta must lie in (0, 1), got {self.zeta}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
         if self.method not in ("auto", "dense", "iterative"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -138,7 +137,7 @@ class LaplacianSolver:
         # Grounding the last vertex makes the reduced system positive
         # definite; each direct solve then removes the constant shift.
         if self.method == "dense":
-            self._factor = sla.cho_factor(self.laplacian.toarray()[:-1, :-1], check_finite=False)
+            self._factor = _grounded_cholesky(self.laplacian, g.n - 1)
             return
         if self.method == "sparse":
             # SPD system: pivot on the diagonal, order for A + Aᵀ.
@@ -202,7 +201,7 @@ def _rcm_envelope(L: sp.csr_matrix) -> int:
 
 
 def _pcg(solver: LaplacianSolver, b: np.ndarray, zeta: float) -> np.ndarray:
-    L, inv_diag, maxiter = solver.laplacian, solver._inv_diag, solver.opts.max_iterations
+    L, inv_diag, maxiter = solver.laplacian, solver._inv_diag, PCG_MAX_ITERATIONS
     lam_max = solver._lambda_max
     bnorm = float(np.linalg.norm(b))
     goal = (zeta * bnorm) ** 2 / lam_max
@@ -341,25 +340,34 @@ def _grounded_cholesky(L: sp.csr_matrix, ground: int) -> tuple:
     return sla.cho_factor(L.toarray()[np.ix_(keep, keep)], check_finite=False)
 
 
+def _pair_component(g: WeightedGraph, s: int, t: int) -> tuple[WeightedGraph, int, int]:
+    """The component of g holding s and t as an induced subgraph, with s and t
+    renumbered into it; InfiniteResistanceError if they lie apart."""
+    if not (0 <= s < g.n and 0 <= t < g.n):
+        raise ValueError(f"vertices ({s}, {t}) out of range [0, {g.n})")
+    labels = csgraph.connected_components(g.adjacency_matrix(), directed=False)[1]
+    if labels[t] != labels[s]:
+        raise InfiniteResistanceError(
+            f"vertices {s} and {t} lie in different components; resistance is infinite")
+    comp = np.flatnonzero(labels == labels[s])
+    a, b = np.searchsorted(comp, [s, t]).tolist()
+    return induced_subgraph(g, comp)[0], a, b
+
+
 def exact_reff(g: WeightedGraph, s: int, t: int) -> float:
     """Effective resistance between s and t by dense factorization.
 
     The brute-force oracle: intended for tests and verification at a few
     thousand vertices. Symmetric in (s, t) by construction.
     """
-    if not (0 <= s < g.n and 0 <= t < g.n):
-        raise ValueError(f"vertices ({s}, {t}) out of range [0, {g.n})")
-    if s == t:
+    sub, a, b = _pair_component(g, s, t)
+    if a == b:
         return 0.0
-    comp = next(c for c in connected_components(g) if s in c)
-    if t not in comp:
-        raise InfiniteResistanceError(
-            f"vertices {s} and {t} lie in different components; resistance is infinite")
     # canonical orientation keeps the result bit-identical under (s, t) swap:
     # ground the larger index, so the smaller keeps its place
-    a, b = sorted(np.searchsorted(comp, [s, t]).tolist())
-    factor = _grounded_cholesky(assemble_laplacian(induced_subgraph(g, comp)[0]), b)
-    rhs = np.zeros(comp.size - 1)
+    a, b = sorted((a, b))
+    factor = _grounded_cholesky(assemble_laplacian(sub), b)
+    rhs = np.zeros(sub.n - 1)
     rhs[a] = 1.0
     return float(sla.cho_solve(factor, rhs, check_finite=False)[a])
 

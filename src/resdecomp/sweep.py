@@ -18,13 +18,6 @@ from .linalg import (LaplacianSolver, PotentialVector, SolverOptions,
                      required_solver_accuracy, st_potential)
 from .sketch import SketchConfig, furthest_pair
 
-# Gate constant for the certificate-soundness property: whenever the exact
-# resistance diameter exceeds CERTIFICATE_DIAMETER_FACTOR times the sketch
-# estimate driving the cut, the best sweep score is expected to stay below
-# the target. Calibrated on the 2d-grid family (side 4..24, worst observed
-# score/target 0.23; suite-wide worst 0.50) and frozen.
-CERTIFICATE_DIAMETER_FACTOR = 1.0
-
 
 @dataclass(frozen=True)
 class CutResult:
@@ -45,13 +38,6 @@ class CutResult:
     eta: float
     zeta: float
     approx_slack: float
-
-
-def _potential_values(g: WeightedGraph, p) -> np.ndarray:
-    values = p.values if isinstance(p, PotentialVector) else np.asarray(p, dtype=np.float64)
-    if values.shape != (g.n,):
-        raise ValueError(f"potential has shape {values.shape}, expected ({g.n},)")
-    return values
 
 
 @dataclass(frozen=True)
@@ -83,7 +69,9 @@ class _LevelProfile:
 def _level_profile(g: WeightedGraph, p, epsilon: float) -> _LevelProfile:
     if not (0 < epsilon < 0.5):
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
-    values = _potential_values(g, p)
+    values = p.values if isinstance(p, PotentialVector) else np.asarray(p, dtype=np.float64)
+    if values.shape != (g.n,):
+        raise ValueError(f"potential has shape {values.shape}, expected ({g.n},)")
     if g.n < 2:
         raise DegeneratePotentialError("graph has fewer than 2 vertices")
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +108,19 @@ class TestReff:
         rd.write_edgelist(rd.build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)]), p)
         code, report = run_json(capsys, "reff", "--graph", str(p),
                                 "-s", "0", "-t", "3", "--exact")
+        assert code == 2
+        assert report["error"]["type"] == "InfiniteResistanceError"
+
+    def test_potential_on_component_of_source(self, capsys, tmp_path):
+        # the solve runs on the component of -s, as --exact does
+        p = tmp_path / "two.txt"
+        rd.write_edgelist(rd.build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)]), p)
+        for s, t in ((0, 1), (3, 2)):
+            code, report = run_json(capsys, "reff", "--graph", str(p), "-s", str(s), "-t", str(t))
+            assert code == 0
+            assert report["results"]["reff"] == pytest.approx(1.0, abs=1e-8)
+            assert report["results"]["method"] == "potential"
+        code, report = run_json(capsys, "reff", "--graph", str(p), "-s", "0", "-t", "3")
         assert code == 2
         assert report["error"]["type"] == "InfiniteResistanceError"
 
@@ -254,6 +271,32 @@ class TestReportDiscipline:
         _, with_flag = run_json(capsys, "reff", "--graph", path3, "-s", "0", "-t", "2",
                                 "--timing")
         assert with_flag["timing_seconds"] >= 0
+
+    def test_timing_on_error_report(self, capsys, path3):
+        code, report = run_json(capsys, "reff", "--graph", path3, "-s", "0", "-t", "9",
+                                "--timing")
+        assert code == 2
+        assert "range" in report["error"]["message"]
+        assert report["timing_seconds"] >= 0
+
+    def test_module_entry_point_matches_execute(self, capsys, tmp_path):
+        # `python -m resdecomp.cli` applies RESDECOMP_THREADS before numpy
+        # loads, then prints the report that an in-process execute prints
+        graph = tmp_path / "h6.txt"
+        rd.write_edgelist(rd.hypercube(6), graph)
+        argv = ["decompose", "--graph", str(graph), "--delta", "8", "--exact-verify"]
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                            "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+        src = str(Path(rd.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env["RESDECOMP_THREADS"] = "1"
+        proc = subprocess.run([sys.executable, "-m", "resdecomp.cli", *argv],
+                              env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert proc.stdout == out.encode()
 
     def test_floats_rounded_to_12_digits(self, capsys, path3):
         code, out = run(capsys, "reff", "--graph", path3, "-s", "0", "-t", "2")

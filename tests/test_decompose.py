@@ -308,7 +308,7 @@ class TestPartition:
                                         cut_budget=g.total_weight / 4,
                                         resistance_target=2.0)
         part, report = rd.partition_with_config(g, config, cfg)
-        rec = rd.verify_partition(g, part, 4.0, oracle_limit=8, cfg=cfg)
+        rec = rd.verify_partition(g, part, 4.0, cfg=cfg)
         assert report.per_block_rdiam == rec.block_rdiams
         kinds = {(b.size > 1, r.certified_exact)
                  for b, r in zip(part.blocks, report.per_block_rdiam)}
@@ -385,11 +385,12 @@ class TestVerifyPartition:
         with pytest.raises(ValueError, match="outside"):
             rd.verify_partition(rd.complete(3), [[0, 1], [2, 7]], 4.0)
 
-    def test_disconnected_block_infinite_diameter(self):
+    def test_disconnected_block_infinite_diameter(self, monkeypatch):
         g = path_graph(4)
         # the dense oracle, then the solver above the oracle limit
-        for oracle_limit in (None, 1):
-            rec = rd.verify_partition(g, [[0, 3], [1, 2]], 4.0, oracle_limit=oracle_limit)
+        for oracle_limit in (decompose.ORACLE_BLOCK_LIMIT, 1):
+            monkeypatch.setattr(decompose, "ORACLE_BLOCK_LIMIT", oracle_limit)
+            rec = rd.verify_partition(g, [[0, 3], [1, 2]], 4.0)
             assert math.isinf(rec.block_rdiams[0].value)
             assert rec.block_rdiams[0].certified_exact
             assert not rec.rdiam_ok

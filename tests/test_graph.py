@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.csgraph as csgraph
 
 import resdecomp as rd
 
@@ -172,6 +173,18 @@ class TestConnectedComponents:
             comps = rd.connected_components(g)
             merged = np.sort(np.concatenate(comps))
             assert merged.tolist() == list(range(n))
+
+    @pytest.mark.parametrize("n, m", [(1, 0), (300, 0), (300, 40), (300, 150), (2000, 900)])
+    def test_matches_per_label_reference(self, n, m):
+        # many components: one flatnonzero pass per label, sorted by smallest id
+        rng = np.random.default_rng(n + m)
+        g = rd.build_graph(n, [(int(a), int(b), 1.0) for a, b in rng.integers(0, n, size=(m, 2))])
+        ncomp, labels = csgraph.connected_components(g.adjacency_matrix(), directed=False)
+        expected = sorted((np.flatnonzero(labels == c).tolist() for c in range(ncomp)),
+                          key=lambda c: c[0])
+        comps = rd.connected_components(g)
+        assert [c.tolist() for c in comps] == expected
+        assert all(c.dtype == np.int64 for c in comps)
 
 
 class TestGenerators:
