@@ -8,17 +8,8 @@ Every command prints one JSON report. Floats are rounded to 12 significant
 digits and keys sorted, so identical inputs and seeds reproduce reports
 byte for byte. Wall-clock timing is opt-in (``--timing``) for that reason.
 """
-import os as _os
-
-# Cap BLAS pools before numpy loads them; only effective when this module
-# is the process entry point, which the console script guarantees.
-_threads = (_os.environ.get("RESDECOMP_THREADS") or "").strip()
-if _threads and _threads != "0":
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -34,7 +25,7 @@ from .generators import _FAMILIES, generate
 from .graph import WeightedGraph
 from .linalg import LaplacianSolver, SolverOptions, _pair_component, exact_reff, st_potential
 from .sketch import DEFAULT_BETA, SketchConfig
-from .sweep import find_sparse_cut
+from .sweep import DEFAULT_EPSILON, find_sparse_cut
 
 SCHEMA_VERSION = 1
 
@@ -139,7 +130,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("cut", help="find a sparse level cut")
     p.add_argument("--graph", required=True)
-    p.add_argument("--epsilon", type=float, default=0.25)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--out", default=None)
     p.add_argument("--timing", action="store_true")
     _add_sketch_flags(p)
@@ -193,20 +184,6 @@ def _load_partition(path: str) -> list[list[int]]:
     return data["blocks"]
 
 
-def _stats_payload(stats) -> dict:
-    return {
-        "subset": stats.subset,
-        "size": int(stats.subset.size),
-        "boundary_weight": stats.boundary_weight,
-        "volume": stats.volume,
-        "conductance": stats.conductance,
-    }
-
-
-def _rdiams_payload(rdiams) -> list[dict]:
-    return [{"value": r.value, "certified_exact": r.certified_exact} for r in rdiams]
-
-
 def _settings_payload(args) -> dict:
     """The sketch, solver and verifier settings decompose and verify echo."""
     return {"beta": args.beta, "seed": args.seed, "probes": args.probes,
@@ -214,17 +191,7 @@ def _settings_payload(args) -> dict:
 
 
 def _verification_payload(rec) -> dict:
-    return {
-        "cut_weight": rec.cut_weight,
-        "loss_fraction": rec.loss_fraction,
-        "loss_bound": rec.loss_bound,
-        "loss_ok": rec.loss_ok,
-        "block_rdiams": _rdiams_payload(rec.block_rdiams),
-        "rdiam_bound": rec.rdiam_bound,
-        "rdiam_ok": rec.rdiam_ok,
-        "resistance_target": rec.resistance_target,
-        "passed": rec.passed,
-    }
+    return {**dataclasses.asdict(rec), "passed": rec.passed}
 
 
 def _cmd_gen(args) -> dict:
@@ -267,7 +234,7 @@ def _cmd_cut(args) -> dict:
                    "probes": args.probes, "zeta_requested": args.zeta,
                    "zeta_used": res.zeta, "eta": res.eta, "method": args.method},
         "results": {
-            "cut": _stats_payload(res.stats),
+            "cut": {**dataclasses.asdict(res.stats), "size": res.stats.subset.size},
             "certificate_c": res.certificate_c,
             "target_c": res.target_c,
             "source": res.source,
@@ -299,7 +266,7 @@ def _cmd_decompose(args) -> dict:
         "psi_weighted_sum": float((report.psi * g.edge_w).sum()) if g.m else 0.0,
         "num_sparse_cuts": report.num_sparse_cuts,
         "num_pruned_vertices": report.num_pruned_vertices,
-        "per_block_rdiam": _rdiams_payload(report.per_block_rdiam),
+        "per_block_rdiam": [dataclasses.asdict(r) for r in report.per_block_rdiam],
     }
     if args.exact_verify:
         # the run certified these blocks with the verifier's settings; the
@@ -309,7 +276,7 @@ def _cmd_decompose(args) -> dict:
         results["verification"] = _verification_payload(rec)
     return {
         "input": _digest(g, args.graph),
-        "config": {"delta": args.delta, "epsilon": config.epsilon, "c_r": args.c_r,
+        "config": {"delta": args.delta, "epsilon": DEFAULT_EPSILON, "c_r": args.c_r,
                    "cut_budget": config.cut_budget,
                    "resistance_target": config.resistance_target,
                    "prune_threshold": config.prune_threshold, **_settings_payload(args)},

@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import DisconnectedGraphError
 from .graph import WeightedGraph, connected_components, induced_subgraph
-from .linalg import LaplacianSolver, SolverOptions, exact_resistance_diameter
+from .linalg import LaplacianSolver, SolverOptions, _grounded_cholesky, _grounded_reff_matrix
 from .sketch import SketchConfig, furthest_pair
-from .sweep import _far_pair_cut
+from .sweep import DEFAULT_EPSILON, _far_pair_cut
 
 # Verification constants, calibrated on the hypercube/grid benchmark family
 # and frozen: observed loss fractions stay well under 1/delta and block
@@ -45,14 +45,12 @@ class DecompositionConfig:
     recursion accepts; both stay fixed across all recursion levels, as does
     ``n_original``. Use :meth:`for_graph` to derive and validate them; direct
     construction performs no checks (useful for experiments off the
-    guaranteed regime).
+    guaranteed regime). Cuts use the sweep's ``DEFAULT_EPSILON``.
     """
     delta: float
     n_original: int
     cut_budget: float
     resistance_target: float
-    epsilon: float = 0.25
-    c_r: float = 1.0
 
     @property
     def prune_threshold(self) -> float:
@@ -64,7 +62,7 @@ class DecompositionConfig:
             raise ValueError("graph must be non-empty")
         if delta < 2:
             raise ValueError(f"delta must be at least 2, got {delta}")
-        floor = 4.0 / cls.epsilon  # at the default sweep epsilon
+        floor = 4.0 / DEFAULT_EPSILON
         if c_r * delta ** 2 < floor:
             raise ValueError(
                 f"c_r * delta^2 = {c_r * delta ** 2:g} is below the charge-amortization "
@@ -72,8 +70,7 @@ class DecompositionConfig:
                 f"bound applies")
         budget = g.total_weight / delta
         target = c_r * delta ** 2 * g.n / budget if budget > 0 else math.inf
-        return cls(delta=delta, n_original=g.n, cut_budget=budget,
-                   resistance_target=target, c_r=c_r)
+        return cls(delta=delta, n_original=g.n, cut_budget=budget, resistance_target=target)
 
 
 @dataclass(frozen=True)
@@ -130,9 +127,9 @@ class VerificationRecord:
 def prune_low_degree(h: WeightedGraph, threshold: float) -> tuple[WeightedGraph, float, np.ndarray]:
     """Repeatedly delete all edges at vertices of degree <= threshold.
 
-    Returns the pruned graph (same vertex set), the removed edge weight,
-    and the vertices the process left with no edges. Idempotent on its own
-    output.
+    Returns the pruned graph (same vertex set; ``h`` itself when no vertex
+    is pruned), the removed edge weight, and the vertices the process left
+    with no edges. Idempotent on its own output.
     """
     if threshold < 0:
         raise ValueError(f"threshold must be non-negative, got {threshold}")
@@ -140,6 +137,8 @@ def prune_low_degree(h: WeightedGraph, threshold: float) -> tuple[WeightedGraph,
     killed = np.zeros(h.n, dtype=bool)
     queued = np.zeros(h.n, dtype=bool)
     stack = list(np.flatnonzero((deg > 0) & (deg <= threshold)))
+    if not stack:
+        return h, 0.0, np.flatnonzero(killed)
     queued[stack] = True
     while stack:
         v = stack.pop()
@@ -199,22 +198,22 @@ class _Accounting:
             self.charge_volumes.setdefault(i, []).append(side_volume)
 
 
-def _certify_block(sub: WeightedGraph, cfg: SketchConfig, opts: SolverOptions | None,
+def _certify_block(solver: LaplacianSolver, cfg: SketchConfig,
                    estimate: float | None = None) -> BlockResistance:
-    """Certified resistance diameter of a block of two or more vertices,
-    given its induced subgraph ``sub``: the dense oracle up to
-    ``ORACLE_BLOCK_LIMIT`` vertices, beyond it 2·e^beta times the far-pair
-    estimate, sketched here unless the caller has it. The limit is read at
-    call time, so the partition and the verifier certify alike under a
-    patched limit. A disconnected block (the oracle and the solver both
-    detect one) has infinite diameter."""
-    try:
-        if sub.n <= ORACLE_BLOCK_LIMIT:
-            return BlockResistance(exact_resistance_diameter(sub), True)
-        if estimate is None:
-            _, _, estimate = furthest_pair(sub, cfg, LaplacianSolver(sub, opts))
-    except DisconnectedGraphError:
-        return BlockResistance(math.inf, True)
+    """Certified resistance diameter of a connected block of two or more
+    vertices, given the solver of its induced subgraph: up to
+    ``ORACLE_BLOCK_LIMIT`` vertices the exact diameter from the grounded
+    Cholesky factor (the dense backend's own; any other backend's Laplacian
+    is factored here), beyond it 2·e^beta times the far-pair estimate,
+    sketched here unless the caller has it. The limit is read at call time,
+    so the partition and the verifier certify alike under a patched limit."""
+    n = solver.graph.n
+    if n <= ORACLE_BLOCK_LIMIT:
+        factor = (solver._factor if solver.method == "dense"
+                  else _grounded_cholesky(solver.laplacian, n - 1))
+        return BlockResistance(float(_grounded_reff_matrix(factor).max()), True)
+    if estimate is None:
+        _, _, estimate = furthest_pair(solver.graph, cfg, solver)
     return BlockResistance(2.0 * math.exp(cfg.beta) * estimate, False)
 
 
@@ -246,16 +245,17 @@ def partition_with_config(g: WeightedGraph, config: DecompositionConfig,
             if comp.size == 1:
                 blocks.append((root_ids, BlockResistance(0.0, True)))
                 continue
-            sub, _ = induced_subgraph(pruned, comp)
-            # one solver for the sketch and the cut, released before the next
+            sub = pruned if comp.size == pruned.n else induced_subgraph(pruned, comp)[0]
+            # one solver for the sketch and the cut or the certificate,
+            # released before the next
             solver = LaplacianSolver(sub, opts)
             u, v, estimate = furthest_pair(sub, cfg, solver)
-            cut = (None if estimate <= config.resistance_target
-                   else _far_pair_cut(solver, config.epsilon, u, v, estimate))
-            del solver
-            if cut is None:
-                blocks.append((root_ids, _certify_block(sub, cfg, opts, estimate)))
+            if estimate <= config.resistance_target:
+                blocks.append((root_ids, _certify_block(solver, cfg, estimate)))
+                del solver
                 continue
+            cut = _far_pair_cut(solver, DEFAULT_EPSILON, u, v, estimate)
+            del solver
             acct.charge_cut(sub, root_ids, cut.subset,
                             cut.stats.boundary_weight, cut.stats.volume)
             small_graph, _ = induced_subgraph(sub, cut.subset)
@@ -299,8 +299,17 @@ def partition(g: WeightedGraph, delta: float,
 
 
 def _as_blocks(p) -> list[np.ndarray]:
+    """Each block's distinct ids, ascending. A block that is not a sequence
+    of integers (bool, float, str and None are not) is a ValueError."""
     raw = p.blocks if isinstance(p, Partition) else p
-    return [np.unique(np.asarray(list(b), dtype=np.int64)) for b in raw]
+    blocks = []
+    for i, b in enumerate(raw):
+        ids = b.tolist() if isinstance(b, np.ndarray) else b
+        if not isinstance(ids, (list, tuple, range)) or not all(
+                isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in ids):
+            raise ValueError(f"block {i} is not a sequence of integer vertex ids")
+        blocks.append(np.unique(np.asarray(ids, dtype=np.int64)))
+    return blocks
 
 
 def verify_partition(g: WeightedGraph, p, delta: float, c_r: float = 1.0,
@@ -308,13 +317,22 @@ def verify_partition(g: WeightedGraph, p, delta: float, c_r: float = 1.0,
                      opts: SolverOptions | None = None) -> VerificationRecord:
     """Independently recheck a partition against the loss and resistance
     bounds (:data:`C_LOSS`/delta and :data:`C_RES`·delta³·n/w(E)), certifying
-    every block afresh. Rejects inputs that are not a partition of V."""
+    every block afresh from one solver per block; a disconnected block has
+    infinite diameter. Rejects inputs that are not a partition of V."""
     cfg = cfg or SketchConfig()
     blocks = _as_blocks(p)
+
+    def certify(b: np.ndarray) -> BlockResistance:
+        if b.size < 2:
+            return BlockResistance(0.0, True)
+        try:
+            solver = LaplacianSolver(induced_subgraph(g, b)[0], opts)
+        except DisconnectedGraphError:
+            return BlockResistance(math.inf, True)
+        return _certify_block(solver, cfg)
+
     # a generator: blocks are certified only once the cover has been checked
-    rdiams = (_certify_block(induced_subgraph(g, b)[0], cfg, opts) if b.size > 1
-              else BlockResistance(0.0, True) for b in blocks)
-    return _verification_record(g, blocks, delta, rdiams, c_r)
+    return _verification_record(g, blocks, delta, (certify(b) for b in blocks), c_r)
 
 
 def _verification_record(g: WeightedGraph, blocks: list[np.ndarray], delta: float,

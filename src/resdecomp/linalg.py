@@ -115,7 +115,7 @@ class LaplacianSolver:
     1/w) whose flow energy certifies each stop: PCG stops once the tree
     energy of the residual is at most ζ²‖b‖²/(2·max deg). Build one per
     graph and hand it to every solve on that graph: the sketch, the patch
-    solves and the cut's potential.
+    solves, the cut's potential and the block certificate.
     """
 
     def __init__(self, g: WeightedGraph, opts: SolverOptions | None = None):
@@ -372,23 +372,29 @@ def exact_reff(g: WeightedGraph, s: int, t: int) -> float:
     return float(sla.cho_solve(factor, rhs, check_finite=False)[a])
 
 
-def exact_reff_matrix(g: WeightedGraph) -> np.ndarray:
-    """All-pairs effective resistances via the inverse of the grounded
-    Laplacian: with G the inverse of L without its last row and column,
-    padded with zeros, Reff(u, v) = G_uu + G_vv − 2·G_uv."""
-    if g.n <= 1:
-        return np.zeros((g.n, g.n))
-    L = assemble_laplacian(g)
-    if csgraph.connected_components(L, directed=False)[0] > 1:
-        raise DisconnectedGraphError("resistance matrix requires a connected graph")
-    G = np.zeros((g.n, g.n))
-    G[:-1, :-1] = sla.cho_solve(_grounded_cholesky(L, g.n - 1), np.eye(g.n - 1),
-                                check_finite=False)
+def _grounded_reff_matrix(factor: tuple) -> np.ndarray:
+    """All-pairs effective resistances from the Cholesky factor of a
+    Laplacian grounded at its last vertex: with G the inverse of the
+    grounded matrix, padded with zeros, Reff(u, v) = G_uu + G_vv − 2·G_uv."""
+    n = factor[0].shape[0] + 1
+    G = np.zeros((n, n))
+    G[:-1, :-1] = sla.cho_solve(factor, np.eye(n - 1), check_finite=False)
     d = np.diag(G)
     R = d[:, None] + d[None, :] - 2 * G
     R = 0.5 * (R + R.T)
     np.fill_diagonal(R, 0.0)
     return np.maximum(R, 0.0)
+
+
+def exact_reff_matrix(g: WeightedGraph) -> np.ndarray:
+    """All-pairs effective resistances via the inverse of the grounded
+    Laplacian (dense oracle)."""
+    if g.n <= 1:
+        return np.zeros((g.n, g.n))
+    L = assemble_laplacian(g)
+    if csgraph.connected_components(L, directed=False)[0] > 1:
+        raise DisconnectedGraphError("resistance matrix requires a connected graph")
+    return _grounded_reff_matrix(_grounded_cholesky(L, g.n - 1))
 
 
 def exact_resistance_diameter(g: WeightedGraph) -> float:

@@ -18,6 +18,10 @@ from .linalg import (LaplacianSolver, PotentialVector, SolverOptions,
                      required_solver_accuracy, st_potential)
 from .sketch import SketchConfig, furthest_pair
 
+# The sweep's volume exponent is 1/2 − epsilon; the CLI, the partition's cuts
+# and the charge-amortization floor of DecompositionConfig.for_graph use this.
+DEFAULT_EPSILON = 0.25
+
 
 @dataclass(frozen=True)
 class CutResult:
@@ -103,7 +107,7 @@ def _level_profile(g: WeightedGraph, p, epsilon: float) -> _LevelProfile:
                          boundary=boundary, volume=volume, scores=scores)
 
 
-def find_sparse_cut(g: WeightedGraph, epsilon: float = 0.25,
+def find_sparse_cut(g: WeightedGraph, epsilon: float = DEFAULT_EPSILON,
                     cfg: SketchConfig | None = None,
                     opts: SolverOptions | None = None) -> CutResult:
     """Best-scoring level cut of a far-pair electric potential.

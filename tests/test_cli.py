@@ -256,6 +256,22 @@ class TestDecomposeVerify:
         assert code == 2
         assert "overlap" in report["error"]["message"]
 
+    @pytest.mark.parametrize("blocks", [
+        [[0, 1, 2, 3], [4, 5, 6, 7.9]],
+        [[0, 1, 2, 3], "4567"],
+        list(range(8)),
+        [[0, 1, 2, 3], [4, 5, 6, 7], None],
+    ])
+    def test_malformed_block_is_computation_error(self, capsys, tmp_path, blocks):
+        graph, bad = tmp_path / "h3.txt", tmp_path / "bad.json"
+        rd.write_edgelist(rd.hypercube(3), graph)
+        bad.write_text(json.dumps({"blocks": blocks}))
+        code, report = run_json(capsys, "verify", "--graph", str(graph),
+                                "--partition", str(bad), "--delta", "4")
+        assert code == 2
+        assert report["error"]["type"] == "ValueError"
+        assert "not a sequence of integer" in report["error"]["message"]
+
 
 class TestReportDiscipline:
     def test_byte_identical_reruns(self, capsys, barbell4):
@@ -280,17 +296,14 @@ class TestReportDiscipline:
         assert report["timing_seconds"] >= 0
 
     def test_module_entry_point_matches_execute(self, capsys, tmp_path):
-        # `python -m resdecomp.cli` applies RESDECOMP_THREADS before numpy
-        # loads, then prints the report that an in-process execute prints
+        # `python -m resdecomp.cli` prints the report that an in-process
+        # execute prints
         graph = tmp_path / "h6.txt"
         rd.write_edgelist(rd.hypercube(6), graph)
         argv = ["decompose", "--graph", str(graph), "--delta", "8", "--exact-verify"]
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                            "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+        env = dict(os.environ)
         src = str(Path(rd.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        env["RESDECOMP_THREADS"] = "1"
         proc = subprocess.run([sys.executable, "-m", "resdecomp.cli", *argv],
                               env=env, capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr.decode()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import resdecomp as rd
-from resdecomp import decompose, sweep
+from resdecomp import decompose, linalg, sweep
 
 from conftest import path_graph, random_connected_graph, two_triangles_bridge
 
@@ -77,7 +77,7 @@ class TestDecompositionConfig:
         assert c.cut_budget == pytest.approx(7.0)
         assert c.resistance_target == pytest.approx(16 * 8 / 7.0)  # ~18.29
         assert c.prune_threshold == pytest.approx(7.0 / 16.0)
-        assert c.epsilon == 0.25
+        assert sweep.DEFAULT_EPSILON == 0.25  # the sweep epsilon the cuts use
 
     def test_delta_floor(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -297,6 +297,38 @@ class TestPartition:
         rd.find_sparse_cut(rd.barbell(4))
         assert (len(built), sketched, potentials) == (1, [True], [True])
 
+    def test_one_graph_laplacian_and_factor_per_work_item(self, monkeypatch):
+        # 85 cuts make 171 work items, the root and both sides of each cut,
+        # none a singleton: each is one graph, assembled and factored once,
+        # and an accepted block's certificate reuses its sketch's factor. The
+        # verifier builds one of each per block.
+        counts = dict.fromkeys(("graph", "laplacian", "factor"), 0)
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(rd.WeightedGraph, "__init__",
+                            counting("graph", rd.WeightedGraph.__init__))
+        monkeypatch.setattr(linalg, "assemble_laplacian",
+                            counting("laplacian", linalg.assemble_laplacian))
+        factor = counting("factor", linalg._grounded_cholesky)
+        for module in (linalg, decompose):
+            monkeypatch.setattr(module, "_grounded_cholesky", factor)
+        g = rd.grid2d(24)
+        config = rd.DecompositionConfig(delta=8.0, n_original=g.n,
+                                        cut_budget=g.total_weight / 8,
+                                        resistance_target=2.0)
+        part, report = rd.partition_with_config(g, config)
+        assert report.num_sparse_cuts == 85
+        assert counts == dict.fromkeys(counts, 171)
+        counts.update(dict.fromkeys(counts, 0))
+        rd.verify_partition(g, part, 8.0)
+        assert len(part.blocks) == 86
+        assert counts == dict.fromkeys(counts, 86)
+
     @pytest.mark.parametrize("probes", [None, 10])
     def test_block_certificates_match_verifier(self, monkeypatch, probes):
         # oracle-certified and sketch-certified blocks both occur below the
@@ -385,9 +417,44 @@ class TestVerifyPartition:
         with pytest.raises(ValueError, match="outside"):
             rd.verify_partition(rd.complete(3), [[0, 1], [2, 7]], 4.0)
 
+    def test_iterative_method_certifies_small_blocks_exactly(self):
+        # the solver's Laplacian is factored for the certificate, bit for
+        # bit as the dense backend factors it
+        g = rd.grid2d(10)
+        config = rd.DecompositionConfig(delta=4.0, n_original=g.n,
+                                        cut_budget=g.total_weight / 4,
+                                        resistance_target=2.0)
+        part, _ = rd.partition_with_config(g, config)
+        assert max(b.size for b in part.blocks) <= decompose.ORACLE_BLOCK_LIMIT
+        default = rd.verify_partition(g, part, 4.0)
+        forced = rd.verify_partition(g, part, 4.0,
+                                     opts=rd.SolverOptions(method="iterative"))
+        assert all(r.certified_exact for r in forced.block_rdiams)
+        assert ([r.value.hex() for r in forced.block_rdiams]
+                == [r.value.hex() for r in default.block_rdiams])
+        assert forced == default
+
+    @pytest.mark.parametrize("blocks", [
+        [[0, 1, 2, 3], [4, 5, 6, 7.9]],
+        [[0, 1, 2, 3], "4567"],
+        [[True, 0, 2, 3], [4, 5, 6, 7]],
+        [[0, 1, 2, 3], [4, 5, 6, 7, None]],
+        [[0, 1, 2, 3], [4, 5, 6, 7], None],
+        [np.arange(4), np.arange(4, 8) + 0.0],
+        list(range(8)),
+    ])
+    def test_block_not_integer_sequence_rejected(self, blocks):
+        with pytest.raises(ValueError, match=r"block \d+ is not a sequence of integer"):
+            rd.verify_partition(rd.hypercube(3), blocks, 4.0)
+
+    def test_integer_sequences_accepted(self):
+        blocks = [range(3), (3,), list(np.arange(4, 6)), np.array([6, 7], dtype=np.int32), []]
+        rec = rd.verify_partition(rd.hypercube(3), blocks, 4.0)
+        assert len(rec.block_rdiams) == 5
+
     def test_disconnected_block_infinite_diameter(self, monkeypatch):
         g = path_graph(4)
-        # the dense oracle, then the solver above the oracle limit
+        # the block's solver rejects it below and above the oracle limit
         for oracle_limit in (decompose.ORACLE_BLOCK_LIMIT, 1):
             monkeypatch.setattr(decompose, "ORACLE_BLOCK_LIMIT", oracle_limit)
             rec = rd.verify_partition(g, [[0, 3], [1, 2]], 4.0)
