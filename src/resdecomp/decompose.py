@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import DisconnectedGraphError
 from .graph import WeightedGraph, connected_components, induced_subgraph
-from .linalg import LaplacianSolver, SolverOptions, _grounded_cholesky, _grounded_reff_matrix
-from .sketch import SketchConfig, furthest_pair
+from .linalg import ORACLE_BLOCK_LIMIT, LaplacianSolver, SolverOptions
+from .sketch import TIE_TOLERANCE, SketchConfig, furthest_pair
 from .sweep import DEFAULT_EPSILON, _far_pair_cut
 
 # Verification constants, calibrated on the hypercube/grid benchmark family
@@ -30,10 +30,6 @@ from .sweep import DEFAULT_EPSILON, _far_pair_cut
 # points hold with ample margin.
 C_LOSS = 8.0
 C_RES = 32.0
-
-# Blocks up to this many vertices get the dense resistance-diameter oracle;
-# larger ones get a certified 2·e^beta ≈ 3 times the sketch estimate.
-ORACLE_BLOCK_LIMIT = 2048
 
 
 @dataclass(frozen=True)
@@ -202,16 +198,14 @@ def _certify_block(solver: LaplacianSolver, cfg: SketchConfig,
                    estimate: float | None = None) -> BlockResistance:
     """Certified resistance diameter of a connected block of two or more
     vertices, given the solver of its induced subgraph: up to
-    ``ORACLE_BLOCK_LIMIT`` vertices the exact diameter from the grounded
-    Cholesky factor (the dense backend's own; any other backend's Laplacian
-    is factored here), beyond it 2·e^beta times the far-pair estimate,
-    sketched here unless the caller has it. The limit is read at call time,
-    so the partition and the verifier certify alike under a patched limit."""
-    n = solver.graph.n
-    if n <= ORACLE_BLOCK_LIMIT:
-        factor = (solver._factor if solver.method == "dense"
-                  else _grounded_cholesky(solver.laplacian, n - 1))
-        return BlockResistance(float(_grounded_reff_matrix(factor).max()), True)
+    ``ORACLE_BLOCK_LIMIT`` vertices the exact diameter, the largest entry of
+    ``solver.reff_matrix()`` (the very matrix whose row the exact-regime
+    sketch returned, so the block is inverted once), beyond it 2·e^beta
+    times the far-pair estimate, sketched here unless the caller has it.
+    The limit is read at call time, so the partition and the verifier
+    certify alike under a patched limit."""
+    if solver.graph.n <= ORACLE_BLOCK_LIMIT:
+        return BlockResistance(float(solver.reff_matrix().max()), True)
     if estimate is None:
         _, _, estimate = furthest_pair(solver.graph, cfg, solver)
     return BlockResistance(2.0 * math.exp(cfg.beta) * estimate, False)
@@ -250,7 +244,8 @@ def partition_with_config(g: WeightedGraph, config: DecompositionConfig,
             # released before the next
             solver = LaplacianSolver(sub, opts)
             u, v, estimate = furthest_pair(sub, cfg, solver)
-            if estimate <= config.resistance_target:
+            # an estimate that ties the target accepts, whatever its rounding
+            if estimate <= config.resistance_target * (1.0 + TIE_TOLERANCE):
                 blocks.append((root_ids, _certify_block(solver, cfg, estimate)))
                 del solver
                 continue

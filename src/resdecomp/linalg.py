@@ -29,6 +29,7 @@ few dozen iterations and nothing factors cheaply).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -42,6 +43,10 @@ from .graph import WeightedGraph, induced_subgraph
 # Up to this order the auto method takes dense Cholesky; above it, the fill
 # probe chooses between sparse LU and PCG.
 DENSE_SOLVE_LIMIT = 2048
+# Up to this order a solver's all-pairs resistance matrix may be formed: the
+# sketch's exact regime and the block certificate both read it. A larger
+# block is certified by 2·e^beta ≈ 3 times its sketch estimate.
+ORACLE_BLOCK_LIMIT = 2048
 # The fill probe admits sparse LU when the RCM envelope of L is at most this
 # factor times n^{3/2}. Measured envelope/n^{3/2}: 2-d grids 0.67 from 46 to
 # 316 per side; hypercube(12) 10.8, random_regular(3000, 4) 11.4.
@@ -110,12 +115,15 @@ class LaplacianSolver:
     ``DENSE_SOLVE_LIMIT`` vertices, and above it "sparse" when the RCM
     envelope of L is at most ``SPARSE_ENVELOPE_FACTOR``·n^{3/2}, else
     "iterative". ``method`` holds the resolved backend. The constructor then
-    factors the grounded Laplacian (dense Cholesky or sparse LU), or, for
-    PCG, builds the shortest-path spanning tree from vertex 0 (edge lengths
-    1/w) whose flow energy certifies each stop: PCG stops once the tree
-    energy of the residual is at most ζ²‖b‖²/(2·max deg). Build one per
-    graph and hand it to every solve on that graph: the sketch, the patch
-    solves, the cut's potential and the block certificate.
+    factors the grounded Laplacian (dense Cholesky or sparse LU). PCG builds
+    its shortest-path spanning tree from vertex 0 (edge lengths 1/w) on its
+    first solve; the tree's flow energy certifies each stop: PCG stops once
+    the tree energy of the residual is at most ζ²‖b‖²/(2·max deg).
+    :meth:`reff_matrix` inverts the grounded factor once, on first use, and
+    keeps the result. Build one solver per graph and hand it to every solve
+    on that graph: the sketch (or, in its exact regime, a row of the
+    resistance matrix), the patch solves, the cut's potential and the block
+    certificate.
     """
 
     def __init__(self, g: WeightedGraph, opts: SolverOptions | None = None):
@@ -123,6 +131,7 @@ class LaplacianSolver:
         self.opts = opts or SolverOptions()
         self.laplacian = assemble_laplacian(g)
         self.method = self.opts.method
+        self._reff = None
         if self.method == "auto" and g.n <= DENSE_SOLVE_LIMIT:
             self.method = "dense"
         if g.n <= 1:  # every zero-sum right-hand side is zero; nothing to factor
@@ -149,7 +158,29 @@ class LaplacianSolver:
         diag = self.laplacian.diagonal()
         self._inv_diag = 1.0 / diag
         self._lambda_max = 2.0 * float(diag.max())
-        self._tree_order, self._tree_last, self._tree_res = _spanning_tree(g)
+
+    @cached_property
+    def _tree(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """PCG's certificate tree, built on first use: a solver that is only
+        factored, e.g. for a block certificate, never pays for it."""
+        return _spanning_tree(self.graph)
+
+    def reff_matrix(self) -> np.ndarray:
+        """All-pairs effective resistances of the solver's graph (read-only),
+        computed on the first call and kept. It inverts the dense backend's
+        own grounded factor; any other backend's Laplacian is factored here.
+        Holds n² floats, so it is meant for at most ``ORACLE_BLOCK_LIMIT``
+        vertices."""
+        if self._reff is None:
+            n = self.graph.n
+            if n <= 1:
+                self._reff = np.zeros((n, n))
+            else:
+                factor = (self._factor if self.method == "dense"
+                          else _grounded_cholesky(self.laplacian, n - 1))
+                self._reff = _grounded_reff_matrix(factor)
+            self._reff.flags.writeable = False
+        return self._reff
 
 
 def _spanning_tree(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -179,13 +210,14 @@ def _tree_energy(solver: LaplacianSolver, r: np.ndarray) -> float:
     """Energy Σ_{e∈T} f_e²/w_e of the flow that routes r − mean(r) along the
     solver's spanning tree T, where f_e is the sum of r − mean(r) over the
     subtree below e. By Thomson's principle it is at least rᵀL†r."""
-    c = r[solver._tree_order]
+    order, last, res = solver._tree
+    c = r[order]
     c -= c.mean()
     np.cumsum(c, out=c)
-    f = c[solver._tree_last]
+    f = c[last]
     f -= c[:-1]
     f *= f
-    return float(f @ solver._tree_res)
+    return float(f @ res)
 
 
 def _rcm_envelope(L: sp.csr_matrix) -> int:

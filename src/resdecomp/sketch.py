@@ -3,16 +3,23 @@
 The estimator writes Reff(u, v) = ``‖W^(1/2) B L†(e_u − e_v)‖²`` (B the signed
 incidence matrix) and compresses the edge dimension with signed random
 probes. Each probe is one Laplacian solve. A correction by the empirical
-probe Gram matrix replaces the usual 1/k normalization; when the probe count
-reaches the edge count the corrected estimate reproduces the quadratic form
-exactly, so small graphs match the dense oracle while large graphs get
+probe Gram matrix replaces the usual 1/k normalization, so large graphs get
 Johnson-Lindenstrauss-style concentration.
 
-Memory: with k probes, a sketch holds the k×m probe signs as int8 (k·m
-bytes), drawn a few rows at a time, plus two k×n float64 arrays: the probe
-right-hand sides, later overwritten by the Gram-corrected solutions, and the
-solutions. Sparse-LU and PCG solves add only per-chunk temporaries; a dense
-solve (at most ``DENSE_SOLVE_LIMIT`` vertices) copies the batch for LAPACK.
+Once the probe count k reaches the edge count m no compression is needed:
+the corrected estimate would only reproduce the quadratic form exactly. In
+this exact regime, on graphs of at most ``ORACLE_BLOCK_LIMIT`` vertices, the
+sketch draws no probes and returns row u of the solver's all-pairs
+resistance matrix, which the solver keeps for the block certificate. That
+n×n matrix is never larger than the two k×n arrays it replaces, as
+k ≥ m ≥ n − 1.
+
+Memory on the probe path: with k probes, a sketch holds the k×m probe signs
+as int8 (k·m bytes), drawn a few rows at a time, plus two k×n float64
+arrays: the probe right-hand sides, later overwritten by the Gram-corrected
+solutions, and the solutions. Sparse-LU and PCG solves add only per-chunk
+temporaries; a dense solve (at most ``DENSE_SOLVE_LIMIT`` vertices) copies
+the batch for LAPACK.
 """
 from __future__ import annotations
 
@@ -23,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import WeightedGraph
-from .linalg import LaplacianSolver, solve_laplacian_many
+from .linalg import ORACLE_BLOCK_LIMIT, LaplacianSolver, solve_laplacian_many
 
 # Probe budget ceil(C * ln n / beta^2). C = 8 is a conservative
 # Johnson-Lindenstrauss constant folding in a per-graph failure
@@ -32,6 +39,11 @@ from .linalg import LaplacianSolver, solve_laplacian_many
 PROBE_COUNT_CONSTANT = 8.0
 
 DEFAULT_BETA = math.log(1.5)
+
+# Estimates within this relative distance of the largest count as tied for the
+# far end: exact values tie exactly on symmetric graphs, and rounding must
+# not break those ties.
+TIE_TOLERANCE = 1e-9
 
 # Probe rows drawn, stored and pushed through the incidence matrix at a time,
 # and probe columns per step of the Gram sum; both bound the sketch's
@@ -105,11 +117,13 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
     """Estimates ``A[v] ≈ Reff(u, v)`` for every vertex.
 
     With probability at least 1 − 1/n over the probe randomness every
-    entry satisfies the two-sided e^{±beta} bracket; when the probe count
-    is at least m the estimates are exact up to solver accuracy.
-    Deterministic for fixed (graph, cfg, solver options). ``solver`` must
-    be built for ``g``; by default one with default options is built, and a
-    disconnected graph raises :class:`DisconnectedGraphError` there.
+    entry satisfies the two-sided e^{±beta} bracket. When the probe count is
+    at least m and the graph has at most ``ORACLE_BLOCK_LIMIT`` vertices, no
+    probes are drawn: the result is row u of ``solver.reff_matrix()``, exact
+    up to rounding. Deterministic for fixed (graph, cfg, solver options).
+    ``solver`` must be built for ``g``; by default one with default options
+    is built, and a disconnected graph raises
+    :class:`DisconnectedGraphError` there.
     """
     cfg = cfg or SketchConfig()
     if not (0 <= u < g.n):
@@ -122,6 +136,10 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
 
     m = g.m
     k = _num_probes(cfg, g.n)
+    if k >= m and g.n <= ORACLE_BLOCK_LIMIT:
+        estimates = solver.reff_matrix()[u].copy()
+        estimates.flags.writeable = False
+        return estimates
     rhs, gram = _probe_system(g, k, cfg.seed)
     Z = solve_laplacian_many(solver, rhs)
     Z -= Z[:, [u]]  # column v holds Q·W^{1/2}B·L†(e_u − e_v)
@@ -157,13 +175,15 @@ def furthest_pair(g: WeightedGraph,
     """A vertex pair whose resistance is within a constant factor of the
     resistance diameter, plus its estimate.
 
-    Fixes u = 0, sketches A(0, ·), and returns the argmax (ties to the
-    smallest id). By the triangle inequality the true resistance of the
-    returned pair is at least R_diam/(2·e^{2·beta}); when the sketch runs
-    in its exact regime the factor improves to 1/2.
+    Fixes u = 0, sketches A(0, ·), and returns the smallest id whose
+    estimate is within a relative ``TIE_TOLERANCE`` of the maximum, so
+    exact ties do not fall to rounding. By the triangle inequality the true
+    resistance of the returned pair is at least R_diam/(2·e^{2·beta}); in
+    the sketch's exact regime, where the estimates are a row of the
+    solver's resistance matrix, the factor improves to 1/2.
     """
     if g.n < 2:
         raise ValueError(f"need at least 2 vertices, got {g.n}")
     estimates = approx_reff_from_source(g, 0, cfg, solver)
-    v = int(np.argmax(estimates))
+    v = int(np.argmax(estimates >= estimates.max() * (1.0 - TIE_TOLERANCE)))
     return 0, v, float(estimates[v])

@@ -299,10 +299,12 @@ class TestPartition:
 
     def test_one_graph_laplacian_and_factor_per_work_item(self, monkeypatch):
         # 85 cuts make 171 work items, the root and both sides of each cut,
-        # none a singleton: each is one graph, assembled and factored once,
-        # and an accepted block's certificate reuses its sketch's factor. The
+        # none a singleton: each is one graph, assembled and factored once.
+        # A factor is inverted at most once: the exact-regime sketch and an
+        # accepted block's certificate read the same resistance matrix. The
         # verifier builds one of each per block.
         counts = dict.fromkeys(("graph", "laplacian", "factor"), 0)
+        inverted = []  # the factors themselves, so no id is reused
 
         def counting(key, fn):
             def wrapped(*args, **kwargs):
@@ -310,13 +312,18 @@ class TestPartition:
                 return fn(*args, **kwargs)
             return wrapped
 
+        def inverting(factor):
+            inverted.append(factor)
+            return real_inverse(factor)
+
+        real_inverse = linalg._grounded_reff_matrix
         monkeypatch.setattr(rd.WeightedGraph, "__init__",
                             counting("graph", rd.WeightedGraph.__init__))
         monkeypatch.setattr(linalg, "assemble_laplacian",
                             counting("laplacian", linalg.assemble_laplacian))
-        factor = counting("factor", linalg._grounded_cholesky)
-        for module in (linalg, decompose):
-            monkeypatch.setattr(module, "_grounded_cholesky", factor)
+        monkeypatch.setattr(linalg, "_grounded_cholesky",
+                            counting("factor", linalg._grounded_cholesky))
+        monkeypatch.setattr(linalg, "_grounded_reff_matrix", inverting)
         g = rd.grid2d(24)
         config = rd.DecompositionConfig(delta=8.0, n_original=g.n,
                                         cut_budget=g.total_weight / 8,
@@ -324,10 +331,29 @@ class TestPartition:
         part, report = rd.partition_with_config(g, config)
         assert report.num_sparse_cuts == 85
         assert counts == dict.fromkeys(counts, 171)
+        assert len(part.blocks) <= len(inverted) <= 171
+        assert len({id(f) for f in inverted}) == len(inverted)
         counts.update(dict.fromkeys(counts, 0))
+        inverted.clear()
         rd.verify_partition(g, part, 8.0)
         assert len(part.blocks) == 86
         assert counts == dict.fromkeys(counts, 86)
+        assert len(inverted) == 86
+
+    @pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (1, 3)], [(0, 1), (0, 3), (1, 2)]],
+                             ids=["star-k13", "path-3012"])
+    def test_far_pair_at_target_accepted(self, edges):
+        # from vertex 0 the far end is at resistance exactly 2, the target.
+        # The exact estimate of the path 3-0-1-2 may round above 2 (a block
+        # of this shape occurs in the grid2d(24) partition); a tie accepts.
+        g = rd.build_graph(4, [(u, v, 1.0) for u, v in edges])
+        assert rd.furthest_pair(g)[2] == pytest.approx(2.0, rel=1e-12)
+        config = rd.DecompositionConfig(delta=8.0, n_original=g.n,
+                                        cut_budget=g.total_weight / 8,
+                                        resistance_target=2.0)
+        part, report = rd.partition_with_config(g, config)
+        assert [b.tolist() for b in part.blocks] == [[0, 1, 2, 3]]
+        assert report.num_sparse_cuts == 0 and report.num_pruned_vertices == 0
 
     @pytest.mark.parametrize("probes", [None, 10])
     def test_block_certificates_match_verifier(self, monkeypatch, probes):
@@ -433,6 +459,32 @@ class TestVerifyPartition:
         assert ([r.value.hex() for r in forced.block_rdiams]
                 == [r.value.hex() for r in default.block_rdiams])
         assert forced == default
+
+    def test_iterative_certificate_builds_no_pcg_tree(self, monkeypatch):
+        # a block of at most ORACLE_BLOCK_LIMIT vertices is certified from a
+        # factor; PCG's spanning tree waits for the first PCG solve
+        built = []
+        real = linalg._spanning_tree
+
+        def recording(g):
+            built.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(linalg, "_spanning_tree", recording)
+        opts = rd.SolverOptions(method="iterative")
+        g = rd.grid2d(10)
+        solver = rd.LaplacianSolver(g, opts)
+        assert decompose._certify_block(solver, rd.SketchConfig()).certified_exact
+        config = rd.DecompositionConfig(delta=4.0, n_original=g.n,
+                                        cut_budget=g.total_weight / 4,
+                                        resistance_target=2.0)
+        part, _ = rd.partition_with_config(g, config)
+        built.clear()
+        rd.verify_partition(g, part, 4.0, opts=opts)
+        assert built == []
+        for _ in range(2):
+            rd.st_potential(solver, 0, g.n - 1)
+        assert built == [g.n]
 
     @pytest.mark.parametrize("blocks", [
         [[0, 1, 2, 3], [4, 5, 6, 7.9]],

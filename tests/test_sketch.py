@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import resdecomp as rd
-from resdecomp import sketch
+from resdecomp import linalg, sketch
 from resdecomp.sketch import PROBE_COUNT_CONSTANT, _num_probes
 
 from conftest import log_uniform_mesh, path_graph
@@ -31,8 +31,8 @@ class TestApproxReffFromSource:
         assert (np.delete(A, 2) > 1e-9).all()
 
     def test_corpus_ratio_within_bracket(self, corpus):
-        # probe budget exceeds the edge count at this scale, so the
-        # Gram-corrected estimates collapse onto the oracle
+        # the probe budget exceeds the edge count at this scale, so the
+        # sketch runs its exact regime and returns the oracle's row
         for g in corpus:
             A = rd.approx_reff_from_source(g, 0)
             R = rd.exact_reff_matrix(g)
@@ -103,12 +103,52 @@ class TestApproxReffFromSource:
             rd.SketchConfig(beta=0.0)
 
 
-def one_shot_estimates(g, u, cfg, solver):
-    """The sketch with its probes drawn as one k×m float64 matrix: the
-    formula the streamed sketch must reproduce bit for bit."""
+class TestExactRegime:
+    # grid2d(8): k = 203 probes against m = 112 edges
+    @pytest.mark.parametrize("backend", ["dense", "sparse", "iterative"])
+    def test_row_of_oracle_matrix(self, monkeypatch, backend):
+        g = rd.grid2d(8)
+        assert _num_probes(rd.SketchConfig(), g.n) >= g.m
+        if backend == "sparse":
+            monkeypatch.setattr(linalg, "DENSE_SOLVE_LIMIT", g.n - 1)
+        method = "iterative" if backend == "iterative" else "auto"
+        solver = rd.LaplacianSolver(g, rd.SolverOptions(method=method))
+        assert solver.method == backend
+        R = rd.exact_reff_matrix(g)
+        for u in (0, 27, g.n - 1):
+            A = rd.approx_reff_from_source(g, u, solver=solver)
+            assert A[u] == 0.0
+            assert np.allclose(A, R[u], rtol=1e-12, atol=0.0)
+
+    def test_draws_no_probes(self, monkeypatch):
+        def no_probes(*args):
+            raise AssertionError("probe system drawn in the exact regime")
+
+        monkeypatch.setattr(sketch, "_probe_system", no_probes)
+        monkeypatch.setattr(sketch, "solve_laplacian_many", no_probes)
+        for g in (rd.grid2d(8), rd.barbell(8), rd.complete(5)):
+            rd.approx_reff_from_source(g, 0)
+        g = rd.grid2d(12)  # k = 242 < m = 264 without the override
+        rd.approx_reff_from_source(g, 0, rd.SketchConfig(probe_count=g.m))
+        with pytest.raises(AssertionError, match="probe system"):
+            rd.approx_reff_from_source(g, 0, rd.SketchConfig(probe_count=g.m - 1))
+
+    def test_solver_matrix_computed_once_and_read_only(self):
+        g = rd.grid2d(8)
+        solver = rd.LaplacianSolver(g)
+        A = rd.approx_reff_from_source(g, 3, solver=solver)
+        R = solver.reff_matrix()
+        assert R is solver.reff_matrix()
+        assert np.array_equal(A, R[3])
+        assert not R.flags.writeable and not A.flags.writeable
+        assert rd.LaplacianSolver(rd.build_graph(1, [])).reff_matrix().tolist() == [[0.0]]
+
+
+def one_shot_probe_system(g, k, seed):
+    """The probe right-hand sides and Gram with the k probes drawn as one
+    k×m float64 matrix: what the streamed draw must reproduce bit for bit."""
     m = g.m
-    k = _num_probes(cfg, g.n)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     probes = (rng.integers(0, 2, size=(k, m)) * 2 - 1).astype(np.float64)
     eu, ev, ew = g.edges()
     sqrt_w = np.sqrt(ew)
@@ -116,10 +156,17 @@ def one_shot_estimates(g, u, cfg, solver):
     cols = np.concatenate([eu, ev])
     vals = np.concatenate([sqrt_w, -sqrt_w])
     incidence = sp.csr_matrix((vals, (rows, cols)), shape=(m, g.n))
-    rhs = incidence.T.dot(probes.T).T
+    return incidence.T.dot(probes.T).T, probes @ probes.T
+
+
+def one_shot_estimates(g, u, cfg, solver):
+    """The sketch with its probes drawn as one k×m float64 matrix: the
+    formula the streamed sketch must reproduce bit for bit."""
+    m = g.m
+    k = _num_probes(cfg, g.n)
+    rhs, gram = one_shot_probe_system(g, k, cfg.seed)
     Z = rd.solve_laplacian_many(solver, rhs)
     diffs = Z - Z[:, [u]]
-    gram = probes @ probes.T
     U_, sv, Vt = np.linalg.svd(gram, hermitian=True)
     tol = sv.max() * k * np.finfo(float).eps if sv.size else 0.0
     rank = int((sv > tol).sum())
@@ -140,11 +187,11 @@ def one_shot_estimates(g, u, cfg, solver):
 class TestStreamedSketch:
     # Between them the cases put k below and above m, leave a last chunk of
     # odd size times odd m, sum the Gram over more than two column blocks
-    # with an odd tail, and run the dense, sparse-LU and PCG backends.
+    # with an odd tail, and run the dense, sparse-LU and PCG backends. With
+    # k >= m the sketch draws no probes, so those cases check the probe
+    # system itself; the others check the whole sketch.
     CASES = [
         pytest.param(lambda: rd.grid2d(12), None, "dense", id="grid12"),
-        pytest.param(lambda: rd.grid2d(12), 300, "dense", id="grid12-k-above-m"),
-        pytest.param(lambda: rd.barbell(8), None, "dense", id="barbell8-odd-m"),
         pytest.param(lambda: rd.barbell(8), 1, "dense", id="barbell8-one-probe"),
         pytest.param(lambda: rd.barbell(8), 7, "dense", id="barbell8-seven-probes"),
         pytest.param(lambda: rd.complete(70), None, "dense", id="complete70-gram-tail"),
@@ -154,23 +201,41 @@ class TestStreamedSketch:
         pytest.param(lambda: log_uniform_mesh(46, 1.0, 10.0, seed=7), None, "sparse",
                      id="mesh46-sparse-lu"),
     ]
+    PROBE_SYSTEM_CASES = [
+        pytest.param(lambda: rd.grid2d(12), 300, id="grid12-k-above-m"),
+        pytest.param(lambda: rd.barbell(8), None, id="barbell8-odd-m"),
+    ]
 
     @pytest.mark.parametrize("make, probe_count, backend", CASES)
     def test_matches_one_shot_draw_bit_for_bit(self, make, probe_count, backend):
         g = make()
         cfg = rd.SketchConfig(seed=3, probe_count=probe_count)
+        assert _num_probes(cfg, g.n) < g.m
         method = "iterative" if backend == "iterative" else "auto"
         solver = rd.LaplacianSolver(g, rd.SolverOptions(method=method))
         assert solver.method == backend
         A = rd.approx_reff_from_source(g, 0, cfg, solver)
         assert np.array_equal(A, one_shot_estimates(g, 0, cfg, solver))
 
+    @pytest.mark.parametrize("make, probe_count", PROBE_SYSTEM_CASES)
+    def test_probe_system_matches_one_shot_draw_bit_for_bit(self, make, probe_count):
+        g = make()
+        k = _num_probes(rd.SketchConfig(probe_count=probe_count), g.n)
+        assert k >= g.m
+        rhs, gram = sketch._probe_system(g, k, 3)
+        want_rhs, want_gram = one_shot_probe_system(g, k, 3)
+        assert np.array_equal(rhs, want_rhs) and np.array_equal(gram, want_gram)
+
     def test_cases_reach_chunk_edges(self):
+        # the sketch of grid12 ends on a partial chunk with k < m; its probe
+        # system with k = 300 > m ends on another
         k = _num_probes(rd.SketchConfig(), rd.grid2d(12).n)
         assert k % sketch._PROBE_CHUNK != 0 and k < rd.grid2d(12).m < 300
+        assert 300 % sketch._PROBE_CHUNK != 0
+        # the probe system of barbell8: odd m times an odd last chunk
         g = rd.barbell(8)
-        last = _num_probes(rd.SketchConfig(), g.n) % sketch._PROBE_CHUNK
-        assert g.m % 2 == 1 and last % 2 == 1
+        k = _num_probes(rd.SketchConfig(), g.n)
+        assert k >= g.m and g.m % 2 == 1 and (k % sketch._PROBE_CHUNK) % 2 == 1
         m = rd.complete(70).m  # more than two Gram blocks and an odd tail
         assert m > 2 * sketch._GRAM_BLOCK and (m % sketch._GRAM_BLOCK) % 2 == 1
 
@@ -211,6 +276,16 @@ class TestFurthestPair:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             rd.furthest_pair(rd.build_graph(1, []))
+
+    def test_exact_tie_goes_to_smallest_id(self):
+        # on the 11-cycle vertices 5 and 6 are both at resistance 30/11 from
+        # 0; the exact estimates differ in their last bits
+        n = 11
+        g = rd.build_graph(n, [(min(i, (i + 1) % n), max(i, (i + 1) % n), 1.0)
+                               for i in range(n)])
+        u, v, est = rd.furthest_pair(g)
+        assert (u, v) == (0, 5)
+        assert est == pytest.approx(30 / 11, rel=1e-12)
 
     def test_deterministic(self):
         g = rd.grid2d(6)
