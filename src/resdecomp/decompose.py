@@ -56,10 +56,11 @@ class DecompositionConfig:
     def for_graph(cls, g: WeightedGraph, delta: float, c_r: float = 1.0) -> "DecompositionConfig":
         if g.n == 0:
             raise ValueError("graph must be non-empty")
-        if delta < 2:
+        # negated so that NaN fails each check
+        if not delta >= 2:
             raise ValueError(f"delta must be at least 2, got {delta}")
         floor = 4.0 / DEFAULT_EPSILON
-        if c_r * delta ** 2 < floor:
+        if not c_r * delta ** 2 >= floor:
             raise ValueError(
                 f"c_r * delta^2 = {c_r * delta ** 2:g} is below the charge-amortization "
                 f"floor {floor:g}; raise delta (or c_r) so the per-edge charge "
@@ -82,8 +83,8 @@ class Partition:
 @dataclass(frozen=True)
 class BlockResistance:
     """Certified resistance diameter of one block: the exact oracle value,
-    or (when ``certified_exact`` is false) an upper bound of three times a
-    sketch estimate."""
+    or (when ``certified_exact`` is false) an upper bound of 2·e^beta times a
+    sketch estimate (three times at the default beta)."""
     value: float
     certified_exact: bool
 
@@ -313,7 +314,11 @@ def verify_partition(g: WeightedGraph, p, delta: float, c_r: float = 1.0,
     """Independently recheck a partition against the loss and resistance
     bounds (:data:`C_LOSS`/delta and :data:`C_RES`·delta³·n/w(E)), certifying
     every block afresh from one solver per block; a disconnected block has
-    infinite diameter. Rejects inputs that are not a partition of V."""
+    infinite diameter. Rejects inputs that are not a partition of V, and a
+    ``delta`` or ``c_r`` that is not a positive number."""
+    for name, value in (("delta", delta), ("c_r", c_r)):
+        if not value > 0:  # NaN fails too
+            raise ValueError(f"{name} must be positive, got {value}")
     cfg = cfg or SketchConfig()
     blocks = _as_blocks(p)
 

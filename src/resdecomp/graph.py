@@ -2,6 +2,9 @@
 
 Vertices are dense 0-based integers. Graphs are immutable after
 construction; every operation here is a pure function of its inputs.
+:func:`connected_components` is the package's one connectivity labelling:
+it labels a graph on the first ask and keeps the answer on the graph, so
+the recursion, the solver and the resistance oracle share it.
 """
 from __future__ import annotations
 
@@ -19,10 +22,12 @@ class WeightedGraph:
     CSR-style adjacency for O(deg) neighbor scans. Parallel input edges are
     merged by weight sum and self-loops dropped at build time, so instances
     always describe simple graphs. Use :func:`build_graph` to construct one.
+    Its connected components are labelled on the first call to
+    :func:`connected_components` and kept.
     """
 
     __slots__ = ("n", "m", "edge_u", "edge_v", "edge_w",
-                 "indptr", "indices", "weights", "degrees", "total_weight")
+                 "indptr", "indices", "weights", "degrees", "total_weight", "_components")
 
     def __init__(self, n: int, edge_u: np.ndarray, edge_v: np.ndarray, edge_w: np.ndarray):
         self.n = int(n)
@@ -47,6 +52,7 @@ class WeightedGraph:
         np.add.at(degrees, src, wgt)
         self.degrees = degrees
         self.total_weight = float(edge_w.sum())
+        self._components = None
 
         for arr in (self.edge_u, self.edge_v, self.edge_w,
                     self.indptr, self.indices, self.weights, self.degrees):
@@ -163,17 +169,26 @@ def induced_subgraph(g: WeightedGraph, s) -> tuple[WeightedGraph, np.ndarray]:
     return h, vertices
 
 
-def connected_components(g: WeightedGraph) -> list[np.ndarray]:
-    """Vertex sets of the connected components, ordered by smallest member id."""
+def connected_components(g: WeightedGraph) -> tuple[np.ndarray, ...]:
+    """Vertex sets of the connected components (read-only, each ascending),
+    ordered by smallest member id. The graph is labelled on the first call;
+    later calls return the same kept tuple."""
+    if g._components is None:
+        g._components = _label_components(g)
+    return g._components
+
+
+def _label_components(g: WeightedGraph) -> tuple[np.ndarray, ...]:
     if g.n == 0:
-        return []
+        return ()
     ncomp, labels = csgraph.connected_components(g.adjacency_matrix(), directed=False)
     # a stable sort groups vertices by label, each group ascending from its least id
     order = np.argsort(labels, kind="stable")
+    order.flags.writeable = False  # the components are views of it
     ends = np.cumsum(np.bincount(labels, minlength=ncomp)).tolist()
     starts = [0] + ends[:-1]
     comps = [order[a:b] for a, b in zip(starts, ends)]
-    return [comps[i] for i in np.argsort(order[starts]).tolist()]
+    return tuple(comps[i] for i in np.argsort(order[starts]).tolist())
 
 
 def scale_weights(g: WeightedGraph, alpha: float) -> WeightedGraph:

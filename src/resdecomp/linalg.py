@@ -38,7 +38,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, DisconnectedGraphError, InfiniteResistanceError
-from .graph import WeightedGraph, induced_subgraph
+from .graph import WeightedGraph, connected_components, induced_subgraph
 
 # Up to this order the auto method takes dense Cholesky; above it, the fill
 # probe chooses between sparse LU and PCG.
@@ -109,13 +109,16 @@ def assemble_laplacian(g: WeightedGraph) -> sp.csr_matrix:
 class LaplacianSolver:
     """The Laplacian of one connected graph, ready for any number of solves.
 
-    The constructor assembles L once, checks connectivity (raising
-    :class:`DisconnectedGraphError`) and resolves the method: "dense" and
-    "iterative" are taken as given; "auto" is "dense" up to
+    The constructor first takes connectivity from
+    :func:`~resdecomp.graph.connected_components` (a lookup when the graph
+    was labelled before, as a single-component work item of the recursion
+    is), raising :class:`DisconnectedGraphError` on more than one
+    component. It then assembles L once and resolves the method: "dense"
+    and "iterative" are taken as given; "auto" is "dense" up to
     ``DENSE_SOLVE_LIMIT`` vertices, and above it "sparse" when the RCM
     envelope of L is at most ``SPARSE_ENVELOPE_FACTOR``·n^{3/2}, else
-    "iterative". ``method`` holds the resolved backend. The constructor then
-    factors the grounded Laplacian (dense Cholesky or sparse LU). PCG builds
+    "iterative". ``method`` holds the resolved backend. The constructor
+    then factors the grounded Laplacian (dense Cholesky or sparse LU). PCG builds
     its shortest-path spanning tree from vertex 0 (edge lengths 1/w) on its
     first solve; the tree's flow energy certifies each stop: PCG stops once
     the tree energy of the residual is at most ζ²‖b‖²/(2·max deg).
@@ -127,6 +130,10 @@ class LaplacianSolver:
     """
 
     def __init__(self, g: WeightedGraph, opts: SolverOptions | None = None):
+        ncomp = len(connected_components(g))
+        if ncomp > 1:
+            raise DisconnectedGraphError(
+                f"Laplacian has {ncomp} connected components; solve per component")
         self.graph = g
         self.opts = opts or SolverOptions()
         self.laplacian = assemble_laplacian(g)
@@ -136,10 +143,6 @@ class LaplacianSolver:
             self.method = "dense"
         if g.n <= 1:  # every zero-sum right-hand side is zero; nothing to factor
             return
-        ncomp, _ = csgraph.connected_components(self.laplacian, directed=False)
-        if ncomp > 1:
-            raise DisconnectedGraphError(
-                f"Laplacian has {ncomp} connected components; solve per component")
         if self.method == "auto":
             fits = _rcm_envelope(self.laplacian) <= SPARSE_ENVELOPE_FACTOR * g.n ** 1.5
             self.method = "sparse" if fits else "iterative"
@@ -377,13 +380,13 @@ def _pair_component(g: WeightedGraph, s: int, t: int) -> tuple[WeightedGraph, in
     renumbered into it; InfiniteResistanceError if they lie apart."""
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ValueError(f"vertices ({s}, {t}) out of range [0, {g.n})")
-    labels = csgraph.connected_components(g.adjacency_matrix(), directed=False)[1]
-    if labels[t] != labels[s]:
+    comp = next(c for c in connected_components(g) if s in c)
+    if t not in comp:
         raise InfiniteResistanceError(
             f"vertices {s} and {t} lie in different components; resistance is infinite")
-    comp = np.flatnonzero(labels == labels[s])
     a, b = np.searchsorted(comp, [s, t]).tolist()
-    return induced_subgraph(g, comp)[0], a, b
+    sub = g if comp.size == g.n else induced_subgraph(g, comp)[0]
+    return sub, a, b
 
 
 def exact_reff(g: WeightedGraph, s: int, t: int) -> float:
@@ -423,10 +426,9 @@ def exact_reff_matrix(g: WeightedGraph) -> np.ndarray:
     Laplacian (dense oracle)."""
     if g.n <= 1:
         return np.zeros((g.n, g.n))
-    L = assemble_laplacian(g)
-    if csgraph.connected_components(L, directed=False)[0] > 1:
+    if len(connected_components(g)) > 1:
         raise DisconnectedGraphError("resistance matrix requires a connected graph")
-    return _grounded_reff_matrix(_grounded_cholesky(L, g.n - 1))
+    return _grounded_reff_matrix(_grounded_cholesky(assemble_laplacian(g), g.n - 1))
 
 
 def exact_resistance_diameter(g: WeightedGraph) -> float:

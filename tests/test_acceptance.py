@@ -71,24 +71,24 @@ def test_criterion_2_metric_domination_foster(corpus):
 
 def test_criterion_3_sketch_guarantee(corpus):
     # every corpus graph (n <= 12) has at least as many probes as edges, so
-    # the sketch runs its exact regime here and draws no probes;
-    # test_criterion_3_sketch_guarantee_below_edge_count guards the probe path
+    # the sketch runs its exact regime, draws no probes and ignores the
+    # seed: one row per graph, bit-identical across seeds, must meet the
+    # bracket on every graph. test_criterion_3_sketch_guarantee_below_edge_count
+    # guards the probe path
     bound = math.exp(BETA)
-    good_seeds = 0
-    for seed in range(50):
-        cfg = rd.SketchConfig(seed=seed)
-        ok_seed = True
-        for g in corpus:
-            A = rd.approx_reff_from_source(g, 0, cfg)
-            R = rd.exact_reff_matrix(g)
-            ratios = A[1:] / R[0, 1:]
-            if ratios.max() > bound or ratios.min() < 1.0 / bound:
-                ok_seed = False
-                break
-        good_seeds += ok_seed
-    ok = good_seeds >= 49
-    _verdict(3, ok, f"two-sided e^beta sketch bracket held for {good_seeds}/50 seeds "
-                    f"across the corpus (need >= 49)")
+    worst = 1.0
+    for g in corpus:
+        assert _num_probes(rd.SketchConfig(), g.n) >= g.m
+        A = rd.approx_reff_from_source(g, 0, rd.SketchConfig(seed=0))
+        for seed in (1, 49):
+            again = rd.approx_reff_from_source(g, 0, rd.SketchConfig(seed=seed))
+            assert again.tobytes() == A.tobytes()
+        ratios = A[1:] / rd.exact_reff_matrix(g)[0, 1:]
+        worst = max(worst, ratios.max(), 1.0 / ratios.min())
+    ok = worst <= bound
+    _verdict(3, ok, f"two-sided e^beta sketch bracket held on all {len(corpus)} corpus graphs "
+                    f"(exact regime, seeds 0, 1, 49 bit-identical): worst ratio {worst:.3f} "
+                    f"(<= {bound:.3f})")
 
 
 def test_criterion_3_sketch_guarantee_below_edge_count():

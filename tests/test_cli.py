@@ -233,6 +233,30 @@ class TestDecomposeVerify:
         assert code == 2
         assert "raise delta" in report["error"]["message"]
 
+    @pytest.mark.parametrize("flags", [("--delta", "nan"), ("--delta", "8", "--c-r", "nan")],
+                             ids=["delta", "c_r"])
+    def test_nan_setting_reported(self, capsys, tmp_path, flags):
+        graph = tmp_path / "g6.txt"
+        rd.write_edgelist(rd.grid2d(6), graph)
+        code, report = run_json(capsys, "decompose", "--graph", str(graph), *flags)
+        assert code == 2
+        assert report["error"]["type"] == "ValueError"
+        assert "results" not in report
+
+    @pytest.mark.parametrize("flags", [("--delta", "0"), ("--delta", "-1"), ("--delta", "nan"),
+                                       ("--delta", "8", "--c-r", "nan")],
+                             ids=["zero", "negative", "nan", "c_r-nan"])
+    def test_verify_rejects_non_positive_setting(self, capsys, tmp_path, flags):
+        graph, part_file = tmp_path / "g6.txt", tmp_path / "part.json"
+        rd.write_edgelist(rd.grid2d(6), graph)
+        part_file.write_text(json.dumps({"blocks": [list(range(36))]}))
+        code, report = run_json(capsys, "verify", "--graph", str(graph),
+                                "--partition", str(part_file), *flags)
+        assert code == 2
+        assert report["error"]["type"] == "ValueError"
+        assert "must be positive" in report["error"]["message"]
+        assert "results" not in report
+
     def test_verify_reports_sketch_and_solver_settings(self, capsys, barbell4, tmp_path):
         part_file = tmp_path / "part.json"
         part_file.write_text(json.dumps({"blocks": [list(range(8))]}))

@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph as csgraph
 
 import resdecomp as rd
 from resdecomp import decompose, linalg, sweep
@@ -89,6 +90,12 @@ class TestDecompositionConfig:
 
     def test_charge_floor_edge(self):
         rd.DecompositionConfig.for_graph(rd.complete(4), 4.0)  # 16 >= 16, ok
+
+    @pytest.mark.parametrize("delta, c_r", [(math.nan, 1.0), (8.0, math.nan)],
+                             ids=["delta", "c_r"])
+    def test_nan_rejected(self, delta, c_r):
+        with pytest.raises(ValueError, match="at least 2|raise delta"):
+            rd.DecompositionConfig.for_graph(rd.grid2d(6), delta, c_r)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -299,11 +306,12 @@ class TestPartition:
 
     def test_one_graph_laplacian_and_factor_per_work_item(self, monkeypatch):
         # 85 cuts make 171 work items, the root and both sides of each cut,
-        # none a singleton: each is one graph, assembled and factored once.
+        # none a singleton: each is one graph, labelled, assembled and
+        # factored once; its solver reads the labelling the recursion made.
         # A factor is inverted at most once: the exact-regime sketch and an
         # accepted block's certificate read the same resistance matrix. The
         # verifier builds one of each per block.
-        counts = dict.fromkeys(("graph", "laplacian", "factor"), 0)
+        counts = dict.fromkeys(("graph", "labelling", "laplacian", "factor"), 0)
         inverted = []  # the factors themselves, so no id is reused
 
         def counting(key, fn):
@@ -319,6 +327,8 @@ class TestPartition:
         real_inverse = linalg._grounded_reff_matrix
         monkeypatch.setattr(rd.WeightedGraph, "__init__",
                             counting("graph", rd.WeightedGraph.__init__))
+        monkeypatch.setattr(csgraph, "connected_components",
+                            counting("labelling", csgraph.connected_components))
         monkeypatch.setattr(linalg, "assemble_laplacian",
                             counting("laplacian", linalg.assemble_laplacian))
         monkeypatch.setattr(linalg, "_grounded_cholesky",
@@ -442,6 +452,18 @@ class TestVerifyPartition:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             rd.verify_partition(rd.complete(3), [[0, 1], [2, 7]], 4.0)
+
+    @pytest.mark.parametrize("delta, c_r", [(0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0),
+                                            (8.0, 0.0), (8.0, -1.0), (8.0, math.nan)])
+    def test_delta_and_c_r_must_be_positive(self, monkeypatch, delta, c_r):
+        def certify(*args, **kwargs):
+            raise AssertionError("a block was certified")
+
+        monkeypatch.setattr(decompose, "_certify_block", certify)
+        g = rd.grid2d(6)
+        name = "delta" if not delta > 0 else "c_r"
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            rd.verify_partition(g, [list(range(g.n))], delta, c_r=c_r)
 
     def test_iterative_method_certifies_small_blocks_exactly(self):
         # the solver's Laplacian is factored for the certificate, bit for

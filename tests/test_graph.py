@@ -186,6 +186,33 @@ class TestConnectedComponents:
         assert [c.tolist() for c in comps] == expected
         assert all(c.dtype == np.int64 for c in comps)
 
+    def test_kept_read_only_and_labelled_once(self, monkeypatch):
+        # the first ask labels the graph; later asks, the solver's
+        # connectivity check and the resistance oracle's read the kept answer
+        calls = []
+        real = csgraph.connected_components
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(csgraph, "connected_components", counting)
+        g = rd.build_graph(5, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
+        comps = rd.connected_components(g)
+        assert [c.tolist() for c in comps] == [[0, 1, 2], [3, 4]]
+        for c in comps:
+            assert not c.flags.writeable
+            with pytest.raises(ValueError):
+                c[0] = 4
+        assert rd.connected_components(g) is comps
+        with pytest.raises(rd.DisconnectedGraphError):
+            rd.LaplacianSolver(g)
+        with pytest.raises(rd.DisconnectedGraphError):
+            rd.exact_reff_matrix(g)
+        with pytest.raises(rd.InfiniteResistanceError):
+            rd.exact_reff(g, 0, 3)
+        assert len(calls) == 1
+
 
 class TestGenerators:
     def test_hypercube3(self):
