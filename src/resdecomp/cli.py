@@ -214,9 +214,12 @@ def _cmd_reff(args) -> dict:
     else:
         # solved on the component of s, as the dense oracle does
         sub, s, t = _pair_component(g, args.s, args.t)
-        pot = st_potential(LaplacianSolver(sub, _solver_options(args)), s, t)
-        results = {"reff": float(pot.values[s] - pot.values[t]),
-                   "method": "potential", "eta": pot.eta}
+        if s == t:  # no flow to route: the resistance is exactly zero
+            results = {"reff": 0.0, "method": "potential", "eta": 0.0}
+        else:
+            pot = st_potential(LaplacianSolver(sub, _solver_options(args)), s, t)
+            results = {"reff": float(pot.values[s] - pot.values[t]),
+                       "method": "potential", "eta": pot.eta}
     return {
         "input": _digest(g, args.graph),
         "config": {"s": args.s, "t": args.t, "exact": args.exact,

@@ -5,10 +5,14 @@ The solver contract is relative accuracy in the energy norm:
 ``‖x̂ − L†b‖_L ≤ ζ·‖L†b‖_L``. A :class:`LaplacianSolver` prepares one graph
 once, with one of three backends:
 
-- "dense": a Cholesky factor of the grounded Laplacian;
+- "dense": a Cholesky factor of the grounded Laplacian, written straight
+  from the edge arrays and factored in place;
 - "sparse": a sparse LU factor (SuperLU) of the grounded Laplacian;
 - "iterative": Jacobi-preconditioned conjugate gradient, stopped by a
   certificate of the contract built from one spanning tree.
+
+The sparse Laplacian is assembled only for the backends that read it:
+sparse LU, PCG and the fill probe.
 
 The two direct backends meet the contract up to rounding. PCG stops on
 Thomson's principle: the error e = x̂ − L†b solves Le = r for the residual
@@ -113,15 +117,18 @@ class LaplacianSolver:
     :func:`~resdecomp.graph.connected_components` (a lookup when the graph
     was labelled before, as a single-component work item of the recursion
     is), raising :class:`DisconnectedGraphError` on more than one
-    component. It then assembles L once and resolves the method: "dense"
-    and "iterative" are taken as given; "auto" is "dense" up to
-    ``DENSE_SOLVE_LIMIT`` vertices, and above it "sparse" when the RCM
-    envelope of L is at most ``SPARSE_ENVELOPE_FACTOR``·n^{3/2}, else
-    "iterative". ``method`` holds the resolved backend. The constructor
-    then factors the grounded Laplacian (dense Cholesky or sparse LU). PCG builds
-    its shortest-path spanning tree from vertex 0 (edge lengths 1/w) on its
-    first solve; the tree's flow energy certifies each stop: PCG stops once
-    the tree energy of the residual is at most ζ²‖b‖²/(2·max deg).
+    component. It then resolves the method: "dense" and "iterative" are
+    taken as given; "auto" is "dense" up to ``DENSE_SOLVE_LIMIT`` vertices,
+    and above it "sparse" when the RCM envelope of L is at most
+    ``SPARSE_ENVELOPE_FACTOR``·n^{3/2}, else "iterative". ``method`` holds
+    the resolved backend. The constructor then factors the grounded
+    Laplacian: dense Cholesky writes it from the edge arrays and factors it
+    in place, sparse LU factors the sparse L. :attr:`laplacian`, the sparse
+    L, is assembled on first use, so only the fill probe, sparse LU and PCG
+    build it. PCG builds its shortest-path spanning tree from vertex 0
+    (edge lengths 1/w) on its first solve; the tree's flow energy certifies
+    each stop: PCG stops once the tree energy of the residual is at most
+    ζ²‖b‖²/(2·max deg).
     :meth:`reff_matrix` inverts the grounded factor once, on first use, and
     keeps the result. Build one solver per graph and hand it to every solve
     on that graph: the sketch (or, in its exact regime, a row of the
@@ -136,7 +143,6 @@ class LaplacianSolver:
                 f"Laplacian has {ncomp} connected components; solve per component")
         self.graph = g
         self.opts = opts or SolverOptions()
-        self.laplacian = assemble_laplacian(g)
         self.method = self.opts.method
         self._reff = None
         if self.method == "auto" and g.n <= DENSE_SOLVE_LIMIT:
@@ -149,7 +155,7 @@ class LaplacianSolver:
         # Grounding the last vertex makes the reduced system positive
         # definite; each direct solve then removes the constant shift.
         if self.method == "dense":
-            self._factor = _grounded_cholesky(self.laplacian, g.n - 1)
+            self._factor = _grounded_cholesky(g, g.n - 1)
             return
         if self.method == "sparse":
             # SPD system: pivot on the diagonal, order for A + Aᵀ.
@@ -158,9 +164,14 @@ class LaplacianSolver:
                                      options=dict(SymmetricMode=True))
             return
         # λmax ≤ 2·max deg (Gershgorin) lower-bounds ‖L†b‖²_L by ‖b‖²/λmax.
-        diag = self.laplacian.diagonal()
-        self._inv_diag = 1.0 / diag
-        self._lambda_max = 2.0 * float(diag.max())
+        self._inv_diag = 1.0 / g.degrees
+        self._lambda_max = 2.0 * float(g.degrees.max())
+
+    @cached_property
+    def laplacian(self) -> sp.csr_matrix:
+        """The sparse Laplacian, assembled on first use: only the fill probe,
+        sparse LU and PCG read it, so a dense solver never builds it."""
+        return assemble_laplacian(self.graph)
 
     @cached_property
     def _tree(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -180,7 +191,7 @@ class LaplacianSolver:
                 self._reff = np.zeros((n, n))
             else:
                 factor = (self._factor if self.method == "dense"
-                          else _grounded_cholesky(self.laplacian, n - 1))
+                          else _grounded_cholesky(self.graph, n - 1))
                 self._reff = _grounded_reff_matrix(factor)
             self._reff.flags.writeable = False
         return self._reff
@@ -298,6 +309,9 @@ def solve_laplacian_many(solver: LaplacianSolver, B: np.ndarray,
         raise ValueError(f"batch must have shape (k, {n}), got {B.shape}")
     for i in range(0, B.shape[0], _CHECK_CHUNK):
         rows = B[i:i + _CHECK_CHUNK]
+        # a NaN row would pass the zero-sum test below: abs(nan) > tol is false
+        if not np.isfinite(rows).all():
+            raise ValueError("every right-hand side row must be finite")
         if (np.abs(rows.sum(axis=1)) > 1e-12 * np.maximum(1.0, np.abs(rows).sum(axis=1))).any():
             raise ValueError("every right-hand side row must sum to zero")
     if not B.any():  # includes n = 1, where nothing is factored
@@ -333,7 +347,7 @@ def required_solver_accuracy(g: WeightedGraph, eta: float) -> float:
     """
     if g.m == 0:
         raise ValueError("graph has no edges")
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
     zeta = eta * g.min_weight() / (g.n - 1)
     return float(min(max(zeta, ZETA_FLOOR), ZETA_CAP))
@@ -344,6 +358,8 @@ def implied_potential_accuracy(g: WeightedGraph, zeta: float) -> float:
     ``zeta`` (the inverse of :func:`required_solver_accuracy`)."""
     if g.m == 0:
         raise ValueError("graph has no edges")
+    if not 0 < zeta < 1:
+        raise ValueError(f"zeta must lie in (0, 1), got {zeta}")
     return float(zeta * (g.n - 1) / g.min_weight())
 
 
@@ -367,12 +383,26 @@ def st_potential(solver: LaplacianSolver, s: int, t: int,
                            eta=implied_potential_accuracy(g, zeta))
 
 
-def _grounded_cholesky(L: sp.csr_matrix, ground: int) -> tuple:
-    """Dense Cholesky factor of the Laplacian ``L`` of a connected graph with
-    vertex ``ground`` grounded: its row and column removed, which leaves a
-    positive definite matrix."""
-    keep = np.arange(L.shape[0]) != ground
-    return sla.cho_factor(L.toarray()[np.ix_(keep, keep)], check_finite=False)
+def _grounded_cholesky(g: WeightedGraph, ground: int) -> tuple:
+    """Dense Cholesky factor of the Laplacian of the connected graph ``g``
+    with vertex ``ground`` grounded: its row and column removed, which
+    leaves a positive definite matrix.
+
+    The grounded matrix is written straight from the edge arrays into one
+    Fortran-ordered array, which LAPACK factors in place. Each entry is a
+    degree or a negated edge weight (the graph is simple), so the matrix is
+    bit-identical to :func:`assemble_laplacian`'s L, made dense, with the
+    ground's row and column removed."""
+    eu, ev, ew = g.edges()
+    keep = (eu != ground) & (ev != ground)
+    u, v = eu[keep], ev[keep]
+    # vertices above the ground move up one place
+    u = u - (u > ground)
+    v = v - (v > ground)
+    A = np.zeros((g.n - 1, g.n - 1), order="F")
+    A[u, v] = A[v, u] = -ew[keep]
+    np.fill_diagonal(A, np.delete(g.degrees, ground))
+    return sla.cho_factor(A, overwrite_a=True, check_finite=False)
 
 
 def _pair_component(g: WeightedGraph, s: int, t: int) -> tuple[WeightedGraph, int, int]:
@@ -401,7 +431,7 @@ def exact_reff(g: WeightedGraph, s: int, t: int) -> float:
     # canonical orientation keeps the result bit-identical under (s, t) swap:
     # ground the larger index, so the smaller keeps its place
     a, b = sorted((a, b))
-    factor = _grounded_cholesky(assemble_laplacian(sub), b)
+    factor = _grounded_cholesky(sub, b)
     rhs = np.zeros(sub.n - 1)
     rhs[a] = 1.0
     return float(sla.cho_solve(factor, rhs, check_finite=False)[a])
@@ -428,7 +458,7 @@ def exact_reff_matrix(g: WeightedGraph) -> np.ndarray:
         return np.zeros((g.n, g.n))
     if len(connected_components(g)) > 1:
         raise DisconnectedGraphError("resistance matrix requires a connected graph")
-    return _grounded_reff_matrix(_grounded_cholesky(assemble_laplacian(g), g.n - 1))
+    return _grounded_reff_matrix(_grounded_cholesky(g, g.n - 1))
 
 
 def exact_resistance_diameter(g: WeightedGraph) -> float:

@@ -124,6 +124,16 @@ class TestReff:
         assert code == 2
         assert report["error"]["type"] == "InfiniteResistanceError"
 
+    def test_same_vertex_is_zero_on_both_paths(self, capsys, path3, monkeypatch):
+        # s = t routes no flow: the potential path reports 0.0 without a
+        # solve, as the exact path does
+        monkeypatch.setattr("resdecomp.cli.st_potential", None)
+        for extra, method in (([], "potential"), (["--exact"], "exact")):
+            code, report = run_json(capsys, "reff", "--graph", path3, "-s", "1", "-t", "1", *extra)
+            assert code == 0
+            assert report["results"]["reff"] == 0.0
+            assert report["results"]["method"] == method
+
     def test_malformed_edge_list_reports_line(self, capsys, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("0 1 1.0\nnot an edge\n")

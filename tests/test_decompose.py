@@ -306,11 +306,12 @@ class TestPartition:
 
     def test_one_graph_laplacian_and_factor_per_work_item(self, monkeypatch):
         # 85 cuts make 171 work items, the root and both sides of each cut,
-        # none a singleton: each is one graph, labelled, assembled and
-        # factored once; its solver reads the labelling the recursion made.
-        # A factor is inverted at most once: the exact-regime sketch and an
-        # accepted block's certificate read the same resistance matrix. The
-        # verifier builds one of each per block.
+        # none a singleton: each is one graph, labelled and factored once;
+        # its solver reads the labelling the recursion made. Every item is
+        # dense, so none assembles a sparse Laplacian. A factor is inverted
+        # at most once: the exact-regime sketch and an accepted block's
+        # certificate read the same resistance matrix. The verifier builds
+        # one of each per block.
         counts = dict.fromkeys(("graph", "labelling", "laplacian", "factor"), 0)
         inverted = []  # the factors themselves, so no id is reused
 
@@ -340,14 +341,14 @@ class TestPartition:
                                         resistance_target=2.0)
         part, report = rd.partition_with_config(g, config)
         assert report.num_sparse_cuts == 85
-        assert counts == dict.fromkeys(counts, 171)
+        assert counts == {"graph": 171, "labelling": 171, "laplacian": 0, "factor": 171}
         assert len(part.blocks) <= len(inverted) <= 171
         assert len({id(f) for f in inverted}) == len(inverted)
         counts.update(dict.fromkeys(counts, 0))
         inverted.clear()
         rd.verify_partition(g, part, 8.0)
         assert len(part.blocks) == 86
-        assert counts == dict.fromkeys(counts, 86)
+        assert counts == {"graph": 86, "labelling": 86, "laplacian": 0, "factor": 86}
         assert len(inverted) == 86
 
     @pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (1, 3)], [(0, 1), (0, 3), (1, 2)]],

@@ -48,6 +48,54 @@ class TestAssembleLaplacian:
             assert (off <= 0).all() and (np.diag(L) >= 0).all()
 
 
+class TestGroundedCholesky:
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_grounded_matrix_bit_identical_to_assembled(self, monkeypatch, where):
+        # the dense backend writes the grounded Laplacian from the edge
+        # arrays; it must equal the assembled L with the ground's row and
+        # column removed, bit for bit, on weights spanning e^-5 to e^5
+        g = skewed(rd.grid2d(7), np.exp(5.0), seed=4)
+        ground = {"first": 0, "middle": g.n // 2, "last": g.n - 1}[where]
+        written = []
+        real = linalg.sla.cho_factor
+
+        def recording(a, **kwargs):
+            written.append((a, a.copy(order="C")))
+            return real(a, **kwargs)
+
+        monkeypatch.setattr(linalg.sla, "cho_factor", recording)
+        factor = linalg._grounded_cholesky(g, ground)
+        (array, A), = written
+        keep = np.arange(g.n) != ground
+        expected = rd.assemble_laplacian(g).toarray()[np.ix_(keep, keep)]
+        assert A.tobytes() == expected.tobytes()
+        # factored in place: the factor is the one array that was written
+        assert factor[0] is array
+
+    def test_dense_solver_never_assembles(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a dense solver built a sparse matrix")
+
+        g = rd.grid2d(6)
+        monkeypatch.setattr(linalg, "assemble_laplacian", fail)
+        monkeypatch.setattr(linalg.sp.csr_matrix, "toarray", fail)
+        solver = rd.LaplacianSolver(g)
+        assert solver.method == "dense"
+        rd.solve_laplacian_many(solver, _unit_pair_rhs(g.n, 0, g.n - 1)[None])
+        solver.reff_matrix()
+        rd.exact_reff(g, 3, 17)
+        rd.exact_reff_matrix(g)
+        monkeypatch.undo()
+        # the public attribute is still there, built on first use
+        assert (solver.laplacian != rd.assemble_laplacian(g)).nnz == 0
+
+    def test_iterative_reff_matrix_bit_identical_to_oracle(self):
+        g = skewed(rd.grid2d(6), np.exp(5.0), seed=2)
+        solver = rd.LaplacianSolver(g, rd.SolverOptions(method="iterative"))
+        assert solver.method == "iterative"
+        assert solver.reff_matrix().tobytes() == rd.exact_reff_matrix(g).tobytes()
+
+
 class TestSolveLaplacian:
     def test_zero_rhs_gives_zero(self):
         g = path_graph(3)
@@ -81,6 +129,24 @@ class TestSolveLaplacian:
         g = path_graph(3)
         with pytest.raises(ValueError, match="sum to zero"):
             _solve(g, np.array([1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("method", ["dense", "iterative"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_rows_rejected(self, monkeypatch, method, bad):
+        # NaN passes the zero-sum test (abs(nan) > tol is false), and ±inf
+        # sums to NaN; both must fail before any solve. The bad row lies in
+        # the second check chunk.
+        g = rd.grid2d(5)
+        solver = rd.LaplacianSolver(g, rd.SolverOptions(method=method))
+        assert solver.method == method
+        B = np.zeros((linalg._CHECK_CHUNK + 6, g.n))
+        B[:, 0], B[:, -1] = 1.0, -1.0
+        B[-2, 3] = bad
+        B[-2, 4] = -bad
+        monkeypatch.setattr(linalg, "_pcg", None)
+        monkeypatch.setattr(linalg.sla, "cho_solve", None)
+        with pytest.raises(ValueError, match="finite"):
+            rd.solve_laplacian_many(solver, B)
 
     def test_iteration_budget_exhaustion_carries_residual(self, monkeypatch):
         g = rd.grid2d(6)
@@ -487,3 +553,19 @@ class TestRequiredSolverAccuracy:
         g = path_graph(3)
         assert rd.required_solver_accuracy(g, 1e-30) == ZETA_FLOOR
         assert rd.required_solver_accuracy(g, 1e30) == ZETA_CAP
+
+    @pytest.mark.parametrize("eta", [np.nan, 0.0, -1.0])
+    def test_invalid_eta_rejected(self, eta):
+        with pytest.raises(ValueError, match="eta"):
+            rd.required_solver_accuracy(rd.grid2d(5), eta)
+
+
+class TestImpliedPotentialAccuracy:
+    def test_inverse_of_required_accuracy(self):
+        g = path_graph(3, weight=2.0)
+        assert rd.implied_potential_accuracy(g, 1e-3) == pytest.approx(1e-3, rel=1e-12)
+
+    @pytest.mark.parametrize("zeta", [np.nan, 0.0, -1.0, 1.0])
+    def test_invalid_zeta_rejected(self, zeta):
+        with pytest.raises(ValueError, match="zeta"):
+            rd.implied_potential_accuracy(rd.grid2d(5), zeta)
