@@ -133,7 +133,13 @@ def build_graph(n: int, edges) -> WeightedGraph:
 
 
 def _subset_mask(g: WeightedGraph, s) -> np.ndarray:
-    ids = np.unique(np.asarray(list(s) if not isinstance(s, np.ndarray) else s, dtype=np.int64))
+    """Membership mask of the vertex ids ``s``. Ids that are not integers
+    (a boolean mask or floats) are a ValueError rather than being read as
+    0/1 or truncated; an empty ``s`` of any dtype is the empty set."""
+    ids = np.asarray(list(s) if not isinstance(s, np.ndarray) else s)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError(f"vertex ids must be integers, got dtype {ids.dtype}")
+    ids = np.unique(ids.astype(np.int64, copy=False))
     if ids.size and (ids[0] < 0 or ids[-1] >= g.n):
         raise ValueError(f"vertex id out of range [0, {g.n})")
     mask = np.zeros(g.n, dtype=bool)
@@ -181,7 +187,15 @@ def connected_components(g: WeightedGraph) -> tuple[np.ndarray, ...]:
 def _label_components(g: WeightedGraph) -> tuple[np.ndarray, ...]:
     if g.n == 0:
         return ()
-    ncomp, labels = csgraph.connected_components(g.adjacency_matrix(), directed=False)
+    # the adjacency is symmetric, so its strong components are its
+    # components; the strong search, unlike the undirected one, builds no
+    # transpose
+    ncomp, labels = csgraph.connected_components(g.adjacency_matrix(), directed=True,
+                                                 connection="strong")
+    if ncomp == 1:
+        whole = np.arange(g.n)
+        whole.flags.writeable = False
+        return (whole,)
     # a stable sort groups vertices by label, each group ascending from its least id
     order = np.argsort(labels, kind="stable")
     order.flags.writeable = False  # the components are views of it

@@ -2,9 +2,12 @@
 
 The estimator writes Reff(u, v) = ``‖W^(1/2) B L†(e_u − e_v)‖²`` (B the signed
 incidence matrix) and compresses the edge dimension with signed random
-probes. Each probe is one Laplacian solve. A correction by the empirical
-probe Gram matrix replaces the usual 1/k normalization, so large graphs get
-Johnson-Lindenstrauss-style concentration.
+probes. Each probe is one Laplacian solve. A correction by the
+pseudo-inverse of the empirical probe Gram matrix replaces the usual 1/k
+normalization, so large graphs get Johnson-Lindenstrauss-style
+concentration. That pseudo-inverse comes from one pivoted Cholesky
+factorization of the Gram, and its rank is the number of pivots the
+factorization accepts.
 
 Once the probe count k reaches the edge count m no compression is needed:
 the corrected estimate would only reproduce the quadratic form exactly. In
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotri, dpstrf
 
 from .graph import WeightedGraph
 from .linalg import ORACLE_BLOCK_LIMIT, LaplacianSolver, solve_laplacian_many
@@ -58,7 +62,9 @@ class SketchConfig:
 
     ``beta`` is the multiplicative tolerance: estimates aim for the
     two-sided bracket e^{-beta}·Reff <= A <= e^{beta}·Reff. ``probe_count``
-    overrides the automatic ceil(C·ln n / beta²) budget when set.
+    overrides the automatic ceil(C·ln n / beta²) budget when set. ``seed``
+    must be an integer >= 0 and ``probe_count`` one >= 1 (bools are not
+    integers here), checked at construction even where no probe is drawn.
     """
     beta: float = DEFAULT_BETA
     seed: int = 0
@@ -67,8 +73,15 @@ class SketchConfig:
     def __post_init__(self):
         if not (self.beta > 0):
             raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.probe_count is not None and self.probe_count < 1:
-            raise ValueError(f"probe_count must be positive, got {self.probe_count}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.probe_count is not None and not (_is_int(self.probe_count)
+                                                 and self.probe_count >= 1):
+            raise ValueError(f"probe_count must be a positive integer, got {self.probe_count!r}")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _num_probes(cfg: SketchConfig, n: int) -> int:
@@ -143,11 +156,17 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
     rhs, gram = _probe_system(g, k, cfg.seed)
     Z = solve_laplacian_many(solver, rhs)
     Z -= Z[:, [u]]  # column v holds Q·W^{1/2}B·L†(e_u − e_v)
-    # one SVD serves both the pseudo-inverse and the rank
-    U_, sv, Vt = np.linalg.svd(gram, hermitian=True)
-    tol = sv.max() * k * np.finfo(float).eps if sv.size else 0.0
-    rank = int((sv > tol).sum())
-    inv = (Vt[:rank].T / sv[:rank]) @ U_[:, :rank].T
+    # one pivoted Cholesky gives the rank and the pseudo-inverse: every
+    # column of Z lies in the Gram's range, where the inverse of its
+    # rank×rank block on the accepted pivots J, scattered into rows and
+    # columns J of a zero k×k matrix, acts as the pseudo-inverse. The
+    # transpose of the symmetric Gram is the same matrix in the Fortran order
+    # LAPACK factors in place; dpotri writes only the upper triangle.
+    factor, piv, rank, _ = dpstrf(gram.T, overwrite_a=True)
+    lead, _ = dpotri(factor[:rank, :rank], overwrite_c=True)
+    pivots = piv[:rank] - 1
+    inv = np.zeros((k, k))
+    inv[np.ix_(pivots, pivots)] = np.triu(lead) + np.triu(lead, 1).T
     # the spent right-hand sides take the corrected probes in one product;
     # splitting it by columns moves last bits
     np.matmul(inv, Z, out=rhs)

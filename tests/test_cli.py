@@ -172,6 +172,16 @@ class TestCut:
         report = json.loads(out.read_text())
         assert report["command"] == "cut"
 
+    @pytest.mark.parametrize("command", [("cut",), ("decompose", "--delta", "4")],
+                             ids=["cut", "decompose"])
+    def test_negative_seed_rejected_in_exact_regime(self, capsys, barbell4, command):
+        # barbell4 runs the sketch's exact regime, which draws no probes, so
+        # only the configuration check can catch the seed
+        code, report = run_json(capsys, *command, "--graph", barbell4, "--seed", "-1")
+        assert code == 2
+        assert report["error"]["type"] == "ValueError"
+        assert "seed" in report["error"]["message"]
+
 
 class TestDecomposeVerify:
     def test_pipeline_and_partition_file(self, capsys, tmp_path):

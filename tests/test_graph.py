@@ -95,9 +95,21 @@ class TestCutStats:
             rd.cut_stats(rd.complete(3), {5})
 
     def test_empty_set(self):
-        st = rd.cut_stats(rd.complete(3), [])
-        assert (st.boundary_weight, st.volume) == (0.0, 0.0)
-        assert st.conductance is None
+        for empty in ([], np.array([]), set()):
+            st = rd.cut_stats(rd.complete(3), empty)
+            assert (st.boundary_weight, st.volume) == (0.0, 0.0)
+            assert st.conductance is None
+            assert rd.induced_subgraph(rd.complete(3), empty)[0].n == 0
+
+    @pytest.mark.parametrize("ids", [
+        np.isin(np.arange(9), [4, 5, 7, 8]), [True, False], [0.9, 2.7], np.array([1.0, 2.0]),
+    ], ids=["bool-mask", "bool-list", "float-list", "float-array"])
+    def test_non_integer_ids_rejected(self, ids):
+        # a boolean mask was read as the ids 0 and 1, and floats truncated
+        g = rd.grid2d(3)
+        for fn in (rd.cut_stats, rd.induced_subgraph):
+            with pytest.raises(ValueError, match="integers"):
+                fn(g, ids)
 
     def test_boundary_symmetric_and_volume_sum(self):
         rng = np.random.default_rng(2)
@@ -174,9 +186,12 @@ class TestConnectedComponents:
             merged = np.sort(np.concatenate(comps))
             assert merged.tolist() == list(range(n))
 
-    @pytest.mark.parametrize("n, m", [(1, 0), (300, 0), (300, 40), (300, 150), (2000, 900)])
+    @pytest.mark.parametrize("n, m", [(1, 0), (300, 0), (300, 40), (300, 150), (2000, 900),
+                                      (40, 400)])
     def test_matches_per_label_reference(self, n, m):
-        # many components: one flatnonzero pass per label, sorted by smallest id
+        # isolated vertices and many components, or (the last case) one: the
+        # undirected labelling, one flatnonzero pass per label, sorted by
+        # smallest id
         rng = np.random.default_rng(n + m)
         g = rd.build_graph(n, [(int(a), int(b), 1.0) for a, b in rng.integers(0, n, size=(m, 2))])
         ncomp, labels = csgraph.connected_components(g.adjacency_matrix(), directed=False)
@@ -184,7 +199,8 @@ class TestConnectedComponents:
                           key=lambda c: c[0])
         comps = rd.connected_components(g)
         assert [c.tolist() for c in comps] == expected
-        assert all(c.dtype == np.int64 for c in comps)
+        assert all(c.dtype == np.int64 and not c.flags.writeable for c in comps)
+        assert (ncomp == 1) == ((n, m) in ((1, 0), (40, 400)))
 
     def test_kept_read_only_and_labelled_once(self, monkeypatch):
         # the first ask labels the graph; later asks, the solver's

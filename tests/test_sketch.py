@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 import resdecomp as rd
 from resdecomp import linalg, sketch
@@ -102,6 +103,19 @@ class TestApproxReffFromSource:
         with pytest.raises(ValueError):
             rd.SketchConfig(beta=0.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"probe_count": 2.5}, {"probe_count": True}, {"probe_count": 0},
+        {"seed": 1.5}, {"seed": True}, {"seed": -1},
+    ], ids=["probes-float", "probes-bool", "probes-zero", "seed-float", "seed-bool",
+            "seed-negative"])
+    def test_integer_settings_validated(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            rd.SketchConfig(**kwargs)
+
+    def test_numpy_integer_settings_accepted(self):
+        cfg = rd.SketchConfig(seed=np.int64(0), probe_count=np.int32(5))
+        assert _num_probes(cfg, 100) == 5
+
 
 class TestExactRegime:
     # grid2d(8): k = 203 probes against m = 112 edges
@@ -159,18 +173,37 @@ def one_shot_probe_system(g, k, seed):
     return incidence.T.dot(probes.T).T, probes @ probes.T
 
 
-def one_shot_estimates(g, u, cfg, solver):
-    """The sketch with its probes drawn as one k×m float64 matrix: the
-    formula the streamed sketch must reproduce bit for bit."""
+def cholesky_pinv(gram):
+    """The Gram's inverse on its range, and its rank, from one pivoted
+    Cholesky: the inverse of the block on the accepted pivots, scattered
+    into their rows and columns of a zero matrix."""
+    k = gram.shape[0]
+    factor, piv, rank, _ = lapack.dpstrf(gram)
+    lead, _ = lapack.dpotri(factor[:rank, :rank])
+    pivots = piv[:rank] - 1
+    inv = np.zeros((k, k))
+    inv[np.ix_(pivots, pivots)] = np.triu(lead) + np.triu(lead, 1).T
+    return inv, rank
+
+
+def svd_pinv(gram):
+    """The Gram's Moore-Penrose pseudo-inverse and its rank from a
+    Hermitian SVD, singular values at most k·eps·max counted as zero."""
+    U_, sv, Vt = np.linalg.svd(gram, hermitian=True)
+    rank = int((sv > sv.max() * gram.shape[0] * np.finfo(float).eps).sum())
+    return (Vt[:rank].T / sv[:rank]) @ U_[:, :rank].T, rank
+
+
+def one_shot_estimates(g, u, cfg, solver, pinv=cholesky_pinv):
+    """The sketch with its probes drawn as one k×m float64 matrix: with the
+    default ``pinv``, the formula the streamed sketch must reproduce bit for
+    bit."""
     m = g.m
     k = _num_probes(cfg, g.n)
     rhs, gram = one_shot_probe_system(g, k, cfg.seed)
     Z = rd.solve_laplacian_many(solver, rhs)
     diffs = Z - Z[:, [u]]
-    U_, sv, Vt = np.linalg.svd(gram, hermitian=True)
-    tol = sv.max() * k * np.finfo(float).eps if sv.size else 0.0
-    rank = int((sv > tol).sum())
-    inv = (Vt[:rank].T / sv[:rank]) @ U_[:, :rank].T
+    inv, rank = pinv(gram)
     estimates = (m / rank) * np.einsum("iv,iv->v", diffs, inv @ diffs)
     estimates[u] = 0.0
     bad = np.flatnonzero((estimates <= 0) & (np.arange(g.n) != u))
@@ -251,6 +284,41 @@ class TestStreamedSketch:
         finally:
             tracemalloc.stop()
         assert peak < k * g.m + 3 * 8 * k * g.n + 2 ** 21
+
+
+class TestGramInverse:
+    @pytest.mark.parametrize("seed", [0, 1, 4])
+    def test_rank_deficient_gram_matches_svd_pseudo_inverse(self, seed):
+        # two probes on the three edges of a 4-vertex path that agree up to
+        # sign: a Gram of rank 1. Seed 1 also leaves vanished estimates to
+        # the patch solves.
+        g = path_graph(4)
+        cfg = rd.SketchConfig(probe_count=2, seed=seed)
+        _, gram = sketch._probe_system(g, 2, seed)
+        assert cholesky_pinv(gram)[1] == svd_pinv(gram)[1] == 1
+        solver = rd.LaplacianSolver(g)
+        A = rd.approx_reff_from_source(g, 0, cfg, solver)
+        want = one_shot_estimates(g, 0, cfg, solver, pinv=svd_pinv)
+        assert np.allclose(A, want, rtol=1e-12, atol=0.0)
+
+    def test_no_eigensolver_on_probe_path(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for g, method, backend in ((rd.grid2d(12), "auto", "dense"),
+                                   (rd.hypercube(10), "iterative", "iterative")):
+            assert _num_probes(rd.SketchConfig(), g.n) < g.m
+            solver = rd.LaplacianSolver(g, rd.SolverOptions(method=method))
+            assert solver.method == backend
+            assert (rd.approx_reff_from_source(g, 0, solver=solver)[1:] > 0).all()
+        g = rd.grid2d(24)
+        config = rd.DecompositionConfig(delta=8.0, n_original=g.n,
+                                        cut_budget=g.total_weight / 8,
+                                        resistance_target=2.0)
+        _, report = rd.partition_with_config(g, config)
+        assert report.num_sparse_cuts == 85
 
 
 class TestFurthestPair:
