@@ -96,7 +96,9 @@ def _add_sketch_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--zeta", type=float, default=1e-8,
-                   help="relative solve tolerance in the energy norm")
+                   help="relative solve tolerance in the energy norm of reff and of "
+                        "the sketch's patch solves; the probe solves derive theirs "
+                        "from --beta, the cut's potential from its sweep tolerance")
     p.add_argument("--method", choices=("auto", "dense", "iterative"), default="auto",
                    help="linear solver selection; auto: dense ≤ 2048 vertices, "
                         "else sparse LU when the fill probe allows, else PCG")

@@ -84,7 +84,10 @@ class Partition:
 class BlockResistance:
     """Certified resistance diameter of one block: the exact oracle value,
     or (when ``certified_exact`` is false) an upper bound of 2·e^beta times a
-    sketch estimate (three times at the default beta)."""
+    sketch estimate (three times at the default beta). That bound reads the
+    lower side of the sketch's e^{±beta} bracket, which already holds the
+    probe solves' share of the error (see :mod:`resdecomp.sketch`), so the
+    solves need no factor of their own."""
     value: float
     certified_exact: bool
 

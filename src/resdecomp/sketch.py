@@ -9,6 +9,16 @@ concentration. That pseudo-inverse comes from one pivoted Cholesky
 factorization of the Gram, and its rank is the number of pivots the
 factorization accepts.
 
+The bracket's width β is split between two errors. The probe solves get
+the share γ = ``SOLVE_ERROR_SHARE``: each sketch asks them for the
+accuracy ζ at which the solve error moves the square root of every
+estimate by at most γ·β·sqrt(Reff), derived from the probe Gram (see
+:func:`approx_reff_from_source`), never for a fixed ζ. For β ≤ 1 that is a
+factor within e^{±4γβ} on the estimate, and the probes' own
+(Johnson-Lindenstrauss) error keeps the rest, e^{±(1−4γ)β}. The probe
+budget C·ln n/β² is not resized for that smaller rest: C is already a
+conservative constant.
+
 Once the probe count k reaches the edge count m no compression is needed:
 the corrected estimate would only reproduce the quadratic form exactly. In
 this exact regime, on graphs of at most ``ORACLE_BLOCK_LIMIT`` vertices, the
@@ -34,7 +44,8 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpotri, dpstrf
 
 from .graph import WeightedGraph
-from .linalg import ORACLE_BLOCK_LIMIT, LaplacianSolver, solve_laplacian_many
+from .linalg import (ORACLE_BLOCK_LIMIT, ZETA_CAP, ZETA_FLOOR, LaplacianSolver,
+                     solve_laplacian_many)
 
 # Probe budget ceil(C * ln n / beta^2). C = 8 is a conservative
 # Johnson-Lindenstrauss constant folding in a per-graph failure
@@ -43,6 +54,10 @@ from .linalg import ORACLE_BLOCK_LIMIT, LaplacianSolver, solve_laplacian_many
 PROBE_COUNT_CONSTANT = 8.0
 
 DEFAULT_BETA = math.log(1.5)
+
+# Share γ of the bracket's width β given to the probe solves: their error
+# moves sqrt of an estimate by at most γ·β·sqrt(Reff).
+SOLVE_ERROR_SHARE = 0.01
 
 # Estimates within this relative distance of the largest count as tied for the
 # far end: exact values tie exactly on symmetric graphs, and rounding must
@@ -61,18 +76,21 @@ class SketchConfig:
     """Accuracy/seed knobs for resistance sketching.
 
     ``beta`` is the multiplicative tolerance: estimates aim for the
-    two-sided bracket e^{-beta}·Reff <= A <= e^{beta}·Reff. ``probe_count``
-    overrides the automatic ceil(C·ln n / beta²) budget when set. ``seed``
-    must be an integer >= 0 and ``probe_count`` one >= 1 (bools are not
-    integers here), checked at construction even where no probe is drawn.
+    two-sided bracket e^{-beta}·Reff <= A <= e^{beta}·Reff, and must satisfy
+    0 < beta < ∞. ``probe_count`` overrides the automatic
+    ceil(C·ln n / beta²) budget when set; without it, a beta so small that
+    the budget is not finite raises ``ValueError`` when the budget is
+    computed. ``seed`` must be an integer >= 0 and ``probe_count`` one >= 1
+    (bools are not integers here), checked at construction even where no
+    probe is drawn.
     """
     beta: float = DEFAULT_BETA
     seed: int = 0
     probe_count: int | None = None
 
     def __post_init__(self):
-        if not (self.beta > 0):
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not (0 < self.beta < math.inf):
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.probe_count is not None and not (_is_int(self.probe_count)
@@ -87,7 +105,23 @@ def _is_int(x) -> bool:
 def _num_probes(cfg: SketchConfig, n: int) -> int:
     if cfg.probe_count is not None:
         return cfg.probe_count
-    return max(1, math.ceil(PROBE_COUNT_CONSTANT * math.log(max(n, 2)) / cfg.beta ** 2))
+    # divided by beta twice: beta² overflows for a large finite beta
+    budget = PROBE_COUNT_CONSTANT * math.log(max(n, 2)) / cfg.beta / cfg.beta
+    if not math.isfinite(budget):
+        raise ValueError(f"beta {cfg.beta} asks for an unbounded number of probes")
+    return max(1, math.ceil(budget))
+
+
+def _probe_zeta(inv: np.ndarray, rank: int, m: int, beta: float) -> float:
+    """Solve accuracy for the k probe solves of a sketch whose estimator
+    matrix is M = (m/rank)·``inv``: ζ = γ·β / sqrt(ρ·k·m) with
+    ρ = (m/rank)·max_i Σ_j |inv_ij| ≥ ‖M‖₂, clamped to
+    [``ZETA_FLOOR``, ``ZETA_CAP``]. :func:`approx_reff_from_source` says
+    why it moves sqrt of each estimate by at most γ·β·sqrt(Reff)."""
+    k = inv.shape[0]
+    rho = (m / rank) * float(np.abs(inv).sum(axis=1).max())
+    zeta = SOLVE_ERROR_SHARE * beta / math.sqrt(rho * k * m)
+    return float(min(max(zeta, ZETA_FLOOR), ZETA_CAP))
 
 
 def _probe_system(g: WeightedGraph, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -130,13 +164,34 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
     """Estimates ``A[v] ≈ Reff(u, v)`` for every vertex.
 
     With probability at least 1 − 1/n over the probe randomness every
-    entry satisfies the two-sided e^{±beta} bracket. When the probe count is
+    entry satisfies the two-sided e^{±beta} bracket; for beta ≤ 1 the
+    probe solves' error takes at most e^{±4γ·beta} of it, with
+    γ = ``SOLVE_ERROR_SHARE``. When the probe count is
     at least m and the graph has at most ``ORACLE_BLOCK_LIMIT`` vertices, no
     probes are drawn: the result is row u of ``solver.reff_matrix()``, exact
     up to rounding. Deterministic for fixed (graph, cfg, solver options).
     ``solver`` must be built for ``g``; by default one with default options
     is built, and a disconnected graph raises
     :class:`DisconnectedGraphError` there.
+
+    On the probe path the k probe solves run at the accuracy ζ of
+    :func:`_probe_zeta`, not at ``solver.opts.zeta`` (which the patch solves
+    use). Why that ζ moves sqrt of each estimate by at most
+    γ·β·sqrt(Reff(u, v)):
+
+    - row i solves L x_i = Bᵀ W^{1/2} q_i for the probe q_i ∈ {±1}^m;
+    - ‖x_i‖²_L = q_iᵀ Π q_i ≤ ‖q_i‖² = m, where Π = W^{1/2} B L† Bᵀ W^{1/2}
+      is a projection;
+    - so the contract ‖x̂_i − x_i‖_L ≤ ζ·‖x_i‖_L moves each coordinate
+      y_i = x_i(u) − x_i(v) by at most ζ·sqrt(m·Reff(u, v)), since
+      |(e_u − e_v)ᵀ e| ≤ ‖e‖_L·sqrt(Reff(u, v));
+    - the k-vector y of column v then moves by at most ζ·sqrt(k·m·Reff);
+    - the estimate is yᵀ M y with M = (m/rank)·G⁺ positive semidefinite, so
+      sqrt of it moves by at most sqrt(‖M‖₂)·ζ·sqrt(k·m·Reff) ≤
+      sqrt(ρ)·ζ·sqrt(k·m·Reff) = γ·β·sqrt(Reff(u, v)).
+
+    Only PCG takes ζ into account; the dense and sparse-LU backends solve to
+    rounding whatever ζ is asked for.
     """
     cfg = cfg or SketchConfig()
     if not (0 <= u < g.n):
@@ -154,19 +209,20 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
         estimates.flags.writeable = False
         return estimates
     rhs, gram = _probe_system(g, k, cfg.seed)
-    Z = solve_laplacian_many(solver, rhs)
-    Z -= Z[:, [u]]  # column v holds Q·W^{1/2}B·L†(e_u − e_v)
     # one pivoted Cholesky gives the rank and the pseudo-inverse: every
     # column of Z lies in the Gram's range, where the inverse of its
     # rank×rank block on the accepted pivots J, scattered into rows and
     # columns J of a zero k×k matrix, acts as the pseudo-inverse. The
     # transpose of the symmetric Gram is the same matrix in the Fortran order
-    # LAPACK factors in place; dpotri writes only the upper triangle.
+    # LAPACK factors in place; dpotri writes only the upper triangle. It
+    # comes before the solves, which take their accuracy from it.
     factor, piv, rank, _ = dpstrf(gram.T, overwrite_a=True)
     lead, _ = dpotri(factor[:rank, :rank], overwrite_c=True)
     pivots = piv[:rank] - 1
     inv = np.zeros((k, k))
     inv[np.ix_(pivots, pivots)] = np.triu(lead) + np.triu(lead, 1).T
+    Z = solve_laplacian_many(solver, rhs, _probe_zeta(inv, rank, m, cfg.beta))
+    Z -= Z[:, [u]]  # column v holds Q·W^{1/2}B·L†(e_u − e_v)
     # the spent right-hand sides take the corrected probes in one product;
     # splitting it by columns moves last bits
     np.matmul(inv, Z, out=rhs)

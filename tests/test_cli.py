@@ -182,6 +182,20 @@ class TestCut:
         assert report["error"]["type"] == "ValueError"
         assert "seed" in report["error"]["message"]
 
+    @pytest.mark.parametrize("beta", ["inf", "nan", "1e-200"])
+    def test_unusable_beta_is_value_error(self, capsys, barbell4, beta):
+        # inf and nan fail the configuration check; 1e-200 asks for an
+        # infinite probe budget
+        code, report = run_json(capsys, "cut", "--graph", barbell4, "--beta", beta)
+        assert code == 2
+        assert report["error"]["type"] == "ValueError"
+        assert "beta" in report["error"]["message"]
+
+    def test_huge_beta_runs_one_probe(self, capsys, barbell4):
+        code, report = run_json(capsys, "cut", "--graph", barbell4, "--beta", "1e308")
+        assert code == 0
+        assert "error" not in report
+
 
 class TestDecomposeVerify:
     def test_pipeline_and_partition_file(self, capsys, tmp_path):

@@ -103,6 +103,25 @@ class TestApproxReffFromSource:
         with pytest.raises(ValueError):
             rd.SketchConfig(beta=0.0)
 
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_beta_must_be_positive_and_finite(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            rd.SketchConfig(beta=beta)
+
+    def test_unbounded_probe_budget_rejected(self):
+        # C·ln n/β² overflows to infinity
+        cfg = rd.SketchConfig(beta=1e-200)
+        with pytest.raises(ValueError, match="beta"):
+            _num_probes(cfg, 12)
+        with pytest.raises(ValueError, match="beta"):
+            rd.approx_reff_from_source(rd.grid2d(3), 0, cfg)
+        # a set probe count needs no budget
+        assert _num_probes(rd.SketchConfig(beta=1e-200, probe_count=3), 12) == 3
+
+    def test_huge_beta_takes_one_probe(self):
+        # β² overflows; the budget divides by β twice instead
+        assert _num_probes(rd.SketchConfig(beta=1e308), 10 ** 6) == 1
+
     @pytest.mark.parametrize("kwargs", [
         {"probe_count": 2.5}, {"probe_count": True}, {"probe_count": 0},
         {"seed": 1.5}, {"seed": True}, {"seed": -1},
@@ -194,16 +213,19 @@ def svd_pinv(gram):
     return (Vt[:rank].T / sv[:rank]) @ U_[:, :rank].T, rank
 
 
-def one_shot_estimates(g, u, cfg, solver, pinv=cholesky_pinv):
+def one_shot_estimates(g, u, cfg, solver, pinv=cholesky_pinv, zeta=None):
     """The sketch with its probes drawn as one k×m float64 matrix: with the
-    default ``pinv``, the formula the streamed sketch must reproduce bit for
-    bit."""
+    default ``pinv`` and ``zeta``, the formula the streamed sketch must
+    reproduce bit for bit. The probes are solved to ``zeta``, by default the
+    sketch's own accuracy for them."""
     m = g.m
     k = _num_probes(cfg, g.n)
     rhs, gram = one_shot_probe_system(g, k, cfg.seed)
-    Z = rd.solve_laplacian_many(solver, rhs)
-    diffs = Z - Z[:, [u]]
     inv, rank = pinv(gram)
+    if zeta is None:
+        zeta = sketch._probe_zeta(inv, rank, m, cfg.beta)
+    Z = rd.solve_laplacian_many(solver, rhs, zeta)
+    diffs = Z - Z[:, [u]]
     estimates = (m / rank) * np.einsum("iv,iv->v", diffs, inv @ diffs)
     estimates[u] = 0.0
     bad = np.flatnonzero((estimates <= 0) & (np.arange(g.n) != u))
@@ -319,6 +341,71 @@ class TestGramInverse:
                                         resistance_target=2.0)
         _, report = rd.partition_with_config(g, config)
         assert report.num_sparse_cuts == 85
+
+
+class TestProbeAccuracy:
+    """The probe solves run at the accuracy the e^beta bracket needs."""
+
+    @staticmethod
+    def recorded_zetas(monkeypatch):
+        zetas = []
+        real = sketch.solve_laplacian_many
+
+        def recording(solver, B, zeta=None):
+            zetas.append(zeta)
+            return real(solver, B, zeta)
+
+        monkeypatch.setattr(sketch, "solve_laplacian_many", recording)
+        return zetas
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_solve_error_within_share_of_bracket(self, seed):
+        # |sqrt(A) − sqrt(A_floor)| ≤ γ·β·sqrt(Reff), A_floor the same probes
+        # solved at the floor accuracy
+        g = rd.random_regular(600, 4, seed)
+        cfg = rd.SketchConfig(seed=seed)
+        assert _num_probes(cfg, g.n) < g.m
+        solver = rd.LaplacianSolver(g, rd.SolverOptions(method="iterative"))
+        A = rd.approx_reff_from_source(g, 0, cfg, solver)
+        floor = one_shot_estimates(g, 0, cfg, solver, zeta=linalg.ZETA_FLOOR)
+        R = rd.exact_reff_matrix(g)[0]
+        drift = np.abs(np.sqrt(A) - np.sqrt(floor))
+        assert (drift <= sketch.SOLVE_ERROR_SHARE * cfg.beta * np.sqrt(R)).all()
+
+    def test_requested_zeta_matches_formula(self, monkeypatch):
+        g = rd.random_regular(600, 4, 0)
+        cfg = rd.SketchConfig(seed=5)
+        k = _num_probes(cfg, g.n)
+        zetas = self.recorded_zetas(monkeypatch)
+        solver = rd.LaplacianSolver(g, rd.SolverOptions(method="iterative"))
+        rd.approx_reff_from_source(g, 0, cfg, solver)
+        inv, rank = cholesky_pinv(one_shot_probe_system(g, k, 5)[1])
+        rho = (g.m / rank) * np.abs(inv).sum(axis=1).max()
+        want = sketch.SOLVE_ERROR_SHARE * cfg.beta / math.sqrt(rho * k * g.m)
+        assert linalg.ZETA_FLOOR < want < linalg.ZETA_CAP
+        assert zetas == [pytest.approx(want, rel=1e-12)]
+
+    @pytest.mark.parametrize("beta, want", [(1e-30, linalg.ZETA_FLOOR),
+                                            (1e6, linalg.ZETA_CAP)],
+                             ids=["floor", "cap"])
+    def test_requested_zeta_clamped(self, monkeypatch, beta, want):
+        g = rd.grid2d(8)
+        zetas = self.recorded_zetas(monkeypatch)
+        rd.approx_reff_from_source(g, 0, rd.SketchConfig(beta=beta, probe_count=20))
+        assert zetas[0] == want
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_direct_backends_ignore_zeta(self, monkeypatch, backend):
+        g = rd.grid2d(12)  # k = 242 < m = 264
+        if backend == "sparse":
+            monkeypatch.setattr(linalg, "DENSE_SOLVE_LIMIT", g.n - 1)
+        solver = rd.LaplacianSolver(g)
+        assert solver.method == backend
+        cfg = rd.SketchConfig(seed=4)
+        A = rd.approx_reff_from_source(g, 0, cfg, solver)
+        for zeta in (linalg.ZETA_FLOOR, 1e-8, 1e-3, linalg.ZETA_CAP):
+            monkeypatch.setattr(sketch, "_probe_zeta", lambda *args: zeta)
+            assert np.array_equal(rd.approx_reff_from_source(g, 0, cfg, solver), A)
 
 
 class TestFurthestPair:
