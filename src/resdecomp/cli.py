@@ -23,11 +23,11 @@ from .decompose import (C_LOSS, C_RES, DecompositionConfig, _verification_record
 from .edgelist import read_edgelist, write_edgelist
 from .generators import _FAMILIES, generate
 from .graph import WeightedGraph
-from .linalg import LaplacianSolver, SolverOptions, _pair_component, exact_reff, st_potential
+from .linalg import METHODS, LaplacianSolver, _pair_component, exact_reff, st_potential
 from .sketch import DEFAULT_BETA, SketchConfig
 from .sweep import DEFAULT_EPSILON, find_sparse_cut
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class _UsageError(Exception):
@@ -82,10 +82,6 @@ def _sketch_config(args) -> SketchConfig:
     return SketchConfig(beta=args.beta, seed=args.seed, probe_count=args.probes)
 
 
-def _solver_options(args) -> SolverOptions:
-    return SolverOptions(zeta=args.zeta, method=args.method)
-
-
 def _add_sketch_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="seed for randomized internals")
     p.add_argument("--beta", type=float, default=DEFAULT_BETA,
@@ -94,12 +90,8 @@ def _add_sketch_flags(p: argparse.ArgumentParser) -> None:
                    help="override the automatic probe count")
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--zeta", type=float, default=1e-8,
-                   help="relative solve tolerance in the energy norm of reff and of "
-                        "the sketch's patch solves; the probe solves derive theirs "
-                        "from --beta, the cut's potential from its sweep tolerance")
-    p.add_argument("--method", choices=("auto", "dense", "iterative"), default="auto",
+def _add_method_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--method", choices=METHODS, default="auto",
                    help="linear solver selection; auto: dense ≤ 2048 vertices, "
                         "else sparse LU when the fill probe allows, else PCG")
 
@@ -128,7 +120,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--exact", action="store_true", help="force the dense oracle")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--timing", action="store_true")
-    _add_solver_flags(p)
+    p.add_argument("--zeta", type=float, default=1e-8,
+                   help="relative accuracy of the potential solve in the energy norm, "
+                        "and so of the reported resistance")
+    _add_method_flag(p)
 
     p = sub.add_parser("cut", help="find a sparse level cut")
     p.add_argument("--graph", required=True)
@@ -136,7 +131,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.add_argument("--timing", action="store_true")
     _add_sketch_flags(p)
-    _add_solver_flags(p)
+    _add_method_flag(p)
 
     p = sub.add_parser("decompose", help="partition into bounded-resistance blocks")
     p.add_argument("--graph", required=True)
@@ -152,7 +147,7 @@ def _build_parser() -> _Parser:
                    help="also write the blocks as a partition JSON file")
     p.add_argument("--timing", action="store_true")
     _add_sketch_flags(p)
-    _add_solver_flags(p)
+    _add_method_flag(p)
 
     p = sub.add_parser("verify", help="recheck a partition file")
     p.add_argument("--graph", required=True)
@@ -162,7 +157,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.add_argument("--timing", action="store_true")
     _add_sketch_flags(p)
-    _add_solver_flags(p)
+    _add_method_flag(p)
     return parser
 
 
@@ -189,7 +184,7 @@ def _load_partition(path: str) -> list[list[int]]:
 def _settings_payload(args) -> dict:
     """The sketch, solver and verifier settings decompose and verify echo."""
     return {"beta": args.beta, "seed": args.seed, "probes": args.probes,
-            "zeta": args.zeta, "method": args.method, "c_loss": C_LOSS, "c_res": C_RES}
+            "method": args.method, "c_loss": C_LOSS, "c_res": C_RES}
 
 
 def _verification_payload(rec) -> dict:
@@ -219,7 +214,7 @@ def _cmd_reff(args) -> dict:
         if s == t:  # no flow to route: the resistance is exactly zero
             results = {"reff": 0.0, "method": "potential", "eta": 0.0}
         else:
-            pot = st_potential(LaplacianSolver(sub, _solver_options(args)), s, t)
+            pot = st_potential(LaplacianSolver(sub, args.method), s, t, args.zeta)
             results = {"reff": float(pot.values[s] - pot.values[t]),
                        "method": "potential", "eta": pot.eta}
     return {
@@ -232,12 +227,12 @@ def _cmd_reff(args) -> dict:
 
 def _cmd_cut(args) -> dict:
     g = _load_graph(args.graph)
-    res = find_sparse_cut(g, args.epsilon, _sketch_config(args), _solver_options(args))
+    res = find_sparse_cut(g, args.epsilon, _sketch_config(args), args.method)
     return {
         "input": _digest(g, args.graph),
         "config": {"epsilon": args.epsilon, "beta": args.beta, "seed": args.seed,
-                   "probes": args.probes, "zeta_requested": args.zeta,
-                   "zeta_used": res.zeta, "eta": res.eta, "method": args.method},
+                   "probes": args.probes, "zeta_used": res.zeta, "eta": res.eta,
+                   "method": args.method},
         "results": {
             "cut": {**dataclasses.asdict(res.stats), "size": res.stats.subset.size},
             "certificate_c": res.certificate_c,
@@ -253,7 +248,7 @@ def _cmd_cut(args) -> dict:
 def _cmd_decompose(args) -> dict:
     g = _load_graph(args.graph)
     config = DecompositionConfig.for_graph(g, args.delta, args.c_r)
-    part, report = partition_with_config(g, config, _sketch_config(args), _solver_options(args))
+    part, report = partition_with_config(g, config, _sketch_config(args), args.method)
     blocks = [b.tolist() for b in part.blocks]
     if args.partition_out:
         with open(args.partition_out, "w", encoding="utf-8") as fh:
@@ -293,7 +288,7 @@ def _cmd_verify(args) -> dict:
     g = _load_graph(args.graph)
     blocks = _load_partition(args.partition)
     rec = verify_partition(g, blocks, args.delta, c_r=args.c_r,
-                           cfg=_sketch_config(args), opts=_solver_options(args))
+                           cfg=_sketch_config(args), method=args.method)
     return {
         "input": _digest(g, args.graph),
         "config": {"delta": args.delta, "c_r": args.c_r, "partition": args.partition,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DisconnectedGraphError
 from .graph import WeightedGraph, connected_components, induced_subgraph
-from .linalg import ORACLE_BLOCK_LIMIT, LaplacianSolver, SolverOptions
+from .linalg import ORACLE_BLOCK_LIMIT, LaplacianSolver, _check_method
 from .sketch import TIE_TOLERANCE, SketchConfig, furthest_pair
 from .sweep import DEFAULT_EPSILON, _far_pair_cut
 
@@ -217,9 +217,10 @@ def _certify_block(solver: LaplacianSolver, cfg: SketchConfig,
 
 def partition_with_config(g: WeightedGraph, config: DecompositionConfig,
                           cfg: SketchConfig | None = None,
-                          opts: SolverOptions | None = None,
+                          method: str = "auto",
                           ) -> tuple[Partition, DecompositionReport]:
     """Run the decomposition with explicit (possibly unvalidated) parameters."""
+    _check_method(method)  # also where no solver is built
     cfg = cfg or SketchConfig()
     if g.n == 0:
         raise ValueError("graph must be non-empty")
@@ -246,7 +247,7 @@ def partition_with_config(g: WeightedGraph, config: DecompositionConfig,
             sub = pruned if comp.size == pruned.n else induced_subgraph(pruned, comp)[0]
             # one solver for the sketch and the cut or the certificate,
             # released before the next
-            solver = LaplacianSolver(sub, opts)
+            solver = LaplacianSolver(sub, method)
             u, v, estimate = furthest_pair(sub, cfg, solver)
             # an estimate that ties the target accepts, whatever its rounding
             if estimate <= config.resistance_target * (1.0 + TIE_TOLERANCE):
@@ -285,7 +286,7 @@ def partition_with_config(g: WeightedGraph, config: DecompositionConfig,
 
 def partition(g: WeightedGraph, delta: float,
               cfg: SketchConfig | None = None,
-              opts: SolverOptions | None = None,
+              method: str = "auto",
               c_r: float = 1.0) -> tuple[Partition, DecompositionReport]:
     """Partition ``g`` so that only about a 1/delta weight fraction of edges
     crosses blocks while every block keeps a bounded resistance diameter.
@@ -294,7 +295,7 @@ def partition(g: WeightedGraph, delta: float,
     :meth:`DecompositionConfig.for_graph`; see
     :func:`partition_with_config` to run off the validated regime.
     """
-    return partition_with_config(g, DecompositionConfig.for_graph(g, delta, c_r), cfg, opts)
+    return partition_with_config(g, DecompositionConfig.for_graph(g, delta, c_r), cfg, method)
 
 
 def _as_blocks(p) -> list[np.ndarray]:
@@ -313,15 +314,17 @@ def _as_blocks(p) -> list[np.ndarray]:
 
 def verify_partition(g: WeightedGraph, p, delta: float, c_r: float = 1.0,
                      cfg: SketchConfig | None = None,
-                     opts: SolverOptions | None = None) -> VerificationRecord:
+                     method: str = "auto") -> VerificationRecord:
     """Independently recheck a partition against the loss and resistance
     bounds (:data:`C_LOSS`/delta and :data:`C_RES`·delta³·n/w(E)), certifying
     every block afresh from one solver per block; a disconnected block has
-    infinite diameter. Rejects inputs that are not a partition of V, and a
-    ``delta`` or ``c_r`` that is not a positive number."""
+    infinite diameter. Rejects inputs that are not a partition of V, a
+    ``delta`` or ``c_r`` that is not a positive number, and an unknown
+    ``method``."""
     for name, value in (("delta", delta), ("c_r", c_r)):
         if not value > 0:  # NaN fails too
             raise ValueError(f"{name} must be positive, got {value}")
+    _check_method(method)  # also where no solver is built
     cfg = cfg or SketchConfig()
     blocks = _as_blocks(p)
 
@@ -329,7 +332,7 @@ def verify_partition(g: WeightedGraph, p, delta: float, c_r: float = 1.0,
         if b.size < 2:
             return BlockResistance(0.0, True)
         try:
-            solver = LaplacianSolver(induced_subgraph(g, b)[0], opts)
+            solver = LaplacianSolver(induced_subgraph(g, b)[0], method)
         except DisconnectedGraphError:
             return BlockResistance(math.inf, True)
         return _certify_block(solver, cfg)

@@ -68,25 +68,13 @@ ZETA_FLOOR = 1e-13
 ZETA_CAP = 0.5
 # Iterations one PCG solve may take before ConvergenceError; read per solve.
 PCG_MAX_ITERATIONS = 20000
+# The methods a caller may ask for; "auto" picks a backend per graph.
+METHODS = ("auto", "dense", "iterative")
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Accuracy and method selection for Laplacian solves.
-
-    ``zeta`` is the relative energy-norm tolerance; ``method`` is one of
-    "auto", "dense", "iterative", where "auto" lets :class:`LaplacianSolver`
-    pick dense Cholesky, sparse LU or PCG per graph. Every method is
-    deterministic.
-    """
-    zeta: float = 1e-8
-    method: str = "auto"
-
-    def __post_init__(self):
-        if not (0 < self.zeta < 1):
-            raise ValueError(f"zeta must lie in (0, 1), got {self.zeta}")
-        if self.method not in ("auto", "dense", "iterative"):
-            raise ValueError(f"unknown method {self.method!r}")
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +101,10 @@ def assemble_laplacian(g: WeightedGraph) -> sp.csr_matrix:
 class LaplacianSolver:
     """The Laplacian of one connected graph, ready for any number of solves.
 
-    The constructor first takes connectivity from
+    ``method`` is one of ``METHODS``; any other value raises ``ValueError``
+    before anything is computed. Every method is deterministic, and each
+    solve states its own accuracy ζ. The constructor then takes
+    connectivity from
     :func:`~resdecomp.graph.connected_components` (a lookup when the graph
     was labelled before, as a single-component work item of the recursion
     is), raising :class:`DisconnectedGraphError` on more than one
@@ -136,14 +127,14 @@ class LaplacianSolver:
     certificate.
     """
 
-    def __init__(self, g: WeightedGraph, opts: SolverOptions | None = None):
+    def __init__(self, g: WeightedGraph, method: str = "auto"):
+        _check_method(method)
         ncomp = len(connected_components(g))
         if ncomp > 1:
             raise DisconnectedGraphError(
                 f"Laplacian has {ncomp} connected components; solve per component")
         self.graph = g
-        self.opts = opts or SolverOptions()
-        self.method = self.opts.method
+        self.method = method
         self._reff = None
         if self.method == "auto" and g.n <= DENSE_SOLVE_LIMIT:
             self.method = "dense"
@@ -293,14 +284,12 @@ def _pcg(solver: LaplacianSolver, b: np.ndarray, zeta: float) -> np.ndarray:
     return x
 
 
-def solve_laplacian_many(solver: LaplacianSolver, B: np.ndarray,
-                         zeta: float | None = None) -> np.ndarray:
+def solve_laplacian_many(solver: LaplacianSolver, B: np.ndarray, zeta: float) -> np.ndarray:
     """Solve L X[i] = B[i] for a batch of zero-sum right-hand-side rows.
 
-    Each row satisfies the energy-norm accuracy contract for ``zeta``
-    (default ``solver.opts.zeta``) and is orthogonal to the all-ones vector.
+    Each row satisfies the energy-norm accuracy contract for ``zeta`` and is
+    orthogonal to the all-ones vector.
     """
-    zeta = solver.opts.zeta if zeta is None else zeta
     if not (0 < zeta < 1):
         raise ValueError(f"zeta must lie in (0, 1), got {zeta}")
     B = np.asarray(B, dtype=np.float64)
@@ -363,13 +352,11 @@ def implied_potential_accuracy(g: WeightedGraph, zeta: float) -> float:
     return float(zeta * (g.n - 1) / g.min_weight())
 
 
-def st_potential(solver: LaplacianSolver, s: int, t: int,
-                 zeta: float | None = None) -> PotentialVector:
+def st_potential(solver: LaplacianSolver, s: int, t: int, zeta: float) -> PotentialVector:
     """Electric potentials of the solver's graph for a unit flow injected at
-    ``s`` and removed at ``t``, solved to ``zeta`` (default
-    ``solver.opts.zeta``) and shifted so the sink potential is exactly zero."""
+    ``s`` and removed at ``t``, solved to ``zeta`` and shifted so the sink
+    potential is exactly zero."""
     g = solver.graph
-    zeta = solver.opts.zeta if zeta is None else zeta
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ValueError(f"vertices ({s}, {t}) out of range [0, {g.n})")
     if s == t:

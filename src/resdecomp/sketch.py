@@ -17,7 +17,8 @@ estimate by at most γ·β·sqrt(Reff), derived from the probe Gram (see
 factor within e^{±4γβ} on the estimate, and the probes' own
 (Johnson-Lindenstrauss) error keeps the rest, e^{±(1−4γ)β}. The probe
 budget C·ln n/β² is not resized for that smaller rest: C is already a
-conservative constant.
+conservative constant. The rare patch solves, for entries the probes
+missed, run at the same ζ.
 
 Once the probe count k reaches the edge count m no compression is needed:
 the corrected estimate would only reproduce the quadratic form exactly. In
@@ -25,7 +26,7 @@ this exact regime, on graphs of at most ``ORACLE_BLOCK_LIMIT`` vertices, the
 sketch draws no probes and returns row u of the solver's all-pairs
 resistance matrix, which the solver keeps for the block certificate. That
 n×n matrix is never larger than the two k×n arrays it replaces, as
-k ≥ m ≥ n − 1.
+k ≥ m ≥ n − 1. A larger graph draws min(k, m) probes.
 
 Memory on the probe path: with k probes, a sketch holds the k×m probe signs
 as int8 (k·m bytes), drawn a few rows at a time, plus two k×n float64
@@ -169,14 +170,15 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
     γ = ``SOLVE_ERROR_SHARE``. When the probe count is
     at least m and the graph has at most ``ORACLE_BLOCK_LIMIT`` vertices, no
     probes are drawn: the result is row u of ``solver.reff_matrix()``, exact
-    up to rounding. Deterministic for fixed (graph, cfg, solver options).
-    ``solver`` must be built for ``g``; by default one with default options
-    is built, and a disconnected graph raises
-    :class:`DisconnectedGraphError` there.
+    up to rounding. Deterministic for fixed (graph, cfg, solver method).
+    ``solver`` must be built for ``g``; by default an "auto" solver is
+    built, and a disconnected graph raises :class:`DisconnectedGraphError`
+    there.
 
-    On the probe path the k probe solves run at the accuracy ζ of
-    :func:`_probe_zeta`, not at ``solver.opts.zeta`` (which the patch solves
-    use). Why that ζ moves sqrt of each estimate by at most
+    On the probe path the sketch draws k = min(⌈C·ln n/β²⌉, m) probes (or
+    ``probe_count`` capped at m) and runs every solve, the k probe solves
+    and the patch solves alike, at the accuracy ζ of :func:`_probe_zeta`.
+    Why that ζ moves sqrt of each estimate by at most
     γ·β·sqrt(Reff(u, v)):
 
     - row i solves L x_i = Bᵀ W^{1/2} q_i for the probe q_i ∈ {±1}^m;
@@ -189,6 +191,16 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
     - the estimate is yᵀ M y with M = (m/rank)·G⁺ positive semidefinite, so
       sqrt of it moves by at most sqrt(‖M‖₂)·ζ·sqrt(k·m·Reff) ≤
       sqrt(ρ)·ζ·sqrt(k·m·Reff) = γ·β·sqrt(Reff(u, v)).
+
+    Why the same ζ keeps each patched entry within (1 ± ζ)·Reff(u, v), with
+    ζ ≤ max(γ·β, ``ZETA_FLOOR``), well inside e^{±β}:
+
+    - a patch row solves x = L†(e_u − e_v), with ‖x‖²_L = Reff(u, v);
+    - so the contract moves the patched entry (e_u − e_v)ᵀx̂ by at most
+      ‖e‖_L·sqrt(Reff) ≤ ζ·Reff;
+    - ρ ≥ ‖M‖₂ ≥ (m/rank)/tr G = (m/rank)/(k·m), since every diagonal entry
+      of G is ‖q_i‖² = m and rank ≤ m, so ρ·k·m ≥ 1 and γ·β/sqrt(ρ·k·m)
+      ≤ γ·β before the clamp.
 
     Only PCG takes ζ into account; the dense and sparse-LU backends solve to
     rounding whatever ζ is asked for.
@@ -208,6 +220,8 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
         estimates = solver.reff_matrix()[u].copy()
         estimates.flags.writeable = False
         return estimates
+    # m probes already give the quadratic form exactly
+    k = min(k, m)
     rhs, gram = _probe_system(g, k, cfg.seed)
     # one pivoted Cholesky gives the rank and the pseudo-inverse: every
     # column of Z lies in the Gram's range, where the inverse of its
@@ -221,7 +235,8 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
     pivots = piv[:rank] - 1
     inv = np.zeros((k, k))
     inv[np.ix_(pivots, pivots)] = np.triu(lead) + np.triu(lead, 1).T
-    Z = solve_laplacian_many(solver, rhs, _probe_zeta(inv, rank, m, cfg.beta))
+    zeta = _probe_zeta(inv, rank, m, cfg.beta)
+    Z = solve_laplacian_many(solver, rhs, zeta)
     Z -= Z[:, [u]]  # column v holds Q·W^{1/2}B·L†(e_u − e_v)
     # the spent right-hand sides take the corrected probes in one product;
     # splitting it by columns moves last bits
@@ -231,14 +246,14 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
 
     # a vanishing estimate for v != u means the probes missed that
     # direction entirely; patch those entries with one batch of exact pair
-    # solves, rows e_u − e_v
+    # solves, rows e_u − e_v, at the probes' ζ
     bad = np.flatnonzero((estimates <= 0) & (np.arange(g.n) != u))
     if bad.size:
         rows = np.arange(bad.size)
         pairs = np.zeros((bad.size, g.n))
         pairs[:, u] = 1.0
         pairs[rows, bad] = -1.0
-        X = solve_laplacian_many(solver, pairs)
+        X = solve_laplacian_many(solver, pairs, zeta)
         estimates[bad] = X[:, u] - X[rows, bad]
     estimates.flags.writeable = False
     return estimates

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import DegeneratePotentialError
 from .graph import CutStats, WeightedGraph
-from .linalg import (LaplacianSolver, PotentialVector, SolverOptions,
-                     required_solver_accuracy, st_potential)
+from .linalg import (LaplacianSolver, PotentialVector, required_solver_accuracy,
+                     st_potential)
 from .sketch import SketchConfig, furthest_pair
 
 # The sweep's volume exponent is 1/2 − epsilon; the CLI, the partition's cuts
@@ -109,7 +109,7 @@ def _level_profile(g: WeightedGraph, p, epsilon: float) -> _LevelProfile:
 
 def find_sparse_cut(g: WeightedGraph, epsilon: float = DEFAULT_EPSILON,
                     cfg: SketchConfig | None = None,
-                    opts: SolverOptions | None = None) -> CutResult:
+                    method: str = "auto") -> CutResult:
     """Best-scoring level cut of a far-pair electric potential.
 
     Pipeline: sketch a far pair (u, v); set the target score from their
@@ -124,7 +124,7 @@ def find_sparse_cut(g: WeightedGraph, epsilon: float = DEFAULT_EPSILON,
         raise ValueError(f"need at least 2 vertices, got {g.n}")
     if not (0 < epsilon < 0.5):
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
-    solver = LaplacianSolver(g, opts)
+    solver = LaplacianSolver(g, method)
     u, v, estimate = furthest_pair(g, cfg, solver)
     return _far_pair_cut(solver, epsilon, u, v, estimate)
 

@@ -59,7 +59,7 @@ class TestGen:
         assert code == 0
         lines = out_file.read_text().strip().splitlines()
         assert len(lines) == 12
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert report["results"] == {"written": str(out_file), "n": 8, "m": 12}
 
     def test_round_trip_digest(self, capsys, tmp_path):
@@ -146,6 +146,24 @@ class TestReff:
         assert code == 2
         assert "range" in report["error"]["message"]
 
+    def test_zeta_is_the_answers_accuracy(self, capsys, barbell4):
+        code, report = run_json(capsys, "reff", "--graph", barbell4, "-s", "0", "-t", "7",
+                                "--zeta", "1e-6", "--method", "iterative")
+        assert code == 0
+        assert (report["config"]["zeta"], report["config"]["method"]) == (1e-6, "iterative")
+        g = rd.read_edgelist(barbell4)
+        want = rd.implied_potential_accuracy(g, 1e-6)
+        assert report["results"]["eta"] == pytest.approx(want, rel=1e-11)
+        assert report["results"]["reff"] == pytest.approx(rd.exact_reff(g, 0, 7), abs=want)
+
+    @pytest.mark.parametrize("zeta", ["0", "1", "nan"])
+    def test_unusable_zeta_is_value_error(self, capsys, path3, zeta):
+        code, report = run_json(capsys, "reff", "--graph", path3, "-s", "0", "-t", "2",
+                                "--zeta", zeta)
+        assert code == 2
+        assert report["error"]["type"] == "ValueError"
+        assert "zeta" in report["error"]["message"]
+
     @pytest.mark.parametrize("flag", ["--probes", "--seed", "--beta"])
     def test_sketch_flags_are_usage_errors(self, capsys, path3, flag):
         # reff never sketches, so it takes only the solver flags
@@ -163,6 +181,8 @@ class TestCut:
         assert cut["subset"] == [0, 1, 2, 3]
         assert cut["conductance"] == pytest.approx(1 / 13, rel=1e-9)
         assert report["results"]["certificate_c"] <= report["results"]["target_c"]
+        # the potential's accuracy is derived, never requested
+        assert "zeta_requested" not in report["config"] and report["config"]["zeta_used"] > 0
 
     def test_report_to_file(self, capsys, barbell4, tmp_path):
         out = tmp_path / "report.json"
@@ -298,13 +318,14 @@ class TestDecomposeVerify:
         for probes in ("5", "9"):
             code, report = run_json(capsys, "verify", "--graph", barbell4,
                                     "--partition", str(part_file), "--delta", "4",
-                                    "--probes", probes, "--zeta", "1e-6",
-                                    "--method", "iterative", "--beta", "0.5")
+                                    "--probes", probes, "--method", "iterative",
+                                    "--beta", "0.5")
             assert code == 0
             configs.append(report["config"])
         assert [c["probes"] for c in configs] == [5, 9]
         for c in configs:
-            assert (c["beta"], c["zeta"], c["method"]) == (0.5, 1e-6, "iterative")
+            assert (c["beta"], c["method"]) == (0.5, "iterative")
+            assert "zeta" not in c
 
     def test_invalid_partition_file(self, capsys, barbell4, tmp_path):
         bad = tmp_path / "bad.json"
@@ -332,6 +353,17 @@ class TestDecomposeVerify:
 
 
 class TestReportDiscipline:
+    @pytest.mark.parametrize("command", [
+        ("cut",), ("decompose", "--delta", "4"),
+        ("verify", "--delta", "4", "--partition", "part.json"),
+    ], ids=["cut", "decompose", "verify"])
+    def test_zeta_only_on_reff(self, capsys, barbell4, command):
+        # every solve of these commands derives its own accuracy
+        assert execute([*command, "--graph", barbell4, "--zeta", "1e-6"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --zeta 1e-6" in captured.err
+
     def test_byte_identical_reruns(self, capsys, barbell4):
         _, first = run(capsys, "decompose", "--graph", barbell4, "--delta", "4",
                        "--seed", "7", "--exact-verify")

@@ -216,6 +216,21 @@ class TestPartition:
         with pytest.raises(ValueError):
             rd.partition(rd.build_graph(0, []), 4.0)
 
+    def test_unknown_method_rejected_before_factoring(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("factored before checking the method")
+
+        monkeypatch.setattr(linalg, "_grounded_cholesky", fail)
+        monkeypatch.setattr(linalg.spla, "splu", fail)
+        with pytest.raises(ValueError, match="unknown method"):
+            rd.partition(rd.grid2d(8), 8.0, method="bogus")
+        # a graph that needs no solver is checked too
+        edgeless = rd.build_graph(3, [])
+        with pytest.raises(ValueError, match="unknown method"):
+            rd.partition(edgeless, 4.0, method="bogus")
+        with pytest.raises(ValueError, match="unknown method"):
+            rd.verify_partition(edgeless, [[0], [1], [2]], 4.0, method="bogus")
+
     def test_edgeless_graph_all_singletons(self):
         g = rd.build_graph(3, [])
         part, report = rd.partition(g, 4.0)
@@ -260,9 +275,9 @@ class TestPartition:
         built, sketched, potentials = [], [], []
 
         class RecordingSolver(rd.LaplacianSolver):
-            def __init__(self, g, opts=None):
+            def __init__(self, g, method="auto"):
                 assert all(ref() is None for ref in built)
-                super().__init__(g, opts)
+                super().__init__(g, method)
                 built.append(weakref.ref(self))
 
         def recording_pair(real):
@@ -271,7 +286,7 @@ class TestPartition:
                 return real(g, cfg, solver)
             return wrapped
 
-        def recording_potential(solver, s, t, zeta=None):
+        def recording_potential(solver, s, t, zeta):
             potentials.append(solver is built[-1]())
             return real_potential(solver, s, t, zeta)
 
@@ -476,8 +491,7 @@ class TestVerifyPartition:
         part, _ = rd.partition_with_config(g, config)
         assert max(b.size for b in part.blocks) <= decompose.ORACLE_BLOCK_LIMIT
         default = rd.verify_partition(g, part, 4.0)
-        forced = rd.verify_partition(g, part, 4.0,
-                                     opts=rd.SolverOptions(method="iterative"))
+        forced = rd.verify_partition(g, part, 4.0, method="iterative")
         assert all(r.certified_exact for r in forced.block_rdiams)
         assert ([r.value.hex() for r in forced.block_rdiams]
                 == [r.value.hex() for r in default.block_rdiams])
@@ -494,19 +508,18 @@ class TestVerifyPartition:
             return real(g)
 
         monkeypatch.setattr(linalg, "_spanning_tree", recording)
-        opts = rd.SolverOptions(method="iterative")
         g = rd.grid2d(10)
-        solver = rd.LaplacianSolver(g, opts)
+        solver = rd.LaplacianSolver(g, "iterative")
         assert decompose._certify_block(solver, rd.SketchConfig()).certified_exact
         config = rd.DecompositionConfig(delta=4.0, n_original=g.n,
                                         cut_budget=g.total_weight / 4,
                                         resistance_target=2.0)
         part, _ = rd.partition_with_config(g, config)
         built.clear()
-        rd.verify_partition(g, part, 4.0, opts=opts)
+        rd.verify_partition(g, part, 4.0, method="iterative")
         assert built == []
         for _ in range(2):
-            rd.st_potential(solver, 0, g.n - 1)
+            rd.st_potential(solver, 0, g.n - 1, 1e-8)
         assert built == [g.n]
 
     @pytest.mark.parametrize("blocks", [

@@ -15,9 +15,9 @@ def dense_pinv_solution(g, b):
     return np.linalg.pinv(L) @ b
 
 
-def _solve(g, b, opts=None):
+def _solve(g, b, zeta=1e-8, method="auto"):
     """One right-hand side as a one-row batch on a fresh solver for ``g``."""
-    return rd.solve_laplacian_many(rd.LaplacianSolver(g, opts), np.asarray(b)[None])[0]
+    return rd.solve_laplacian_many(rd.LaplacianSolver(g, method), np.asarray(b)[None], zeta)[0]
 
 
 def energy_norm(g, x):
@@ -81,7 +81,7 @@ class TestGroundedCholesky:
         monkeypatch.setattr(linalg.sp.csr_matrix, "toarray", fail)
         solver = rd.LaplacianSolver(g)
         assert solver.method == "dense"
-        rd.solve_laplacian_many(solver, _unit_pair_rhs(g.n, 0, g.n - 1)[None])
+        rd.solve_laplacian_many(solver, _unit_pair_rhs(g.n, 0, g.n - 1)[None], 1e-8)
         solver.reff_matrix()
         rd.exact_reff(g, 3, 17)
         rd.exact_reff_matrix(g)
@@ -91,7 +91,7 @@ class TestGroundedCholesky:
 
     def test_iterative_reff_matrix_bit_identical_to_oracle(self):
         g = skewed(rd.grid2d(6), np.exp(5.0), seed=2)
-        solver = rd.LaplacianSolver(g, rd.SolverOptions(method="iterative"))
+        solver = rd.LaplacianSolver(g, "iterative")
         assert solver.method == "iterative"
         assert solver.reff_matrix().tobytes() == rd.exact_reff_matrix(g).tobytes()
 
@@ -137,7 +137,7 @@ class TestSolveLaplacian:
         # sums to NaN; both must fail before any solve. The bad row lies in
         # the second check chunk.
         g = rd.grid2d(5)
-        solver = rd.LaplacianSolver(g, rd.SolverOptions(method=method))
+        solver = rd.LaplacianSolver(g, method)
         assert solver.method == method
         B = np.zeros((linalg._CHECK_CHUNK + 6, g.n))
         B[:, 0], B[:, -1] = 1.0, -1.0
@@ -146,15 +146,15 @@ class TestSolveLaplacian:
         monkeypatch.setattr(linalg, "_pcg", None)
         monkeypatch.setattr(linalg.sla, "cho_solve", None)
         with pytest.raises(ValueError, match="finite"):
-            rd.solve_laplacian_many(solver, B)
+            rd.solve_laplacian_many(solver, B, 1e-8)
 
     def test_iteration_budget_exhaustion_carries_residual(self, monkeypatch):
         g = rd.grid2d(6)
         b = _unit_pair_rhs(g.n, 0, g.n - 1)
         monkeypatch.setattr(linalg, "PCG_MAX_ITERATIONS", 2)
-        opts = rd.SolverOptions(zeta=1e-10, method="iterative")
+        zeta = 1e-10
         with pytest.raises(rd.ConvergenceError) as info:
-            _solve(g, b, opts)
+            _solve(g, b, zeta, "iterative")
         err = info.value
         # replay two Jacobi PCG steps; the attained zeta is
         # sqrt(tree energy of the residual * 2 max deg) / |b|
@@ -173,7 +173,7 @@ class TestSolveLaplacian:
         lam_max = 2.0 * g.degrees.max()
         expected = np.sqrt(tree_flow_energy(g, r) * lam_max) / np.linalg.norm(b)
         assert err.attained_zeta == pytest.approx(expected, rel=1e-12)
-        assert err.attained_zeta > opts.zeta
+        assert err.attained_zeta > zeta
         # and it certifies the error of the iterate it stopped at
         exact = dense_pinv_solution(g, b)
         assert energy_norm(g, x - exact) <= err.attained_zeta * energy_norm(g, exact)
@@ -187,8 +187,7 @@ class TestSolveLaplacian:
             b = _unit_pair_rhs(g.n, 0, g.n - 1)
             exact = dense_pinv_solution(g, b)
             for zeta in (1e-2, 1e-6):
-                opts = rd.SolverOptions(zeta=zeta, method="iterative")
-                x = _solve(g, b, opts)
+                x = _solve(g, b, zeta, "iterative")
                 assert energy_norm(g, x - exact) <= zeta * energy_norm(g, exact) + 1e-13
 
     @pytest.mark.parametrize("g", [skewed(rd.hypercube(6), 1e2),
@@ -198,13 +197,12 @@ class TestSolveLaplacian:
         zeta = 1e-6
         b = _unit_pair_rhs(g.n, 0, g.n - 1)
         goal = zeta ** 2 * (b @ b) / (2.0 * g.degrees.max())
-        opts = rd.SolverOptions(zeta=zeta, method="iterative")
         # the smallest iteration budget that succeeds: its iterate is
         # certified, and the one before it is not
         for budget in range(1, 1000):
             monkeypatch.setattr(linalg, "PCG_MAX_ITERATIONS", budget)
             try:
-                x = _solve(g, b, opts)
+                x = _solve(g, b, zeta, "iterative")
                 break
             except rd.ConvergenceError as err:
                 before = err
@@ -216,33 +214,32 @@ class TestSolveLaplacian:
         for g in corpus[:20]:
             b = _unit_pair_rhs(g.n, 0, 1)
             exact = dense_pinv_solution(g, b)
-            x = _solve(g, b, rd.SolverOptions(zeta=1e-8))
+            x = _solve(g, b, 1e-8)
             assert energy_norm(g, x - exact) <= 1e-8 * energy_norm(g, exact) + 1e-13
 
     def test_deterministic(self):
         g = rd.grid2d(5)
         b = _unit_pair_rhs(g.n, 0, 24)
-        opts = rd.SolverOptions(zeta=1e-6, method="iterative")
-        x1 = _solve(g, b, opts)
-        x2 = _solve(g, b, opts)
+        x1 = _solve(g, b, 1e-6, "iterative")
+        x2 = _solve(g, b, 1e-6, "iterative")
         assert np.array_equal(x1, x2)
 
     def test_batch_matches_single(self):
         g = rd.grid2d(4)
         solver = rd.LaplacianSolver(g)
         B = np.stack([_unit_pair_rhs(g.n, 0, 5), _unit_pair_rhs(g.n, 3, 12)])
-        X = rd.solve_laplacian_many(solver, B)
+        X = rd.solve_laplacian_many(solver, B, 1e-8)
         for row, b in zip(X, B):
-            single = rd.solve_laplacian_many(solver, b[None])[0]
+            single = rd.solve_laplacian_many(solver, b[None], 1e-8)[0]
             assert np.allclose(row, single, atol=1e-12)
 
     def test_batch_iterative_branch(self):
         g = rd.grid2d(6)
-        solver = rd.LaplacianSolver(g, rd.SolverOptions(zeta=1e-6, method="iterative"))
+        solver = rd.LaplacianSolver(g, "iterative")
         B = np.stack([_unit_pair_rhs(g.n, 0, 35), np.zeros(g.n)])
-        X = rd.solve_laplacian_many(solver, B)
+        X = rd.solve_laplacian_many(solver, B, 1e-6)
         assert np.array_equal(X[1], np.zeros(g.n))
-        assert np.array_equal(X[0], rd.solve_laplacian_many(solver, B[:1])[0])
+        assert np.array_equal(X[0], rd.solve_laplacian_many(solver, B[:1], 1e-6)[0])
 
 
 class TestLaplacianSolver:
@@ -254,8 +251,20 @@ class TestLaplacianSolver:
         assert rd.LaplacianSolver(grid).method == "sparse"
         assert rd.LaplacianSolver(cube).method == "iterative"
         # explicit methods are taken as given
-        assert rd.LaplacianSolver(grid, rd.SolverOptions(method="dense")).method == "dense"
-        assert rd.LaplacianSolver(grid, rd.SolverOptions(method="iterative")).method == "iterative"
+        assert rd.LaplacianSolver(grid, "dense").method == "dense"
+        assert rd.LaplacianSolver(grid, "iterative").method == "iterative"
+
+    @pytest.mark.parametrize("method", ["bogus", None, "sparse"])
+    def test_unknown_method_rejected_before_factoring(self, monkeypatch, method):
+        # "sparse" is a backend "auto" may pick, not a method to ask for
+        def fail(*args, **kwargs):
+            raise AssertionError("factored before checking the method")
+
+        monkeypatch.setattr(linalg, "_grounded_cholesky", fail)
+        monkeypatch.setattr(linalg.spla, "splu", fail)
+        monkeypatch.setattr(linalg, "_rcm_envelope", fail)
+        with pytest.raises(ValueError, match="unknown method"):
+            rd.LaplacianSolver(rd.grid2d(4), method)
 
     def test_fill_probe_at_real_limit(self):
         cases = [(rd.grid2d(46), "sparse"), (rd.hypercube(12), "iterative"),
@@ -274,9 +283,9 @@ class TestLaplacianSolver:
         B = rng.normal(size=(linalg.SPARSE_SOLVE_CHUNK + 7, g.n))
         B -= B.mean(axis=1, keepdims=True)
         B[3] = 0.0
-        X = rd.solve_laplacian_many(solver, B)
-        exact = rd.solve_laplacian_many(rd.LaplacianSolver(g, rd.SolverOptions(method="dense")), B)
-        zeta = solver.opts.zeta
+        zeta = 1e-8
+        X = rd.solve_laplacian_many(solver, B, zeta)
+        exact = rd.solve_laplacian_many(rd.LaplacianSolver(g, "dense"), B, zeta)
         assert np.array_equal(X[3], np.zeros(g.n))
         for x, x_ref in zip(X, exact):
             assert abs(x.mean()) <= 1e-14 * max(1.0, np.abs(x).max())
@@ -294,12 +303,11 @@ class TestLaplacianSolver:
         g = random_connected_graph(rng, max_n=30)
         B = rng.normal(size=(3, g.n))
         B -= B.mean(axis=1, keepdims=True)
-        opts = rd.SolverOptions(zeta=1e-6, method=method)
-        shared = rd.LaplacianSolver(g, opts)
-        rd.solve_laplacian_many(shared, B[:2])
-        fresh = rd.LaplacianSolver(g, opts)
-        assert (rd.solve_laplacian_many(shared, B[2:]).tobytes()
-                == rd.solve_laplacian_many(fresh, B[2:]).tobytes())
+        shared = rd.LaplacianSolver(g, method)
+        rd.solve_laplacian_many(shared, B[:2], 1e-6)
+        fresh = rd.LaplacianSolver(g, method)
+        assert (rd.solve_laplacian_many(shared, B[2:], 1e-6).tobytes()
+                == rd.solve_laplacian_many(fresh, B[2:], 1e-6).tobytes())
 
     @pytest.mark.parametrize("method", ["dense", "sparse"])
     def test_direct_solve_independent_of_batch_order(self, method, monkeypatch):
@@ -313,8 +321,9 @@ class TestLaplacianSolver:
         B = np.random.default_rng(8).normal(size=(g.n, 40)).T
         B -= B.mean(axis=1, keepdims=True)
         assert B.flags.f_contiguous and not B.flags.c_contiguous
-        X = rd.solve_laplacian_many(solver, B)
-        assert X.tobytes() == rd.solve_laplacian_many(solver, np.ascontiguousarray(B)).tobytes()
+        X = rd.solve_laplacian_many(solver, B, 1e-8)
+        assert X.tobytes() == rd.solve_laplacian_many(solver, np.ascontiguousarray(B),
+                                                      1e-8).tobytes()
 
     def test_zeta_validated(self):
         g = path_graph(3)
@@ -353,44 +362,53 @@ def _unit_pair_rhs(n, s, t):
 class TestStPotential:
     def test_single_edge(self):
         g = rd.build_graph(2, [(0, 1, 1.0)])
-        p = rd.st_potential(rd.LaplacianSolver(g), 0, 1)
+        p = rd.st_potential(rd.LaplacianSolver(g), 0, 1, 1e-8)
         assert p.values[1] == 0.0
         assert p.values[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_path_linear_drop(self):
-        p = rd.st_potential(rd.LaplacianSolver(path_graph(3)), 0, 2)
+        p = rd.st_potential(rd.LaplacianSolver(path_graph(3)), 0, 2, 1e-8)
         assert np.allclose(p.values, [2.0, 1.0, 0.0], atol=1e-10)
 
     def test_triangle_against_pinv_oracle(self):
         g = rd.complete(3)
         expected = dense_pinv_solution(g, _unit_pair_rhs(3, 0, 1))
         expected -= expected[1]
-        p = rd.st_potential(rd.LaplacianSolver(g), 0, 1)
+        p = rd.st_potential(rd.LaplacianSolver(g), 0, 1, 1e-8)
         assert np.allclose(p.values, expected, atol=1e-10)
         assert np.allclose(p.values, [2 / 3, 0.0, 1 / 3], atol=1e-10)
 
     def test_sink_exactly_zero(self, corpus):
         for g in corpus[:10]:
-            p = rd.st_potential(rd.LaplacianSolver(g), 0, g.n - 1)
+            p = rd.st_potential(rd.LaplacianSolver(g), 0, g.n - 1, 1e-8)
             assert p.values[g.n - 1] == 0.0
 
     def test_maximum_principle_within_slack(self, corpus):
         for g in corpus[:20]:
-            p = rd.st_potential(rd.LaplacianSolver(g), 0, g.n - 1)
+            p = rd.st_potential(rd.LaplacianSolver(g), 0, g.n - 1, 1e-8)
             slack = 2 * p.eta + 1e-12
             assert p.values.max() <= p.values[0] + slack
             assert p.values.min() >= p.values[g.n - 1] - slack
 
     def test_same_vertex_rejected(self):
         with pytest.raises(ValueError, match="differ"):
-            rd.st_potential(rd.LaplacianSolver(path_graph(3)), 1, 1)
+            rd.st_potential(rd.LaplacianSolver(path_graph(3)), 1, 1, 1e-8)
 
-    def test_zeta_overrides_solver_default(self):
+    def test_each_solve_takes_its_own_zeta(self):
+        # one PCG solver, a loose solve, then a tight one: the tight solve
+        # and its eta do not depend on the solve before it
         g = rd.grid2d(5)
-        solver = rd.LaplacianSolver(g, rd.SolverOptions(zeta=0.5, method="iterative"))
+        solver = rd.LaplacianSolver(g, "iterative")
+        loose = rd.st_potential(solver, 0, g.n - 1, 0.5)
+        assert loose.eta == rd.implied_potential_accuracy(g, 0.5)
         p = rd.st_potential(solver, 0, g.n - 1, 1e-10)
         assert p.eta == rd.implied_potential_accuracy(g, 1e-10)
         assert p.values[0] == pytest.approx(rd.exact_reff(g, 0, g.n - 1), abs=1e-8)
+
+    @pytest.mark.parametrize("zeta", [np.nan, 0.0, 1.0])
+    def test_zeta_validated(self, zeta):
+        with pytest.raises(ValueError, match="zeta"):
+            rd.st_potential(rd.LaplacianSolver(path_graph(3)), 0, 2, zeta)
 
     def test_eta_metadata_matches_inverse_formula(self):
         g = path_graph(3)
@@ -500,7 +518,7 @@ class TestTreeEnergyBound:
 
     @staticmethod
     def _ratios(g, count, seed):
-        solver = rd.LaplacianSolver(g, rd.SolverOptions(method="iterative"))
+        solver = rd.LaplacianSolver(g, "iterative")
         P = np.linalg.pinv(rd.assemble_laplacian(g).toarray(), hermitian=True)
         R = np.random.default_rng(seed).normal(size=(count, g.n))
         R -= R.mean(axis=1, keepdims=True)
@@ -517,7 +535,7 @@ class TestTreeEnergyBound:
 
     def test_matches_independent_tree_flow(self):
         g = skewed(rd.grid2d(5), 1e2)
-        solver = rd.LaplacianSolver(g, rd.SolverOptions(method="iterative"))
+        solver = rd.LaplacianSolver(g, "iterative")
         r = np.random.default_rng(3).normal(size=g.n)
         assert linalg._tree_energy(solver, r) == pytest.approx(tree_flow_energy(g, r), rel=1e-12)
 

@@ -89,6 +89,44 @@ class TestApproxReffFromSource:
         for v in pairs.argmin(axis=1):
             assert A[v] == pytest.approx(rd.exact_reff(g, 0, int(v)), abs=1e-9)
 
+    @pytest.mark.parametrize("g, seed", [(rd.complete(4), 1), (rd.grid2d(3), 5)],
+                             ids=["complete4-seed1", "grid3-seed5"])
+    def test_patch_solves_take_the_probe_zeta(self, monkeypatch, g, seed):
+        # with PCG, ζ matters: the patch batch runs at the probes' ζ, and
+        # each patched entry lies within (1 ± ζ) of the exact resistance
+        batches = []
+        real = sketch.solve_laplacian_many
+
+        def recording(solver, B, zeta):
+            batches.append((np.array(B), zeta))
+            return real(solver, B, zeta)
+
+        monkeypatch.setattr(sketch, "solve_laplacian_many", recording)
+        cfg = rd.SketchConfig(probe_count=1, seed=seed)
+        A = rd.approx_reff_from_source(g, 0, cfg, rd.LaplacianSolver(g, "iterative"))
+        inv, rank = cholesky_pinv(one_shot_probe_system(g, 1, seed)[1])
+        zeta = sketch._probe_zeta(inv, rank, g.m, cfg.beta)
+        assert [z for _, z in batches] == [zeta, zeta]
+        for v in batches[1][0].argmin(axis=1):
+            R = rd.exact_reff(g, 0, int(v))
+            assert (1 - zeta) * R <= A[v] <= (1 + zeta) * R
+
+    def test_probe_count_capped_at_edge_count(self, monkeypatch):
+        # above the oracle limit a probe count beyond m draws m probes
+        g = rd.grid2d(4)
+        drawn = []
+        real = sketch._probe_system
+
+        def recording(g, k, seed):
+            drawn.append(k)
+            return real(g, k, seed)
+
+        monkeypatch.setattr(sketch, "ORACLE_BLOCK_LIMIT", 1)
+        monkeypatch.setattr(sketch, "_probe_system", recording)
+        A = rd.approx_reff_from_source(g, 0, rd.SketchConfig(probe_count=10 * g.m))
+        assert drawn == [g.m]
+        assert np.allclose(A, rd.exact_reff_matrix(g)[0], rtol=1e-9, atol=0.0)
+
     def test_solver_for_other_graph_rejected(self):
         solver = rd.LaplacianSolver(path_graph(3))
         with pytest.raises(ValueError, match="different graph"):
@@ -145,7 +183,7 @@ class TestExactRegime:
         if backend == "sparse":
             monkeypatch.setattr(linalg, "DENSE_SOLVE_LIMIT", g.n - 1)
         method = "iterative" if backend == "iterative" else "auto"
-        solver = rd.LaplacianSolver(g, rd.SolverOptions(method=method))
+        solver = rd.LaplacianSolver(g, method)
         assert solver.method == backend
         R = rd.exact_reff_matrix(g)
         for u in (0, 27, g.n - 1):
@@ -216,8 +254,8 @@ def svd_pinv(gram):
 def one_shot_estimates(g, u, cfg, solver, pinv=cholesky_pinv, zeta=None):
     """The sketch with its probes drawn as one k×m float64 matrix: with the
     default ``pinv`` and ``zeta``, the formula the streamed sketch must
-    reproduce bit for bit. The probes are solved to ``zeta``, by default the
-    sketch's own accuracy for them."""
+    reproduce bit for bit. The probes and the patch rows are solved to
+    ``zeta``, by default the sketch's own accuracy for them."""
     m = g.m
     k = _num_probes(cfg, g.n)
     rhs, gram = one_shot_probe_system(g, k, cfg.seed)
@@ -234,7 +272,7 @@ def one_shot_estimates(g, u, cfg, solver, pinv=cholesky_pinv, zeta=None):
         pairs = np.zeros((bad.size, g.n))
         pairs[:, u] = 1.0
         pairs[rows, bad] = -1.0
-        X = rd.solve_laplacian_many(solver, pairs)
+        X = rd.solve_laplacian_many(solver, pairs, zeta)
         estimates[bad] = X[:, u] - X[rows, bad]
     return estimates
 
@@ -267,7 +305,7 @@ class TestStreamedSketch:
         cfg = rd.SketchConfig(seed=3, probe_count=probe_count)
         assert _num_probes(cfg, g.n) < g.m
         method = "iterative" if backend == "iterative" else "auto"
-        solver = rd.LaplacianSolver(g, rd.SolverOptions(method=method))
+        solver = rd.LaplacianSolver(g, method)
         assert solver.method == backend
         A = rd.approx_reff_from_source(g, 0, cfg, solver)
         assert np.array_equal(A, one_shot_estimates(g, 0, cfg, solver))
@@ -332,7 +370,7 @@ class TestGramInverse:
         for g, method, backend in ((rd.grid2d(12), "auto", "dense"),
                                    (rd.hypercube(10), "iterative", "iterative")):
             assert _num_probes(rd.SketchConfig(), g.n) < g.m
-            solver = rd.LaplacianSolver(g, rd.SolverOptions(method=method))
+            solver = rd.LaplacianSolver(g, method)
             assert solver.method == backend
             assert (rd.approx_reff_from_source(g, 0, solver=solver)[1:] > 0).all()
         g = rd.grid2d(24)
@@ -351,7 +389,7 @@ class TestProbeAccuracy:
         zetas = []
         real = sketch.solve_laplacian_many
 
-        def recording(solver, B, zeta=None):
+        def recording(solver, B, zeta):
             zetas.append(zeta)
             return real(solver, B, zeta)
 
@@ -365,7 +403,7 @@ class TestProbeAccuracy:
         g = rd.random_regular(600, 4, seed)
         cfg = rd.SketchConfig(seed=seed)
         assert _num_probes(cfg, g.n) < g.m
-        solver = rd.LaplacianSolver(g, rd.SolverOptions(method="iterative"))
+        solver = rd.LaplacianSolver(g, "iterative")
         A = rd.approx_reff_from_source(g, 0, cfg, solver)
         floor = one_shot_estimates(g, 0, cfg, solver, zeta=linalg.ZETA_FLOOR)
         R = rd.exact_reff_matrix(g)[0]
@@ -377,7 +415,7 @@ class TestProbeAccuracy:
         cfg = rd.SketchConfig(seed=5)
         k = _num_probes(cfg, g.n)
         zetas = self.recorded_zetas(monkeypatch)
-        solver = rd.LaplacianSolver(g, rd.SolverOptions(method="iterative"))
+        solver = rd.LaplacianSolver(g, "iterative")
         rd.approx_reff_from_source(g, 0, cfg, solver)
         inv, rank = cholesky_pinv(one_shot_probe_system(g, k, 5)[1])
         rho = (g.m / rank) * np.abs(inv).sum(axis=1).max()

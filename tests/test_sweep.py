@@ -70,13 +70,13 @@ class TestSweepLevelSets:
 
     def test_accepts_potential_vector(self):
         g = path_graph(3)
-        p = rd.st_potential(rd.LaplacianSolver(g), 0, 2)
+        p = rd.st_potential(rd.LaplacianSolver(g), 0, 2, 1e-8)
         prof = _level_profile(g, p, 0.25)
         assert prof.stats(0).subset.tolist() == [0]
 
     def test_monotone_prefix_volume(self, corpus):
         for g in corpus[:10]:
-            p = rd.st_potential(rd.LaplacianSolver(g), 0, g.n - 1)
+            p = rd.st_potential(rd.LaplacianSolver(g), 0, g.n - 1, 1e-8)
             prof = _level_profile(g, p, 0.25)
             prefix_vols = [prof.stats(i).volume if prof.inside[i]
                            else 2 * g.total_weight - prof.stats(i).volume
@@ -85,7 +85,7 @@ class TestSweepLevelSets:
 
     def test_reported_side_never_exceeds_half(self, corpus):
         for g in corpus[:10]:
-            p = rd.st_potential(rd.LaplacianSolver(g), 0, g.n - 1)
+            p = rd.st_potential(rd.LaplacianSolver(g), 0, g.n - 1, 1e-8)
             prof = _level_profile(g, p, 0.25)
             for i in range(prof.ends.size):
                 stats = prof.stats(i)
@@ -200,7 +200,7 @@ class TestFindSparseCut:
         g = log_uniform_mesh(46, 1.0, 10.0, seed=7)
         assert rd.LaplacianSolver(g).method == "sparse"
         auto = rd.find_sparse_cut(g)
-        pcg = rd.find_sparse_cut(g, opts=rd.SolverOptions(method="iterative"))
+        pcg = rd.find_sparse_cut(g, method="iterative")
         assert (auto.source, auto.sink) == (pcg.source, pcg.sink)
         assert auto.subset.tolist() == pcg.subset.tolist()
         assert auto.certificate_c == pytest.approx(pcg.certificate_c, rel=1e-9)
@@ -224,8 +224,7 @@ class TestFindSparseCut:
         # the tree-energy stop certifies PCG on skewed weights, where a
         # residual target from a worst-case spectral-gap bound is out of reach
         g = skewed(make(), spread)
-        opts = rd.SolverOptions(method="iterative")
-        res = rd.find_sparse_cut(g, opts=opts)
+        res = rd.find_sparse_cut(g, method="iterative")
         st = rd.cut_stats(g, res.subset)
         assert 0 < res.subset.size < g.n
         assert res.stats.subset.tolist() == st.subset.tolist()
@@ -234,9 +233,8 @@ class TestFindSparseCut:
         assert res.certificate_c == pytest.approx(
             st.conductance * st.volume ** (0.5 - res.epsilon), rel=1e-9)
         # the cut's potential is within its eta of the dense oracle
-        p = rd.st_potential(rd.LaplacianSolver(g, opts), res.source, res.sink, res.zeta)
-        exact = rd.st_potential(rd.LaplacianSolver(g, rd.SolverOptions(method="dense")),
-                                res.source, res.sink)
+        p = rd.st_potential(rd.LaplacianSolver(g, "iterative"), res.source, res.sink, res.zeta)
+        exact = rd.st_potential(rd.LaplacianSolver(g, "dense"), res.source, res.sink, 1e-8)
         assert p.eta == res.eta
         assert np.abs(p.values - exact.values).max() <= p.eta
 
