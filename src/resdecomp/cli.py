@@ -20,14 +20,15 @@ import numpy as np
 from . import __version__
 from .decompose import (C_LOSS, C_RES, DecompositionConfig, _verification_record,
                         partition_with_config, verify_partition)
-from .edgelist import read_edgelist, write_edgelist
+from .edgelist import format_edgelist, read_edgelist
 from .generators import _FAMILIES, generate
 from .graph import WeightedGraph
-from .linalg import METHODS, LaplacianSolver, _pair_component, exact_reff, st_potential
+from .linalg import (METHODS, LaplacianSolver, _pair_component, implied_potential_accuracy,
+                     st_potential)
 from .sketch import DEFAULT_BETA, SketchConfig
 from .sweep import DEFAULT_EPSILON, find_sparse_cut
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class _UsageError(Exception):
@@ -69,11 +70,18 @@ def _digest(g: WeightedGraph, path: str | None) -> dict:
     }
 
 
+def _write(path: str, text: str, what: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {what} {path!r}: {exc}") from exc
+
+
 def _emit(report: dict, out_path: str | None) -> None:
     text = json.dumps(_round_floats(report), indent=2, sort_keys=True) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out_path, text, "report")
     else:
         sys.stdout.write(text)
 
@@ -117,7 +125,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--graph", required=True)
     p.add_argument("-s", "--source", dest="s", type=int, required=True)
     p.add_argument("-t", "--sink", dest="t", type=int, required=True)
-    p.add_argument("--exact", action="store_true", help="force the dense oracle")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--timing", action="store_true")
     p.add_argument("--zeta", type=float, default=1e-8,
@@ -195,7 +202,7 @@ def _cmd_gen(args) -> dict:
     _, wanted = _FAMILIES[args.family]
     params = {k: getattr(args, k) for k in wanted if getattr(args, k) is not None}
     g = generate(args.family, **params)
-    write_edgelist(g, args.out)
+    _write(args.out, format_edgelist(g), "edge list")
     return {
         "input": _digest(g, args.out),
         "config": {"family": args.family, **params},
@@ -204,23 +211,20 @@ def _cmd_gen(args) -> dict:
 
 
 def _cmd_reff(args) -> dict:
+    if not 0 < args.zeta < 1:  # NaN fails too
+        raise ValueError(f"zeta must lie in (0, 1), got {args.zeta}")
     g = _load_graph(args.graph)
-    if args.exact:
-        value = exact_reff(g, args.s, args.t)
-        results = {"reff": value, "method": "exact"}
+    # solved on the component of s; the potential is zero at t
+    sub, s, t = _pair_component(g, args.s, args.t)
+    if s == t:  # no flow to route: the resistance is exactly zero
+        results = {"reff": 0.0, "eta": 0.0}
     else:
-        # solved on the component of s, as the dense oracle does
-        sub, s, t = _pair_component(g, args.s, args.t)
-        if s == t:  # no flow to route: the resistance is exactly zero
-            results = {"reff": 0.0, "method": "potential", "eta": 0.0}
-        else:
-            pot = st_potential(LaplacianSolver(sub, args.method), s, t, args.zeta)
-            results = {"reff": float(pot.values[s] - pot.values[t]),
-                       "method": "potential", "eta": pot.eta}
+        potential = st_potential(LaplacianSolver(sub, args.method), s, t, args.zeta)
+        results = {"reff": float(potential[s]),
+                   "eta": implied_potential_accuracy(sub, args.zeta)}
     return {
         "input": _digest(g, args.graph),
-        "config": {"s": args.s, "t": args.t, "exact": args.exact,
-                   "zeta": args.zeta, "method": args.method},
+        "config": {"s": args.s, "t": args.t, "zeta": args.zeta, "method": args.method},
         "results": results,
     }
 
@@ -251,9 +255,8 @@ def _cmd_decompose(args) -> dict:
     part, report = partition_with_config(g, config, _sketch_config(args), args.method)
     blocks = [b.tolist() for b in part.blocks]
     if args.partition_out:
-        with open(args.partition_out, "w", encoding="utf-8") as fh:
-            json.dump({"blocks": blocks}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write(args.partition_out,
+               json.dumps({"blocks": blocks}, indent=2, sort_keys=True) + "\n", "partition file")
     results = {
         "blocks": blocks,
         "num_blocks": len(part.blocks),
@@ -308,7 +311,8 @@ _COMMANDS = {
 
 def execute(argv) -> int:
     """Run one subcommand; returns 0 on success, 1 on usage error, 2 on a
-    computation error (which still emits a report with an error payload)."""
+    computation error (which still emits a report with an error payload)
+    or when the report's --out cannot be written (reported on stderr)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -326,7 +330,11 @@ def execute(argv) -> int:
     if args.timing:
         report["timing_seconds"] = time.monotonic() - started
     # gen's --out is the edge list; its report goes to stdout
-    _emit(report, args.out if args.command != "gen" else None)
+    try:
+        _emit(report, args.out if args.command != "gen" else None)
+    except ValueError as exc:  # the report's own --out cannot be written
+        print(exc, file=sys.stderr)
+        return 2
     return code
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DisconnectedGraphError
-from .graph import WeightedGraph, connected_components, induced_subgraph
+from .graph import WeightedGraph, _is_int, connected_components, induced_subgraph
 from .linalg import ORACLE_BLOCK_LIMIT, LaplacianSolver, _check_method
 from .sketch import TIE_TOLERANCE, SketchConfig, furthest_pair
 from .sweep import DEFAULT_EPSILON, _far_pair_cut
@@ -305,8 +305,7 @@ def _as_blocks(p) -> list[np.ndarray]:
     blocks = []
     for i, b in enumerate(raw):
         ids = b.tolist() if isinstance(b, np.ndarray) else b
-        if not isinstance(ids, (list, tuple, range)) or not all(
-                isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in ids):
+        if not isinstance(ids, (list, tuple, range)) or not all(map(_is_int, ids)):
             raise ValueError(f"block {i} is not a sequence of integer vertex ids")
         blocks.append(np.unique(np.asarray(ids, dtype=np.int64)))
     return blocks

@@ -9,6 +9,7 @@ the recursion, the solver and the resistance oracle share it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 import scipy.sparse as sp
@@ -93,20 +94,33 @@ class CutStats:
     conductance: float | None
 
 
+def _is_int(x) -> bool:
+    """Whether ``x`` is an integer by the dtype-kind test :func:`_subset_mask`
+    applies to id arrays: a Python or numpy int is, a bool or float is not."""
+    return np.dtype(type(x)).kind in "iu"
+
+
 def build_graph(n: int, edges) -> WeightedGraph:
     """Build a graph from an iterable of ``(u, v, w)`` triples.
 
     Parallel entries for the same unordered pair are merged by summing
-    weights; self-loops are dropped. Weights must be positive and finite;
-    the index of the first offending edge is reported otherwise.
+    weights; self-loops are dropped. ``n`` and the vertex ids must be
+    integers (bools and floats are not) and the weights positive and
+    finite; the index of the first offending edge is reported otherwise.
     """
-    if n < 0:
-        raise ValueError(f"vertex count must be non-negative, got {n}")
+    if not (_is_int(n) and n >= 0):
+        raise ValueError(f"vertex count must be a non-negative integer, got {n!r}")
     edges = list(edges)
     if not edges:
         empty = np.array([], dtype=np.int64)
         return WeightedGraph(n, empty, empty.copy(), np.array([], dtype=np.float64))
 
+    # _is_int's test once per distinct id type; the scan only names the first bad edge
+    id_types = {*map(type, map(itemgetter(0), edges)), *map(type, map(itemgetter(1), edges))}
+    if not all(np.dtype(t).kind in "iu" for t in id_types):
+        i = next(i for i, e in enumerate(edges) if not (_is_int(e[0]) and _is_int(e[1])))
+        u, v = edges[i][:2]
+        raise ValueError(f"edge {i}: vertex ids must be integers, got ({u!r}, {v!r})")
     eu = np.array([e[0] for e in edges], dtype=np.int64)
     ev = np.array([e[1] for e in edges], dtype=np.int64)
     ew = np.array([e[2] for e in edges], dtype=np.float64)

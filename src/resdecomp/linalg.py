@@ -32,7 +32,6 @@ few dozen iterations and nothing factors cheaply).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -75,19 +74,6 @@ METHODS = ("auto", "dense", "iterative")
 def _check_method(method: str) -> None:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-
-
-@dataclass(frozen=True)
-class PotentialVector:
-    """Per-vertex electric potentials of a unit source->sink flow.
-
-    Normalized so ``values[sink] == 0``. ``eta`` is the additive per-entry
-    accuracy implied by the solve tolerance that produced the vector.
-    """
-    values: np.ndarray
-    source: int
-    sink: int
-    eta: float
 
 
 def assemble_laplacian(g: WeightedGraph) -> sp.csr_matrix:
@@ -352,10 +338,11 @@ def implied_potential_accuracy(g: WeightedGraph, zeta: float) -> float:
     return float(zeta * (g.n - 1) / g.min_weight())
 
 
-def st_potential(solver: LaplacianSolver, s: int, t: int, zeta: float) -> PotentialVector:
+def st_potential(solver: LaplacianSolver, s: int, t: int, zeta: float) -> np.ndarray:
     """Electric potentials of the solver's graph for a unit flow injected at
     ``s`` and removed at ``t``, solved to ``zeta`` and shifted so the sink
-    potential is exactly zero."""
+    potential is exactly zero, as a read-only float64 array. Each entry is
+    within ``implied_potential_accuracy(graph, zeta)`` of the exact one."""
     g = solver.graph
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ValueError(f"vertices ({s}, {t}) out of range [0, {g.n})")
@@ -366,8 +353,7 @@ def st_potential(solver: LaplacianSolver, s: int, t: int, zeta: float) -> Potent
     x = solve_laplacian_many(solver, b, zeta)[0]
     values = x - x[t]
     values.flags.writeable = False
-    return PotentialVector(values=values, source=s, sink=t,
-                           eta=implied_potential_accuracy(g, zeta))
+    return values
 
 
 def _grounded_cholesky(g: WeightedGraph, ground: int) -> tuple:
@@ -446,11 +432,3 @@ def exact_reff_matrix(g: WeightedGraph) -> np.ndarray:
     if len(connected_components(g)) > 1:
         raise DisconnectedGraphError("resistance matrix requires a connected graph")
     return _grounded_reff_matrix(_grounded_cholesky(g, g.n - 1))
-
-
-def exact_resistance_diameter(g: WeightedGraph) -> float:
-    """Maximum effective resistance over all vertex pairs (dense oracle)."""
-    if g.n <= 1:
-        return 0.0
-    return float(exact_reff_matrix(g).max())
-

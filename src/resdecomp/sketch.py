@@ -44,7 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpotri, dpstrf
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, _is_int
 from .linalg import (ORACLE_BLOCK_LIMIT, ZETA_CAP, ZETA_FLOOR, LaplacianSolver,
                      solve_laplacian_many)
 
@@ -97,10 +97,6 @@ class SketchConfig:
         if self.probe_count is not None and not (_is_int(self.probe_count)
                                                  and self.probe_count >= 1):
             raise ValueError(f"probe_count must be a positive integer, got {self.probe_count!r}")
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _num_probes(cfg: SketchConfig, n: int) -> int:

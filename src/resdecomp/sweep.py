@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegeneratePotentialError
 from .graph import CutStats, WeightedGraph
-from .linalg import (LaplacianSolver, PotentialVector, required_solver_accuracy,
+from .linalg import (LaplacianSolver, implied_potential_accuracy, required_solver_accuracy,
                      st_potential)
 from .sketch import SketchConfig, furthest_pair
 
@@ -35,7 +35,7 @@ class CutResult:
     stats: CutStats
     epsilon: float
     certificate_c: float
-    target_c: float | None
+    target_c: float
     source: int
     sink: int
     reff_estimate: float
@@ -70,10 +70,10 @@ class _LevelProfile:
                         conductance=self.boundary[i] / volume if volume > 0 else None)
 
 
-def _level_profile(g: WeightedGraph, p, epsilon: float) -> _LevelProfile:
+def _level_profile(g: WeightedGraph, values, epsilon: float) -> _LevelProfile:
     if not (0 < epsilon < 0.5):
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
-    values = p.values if isinstance(p, PotentialVector) else np.asarray(p, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     if values.shape != (g.n,):
         raise ValueError(f"potential has shape {values.shape}, expected ({g.n},)")
     if g.n < 2:
@@ -139,18 +139,18 @@ def _far_pair_cut(solver: LaplacianSolver, epsilon: float,
 
     # additive potential accuracy that keeps the approximation error term
     # dominated by the resistance bound itself, floored so the solve
-    # tolerance stays representable
+    # tolerance stays representable; the solve's clamped zeta then implies
+    # the accuracy the potential really has
     eta = deg_term / (epsilon * target_c * math.sqrt(96.0 * math.sqrt(g.m) * math.log(g.n)))
-    eta = max(eta, 1e-12 * estimate)
-    zeta = required_solver_accuracy(g, eta)
+    zeta = required_solver_accuracy(g, max(eta, 1e-12 * estimate))
+    eta = implied_potential_accuracy(g, zeta)
 
-    potential = st_potential(solver, u, v, zeta)
-    prof = _level_profile(g, potential, epsilon)
+    prof = _level_profile(g, st_potential(solver, u, v, zeta), epsilon)
     best = int(np.argmin(prof.scores))
     stats = prof.stats(best)
 
-    slack = potential.eta * (48.0 * g.m ** (0.5 - epsilon) * math.log(g.n) + 2.0 * target_c) / target_c
+    slack = eta * (48.0 * g.m ** (0.5 - epsilon) * math.log(g.n) + 2.0 * target_c) / target_c
     return CutResult(subset=stats.subset, stats=stats, epsilon=epsilon,
                      certificate_c=float(prof.scores[best]), target_c=target_c,
                      source=u, sink=v, reff_estimate=estimate,
-                     eta=potential.eta, zeta=zeta, approx_slack=float(slack))
+                     eta=eta, zeta=zeta, approx_slack=float(slack))

@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 import resdecomp as rd
-from resdecomp import decompose, sweep
+from resdecomp import decompose, linalg, sweep
 from resdecomp.cli import execute
 from resdecomp.decompose import ORACLE_BLOCK_LIMIT
+
+from conftest import skewed
 
 
 def run(capsys, *argv):
@@ -59,7 +61,7 @@ class TestGen:
         assert code == 0
         lines = out_file.read_text().strip().splitlines()
         assert len(lines) == 12
-        assert report["schema"] == 2
+        assert report["schema"] == 3
         assert report["results"] == {"written": str(out_file), "n": 8, "m": 12}
 
     def test_round_trip_digest(self, capsys, tmp_path):
@@ -85,11 +87,17 @@ class TestGen:
 
 class TestReff:
     def test_exact_on_path(self, capsys, path3):
+        # --method dense is the exact answer: a direct solve; --exact is gone
         code, report = run_json(capsys, "reff", "--graph", path3,
-                                "-s", "0", "-t", "2", "--exact")
+                                "-s", "0", "-t", "2", "--method", "dense")
         assert code == 0
         assert report["results"]["reff"] == 2.0
-        assert report["results"]["method"] == "exact"
+        assert set(report["config"]) == {"s", "t", "zeta", "method"}
+        assert set(report["results"]) == {"reff", "eta"}
+        assert execute(["reff", "--graph", path3, "-s", "0", "-t", "2", "--exact"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --exact" in captured.err
 
     def test_potential_based(self, capsys, path3):
         code, report = run_json(capsys, "reff", "--graph", path3, "-s", "0", "-t", "2")
@@ -107,32 +115,54 @@ class TestReff:
         p = tmp_path / "two.txt"
         rd.write_edgelist(rd.build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)]), p)
         code, report = run_json(capsys, "reff", "--graph", str(p),
-                                "-s", "0", "-t", "3", "--exact")
+                                "-s", "0", "-t", "3", "--method", "dense")
         assert code == 2
         assert report["error"]["type"] == "InfiniteResistanceError"
 
     def test_potential_on_component_of_source(self, capsys, tmp_path):
-        # the solve runs on the component of -s, as --exact does
+        # the solve runs on the component of -s, as exact_reff does
         p = tmp_path / "two.txt"
         rd.write_edgelist(rd.build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)]), p)
         for s, t in ((0, 1), (3, 2)):
             code, report = run_json(capsys, "reff", "--graph", str(p), "-s", str(s), "-t", str(t))
             assert code == 0
             assert report["results"]["reff"] == pytest.approx(1.0, abs=1e-8)
-            assert report["results"]["method"] == "potential"
         code, report = run_json(capsys, "reff", "--graph", str(p), "-s", "0", "-t", "3")
         assert code == 2
         assert report["error"]["type"] == "InfiniteResistanceError"
 
     def test_same_vertex_is_zero_on_both_paths(self, capsys, path3, monkeypatch):
-        # s = t routes no flow: the potential path reports 0.0 without a
-        # solve, as the exact path does
+        # s = t routes no flow: a direct and an iterative method both
+        # report 0.0 without building a solver
+        monkeypatch.setattr("resdecomp.cli.LaplacianSolver", None)
         monkeypatch.setattr("resdecomp.cli.st_potential", None)
-        for extra, method in (([], "potential"), (["--exact"], "exact")):
-            code, report = run_json(capsys, "reff", "--graph", path3, "-s", "1", "-t", "1", *extra)
+        for method in ("dense", "iterative"):
+            code, report = run_json(capsys, "reff", "--graph", path3, "-s", "1", "-t", "1",
+                                    "--method", method)
             assert code == 0
-            assert report["results"]["reff"] == 0.0
-            assert report["results"]["method"] == method
+            assert report["results"] == {"reff": 0.0, "eta": 0.0}
+
+    @pytest.mark.parametrize("method", ["dense", "auto", "iterative"],
+                             ids=["dense", "sparse", "iterative"])
+    def test_swapped_pair_gives_identical_report(self, capsys, tmp_path, monkeypatch, method):
+        # every backend answers Reff(s, t) and Reff(t, s) with the same bits
+        g = skewed(rd.grid2d(12), 1e2)
+        p = tmp_path / "g.txt"
+        rd.write_edgelist(g, p)
+        monkeypatch.setattr(linalg, "DENSE_SOLVE_LIMIT", 16)  # auto takes sparse LU here
+        if method == "auto":
+            assert rd.LaplacianSolver(g).method == "sparse"
+        reports = []
+        for s, t in (("5", "140"), ("140", "5")):
+            code, report = run_json(capsys, "reff", "--graph", str(p), "-s", s, "-t", t,
+                                    "--method", method)
+            assert code == 0
+            assert (report["config"].pop("s"), report["config"].pop("t")) == (int(s), int(t))
+            reports.append(report)
+        assert reports[0] == reports[1]
+        solver = rd.LaplacianSolver(g, method)
+        assert (rd.st_potential(solver, 5, 140, 1e-8)[5].hex()
+                == rd.st_potential(solver, 140, 5, 1e-8)[140].hex())
 
     def test_malformed_edge_list_reports_line(self, capsys, tmp_path):
         p = tmp_path / "bad.txt"
@@ -158,11 +188,14 @@ class TestReff:
 
     @pytest.mark.parametrize("zeta", ["0", "1", "nan"])
     def test_unusable_zeta_is_value_error(self, capsys, path3, zeta):
-        code, report = run_json(capsys, "reff", "--graph", path3, "-s", "0", "-t", "2",
-                                "--zeta", zeta)
-        assert code == 2
-        assert report["error"]["type"] == "ValueError"
-        assert "zeta" in report["error"]["message"]
+        # checked first: on s = t too, where nothing is solved, and before
+        # the graph file is read
+        for graph, s, t in ((path3, "0", "2"), (path3, "1", "1"), ("/nonexistent.txt", "0", "5")):
+            code, report = run_json(capsys, "reff", "--graph", graph, "-s", s, "-t", t,
+                                    "--zeta", zeta)
+            assert code == 2
+            assert report["error"]["type"] == "ValueError"
+            assert report["error"]["message"].startswith("zeta must lie in (0, 1)")
 
     @pytest.mark.parametrize("flag", ["--probes", "--seed", "--beta"])
     def test_sketch_flags_are_usage_errors(self, capsys, path3, flag):
@@ -350,6 +383,31 @@ class TestDecomposeVerify:
         assert code == 2
         assert report["error"]["type"] == "ValueError"
         assert "not a sequence of integer" in report["error"]["message"]
+
+
+class TestUnwritableOutput:
+    def test_partition_out_is_value_error(self, capsys, barbell4, tmp_path):
+        path = str(tmp_path / "missing" / "p.json")
+        code, report = run_json(capsys, "decompose", "--graph", barbell4, "--delta", "4",
+                                "--partition-out", path)
+        assert code == 2
+        assert report["error"]["type"] == "ValueError"
+        assert report["error"]["message"].startswith(f"cannot write partition file {path!r}")
+
+    def test_gen_out_is_value_error(self, capsys, tmp_path):
+        path = str(tmp_path / "missing" / "g.txt")
+        code, report = run_json(capsys, "gen", "--family", "hypercube", "--dim", "3",
+                                "--out", path)
+        assert code == 2
+        assert report["error"]["type"] == "ValueError"
+        assert report["error"]["message"].startswith(f"cannot write edge list {path!r}")
+
+    def test_report_out_goes_to_stderr(self, capsys, barbell4, tmp_path):
+        path = str(tmp_path / "missing" / "c.json")
+        assert execute(["cut", "--graph", barbell4, "--out", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot write report {path!r}")
 
 
 class TestReportDiscipline:

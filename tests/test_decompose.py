@@ -108,7 +108,7 @@ class TestPartition:
         assert len(part.blocks) == 1
         assert part.blocks[0].tolist() == list(range(8))
         assert report.loss_fraction == 0.0
-        assert report.config.resistance_target >= rd.exact_resistance_diameter(rd.complete(8))
+        assert report.config.resistance_target >= rd.exact_reff_matrix(rd.complete(8)).max()
 
     def test_two_triangles_bridge_splits(self):
         g = two_triangles_bridge()
@@ -436,7 +436,7 @@ class TestVerifyPartition:
         assert rec.loss_ok
         assert len(rec.block_rdiams) == 1
         assert rec.block_rdiams[0].value == pytest.approx(
-            rd.exact_resistance_diameter(g), rel=1e-9)
+            rd.exact_reff_matrix(g).max(), rel=1e-9)
 
     def test_singletons_on_k3(self):
         g = rd.complete(3)

@@ -41,6 +41,27 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="edge 1"):
             rd.build_graph(2, [(0, 1, 1.0), (0, 1, bad)])
 
+    @pytest.mark.parametrize("edges, index", [
+        ([(0.7, 1, 1.0), (True, 2, 2.0)], 0),
+        ([(0, 1, 1.0), (True, 2, 2.0)], 1),
+        ([(0, 1, 1.0), (1, np.float64(2.0), 1.0)], 1),
+        ([(0, 1, 1.0), (1, 2, 1.0), (np.bool_(False), 2, 1.0)], 2),
+        ([(0, "1", 1.0)], 0),
+    ], ids=["float", "bool-among-ints", "numpy-float", "numpy-bool", "str"])
+    def test_rejects_non_integer_ids_with_index(self, edges, index):
+        # not truncated or read as 0/1
+        with pytest.raises(ValueError, match=f"edge {index}: vertex ids must be integers"):
+            rd.build_graph(3, edges)
+
+    @pytest.mark.parametrize("n", [2.9, 3.0, True, "3"])
+    def test_rejects_non_integer_vertex_count(self, n):
+        with pytest.raises(ValueError, match="vertex count must be a non-negative integer"):
+            rd.build_graph(n, [(0, 1, 1.0)])
+
+    def test_numpy_integer_ids_and_count(self):
+        g = rd.build_graph(np.int64(3), [(np.int32(0), np.uint8(2), 1.0)])
+        assert (g.n, g.edge_u.tolist(), g.edge_v.tolist()) == (3, [0], [2])
+
     def test_rejects_out_of_range_vertex(self):
         with pytest.raises(ValueError, match="out of range"):
             rd.build_graph(2, [(0, 2, 1.0)])

@@ -363,57 +363,61 @@ class TestStPotential:
     def test_single_edge(self):
         g = rd.build_graph(2, [(0, 1, 1.0)])
         p = rd.st_potential(rd.LaplacianSolver(g), 0, 1, 1e-8)
-        assert p.values[1] == 0.0
-        assert p.values[0] == pytest.approx(1.0, abs=1e-10)
+        assert p[1] == 0.0
+        assert p[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_path_linear_drop(self):
         p = rd.st_potential(rd.LaplacianSolver(path_graph(3)), 0, 2, 1e-8)
-        assert np.allclose(p.values, [2.0, 1.0, 0.0], atol=1e-10)
+        assert np.allclose(p, [2.0, 1.0, 0.0], atol=1e-10)
 
     def test_triangle_against_pinv_oracle(self):
         g = rd.complete(3)
         expected = dense_pinv_solution(g, _unit_pair_rhs(3, 0, 1))
         expected -= expected[1]
         p = rd.st_potential(rd.LaplacianSolver(g), 0, 1, 1e-8)
-        assert np.allclose(p.values, expected, atol=1e-10)
-        assert np.allclose(p.values, [2 / 3, 0.0, 1 / 3], atol=1e-10)
+        assert np.allclose(p, expected, atol=1e-10)
+        assert np.allclose(p, [2 / 3, 0.0, 1 / 3], atol=1e-10)
 
     def test_sink_exactly_zero(self, corpus):
         for g in corpus[:10]:
             p = rd.st_potential(rd.LaplacianSolver(g), 0, g.n - 1, 1e-8)
-            assert p.values[g.n - 1] == 0.0
+            assert p[g.n - 1] == 0.0
 
     def test_maximum_principle_within_slack(self, corpus):
         for g in corpus[:20]:
             p = rd.st_potential(rd.LaplacianSolver(g), 0, g.n - 1, 1e-8)
-            slack = 2 * p.eta + 1e-12
-            assert p.values.max() <= p.values[0] + slack
-            assert p.values.min() >= p.values[g.n - 1] - slack
+            slack = 2 * rd.implied_potential_accuracy(g, 1e-8) + 1e-12
+            assert p.max() <= p[0] + slack
+            assert p.min() >= p[g.n - 1] - slack
 
     def test_same_vertex_rejected(self):
         with pytest.raises(ValueError, match="differ"):
             rd.st_potential(rd.LaplacianSolver(path_graph(3)), 1, 1, 1e-8)
 
     def test_each_solve_takes_its_own_zeta(self):
-        # one PCG solver, a loose solve, then a tight one: the tight solve
-        # and its eta do not depend on the solve before it
+        # one PCG solver, a loose solve, then a tight one: each is within
+        # the accuracy its own zeta implies, and the tight solve does not
+        # depend on the solve before it
         g = rd.grid2d(5)
         solver = rd.LaplacianSolver(g, "iterative")
+        exact = rd.st_potential(rd.LaplacianSolver(g, "dense"), 0, g.n - 1, 1e-8)
         loose = rd.st_potential(solver, 0, g.n - 1, 0.5)
-        assert loose.eta == rd.implied_potential_accuracy(g, 0.5)
+        assert np.abs(loose - exact).max() <= rd.implied_potential_accuracy(g, 0.5)
         p = rd.st_potential(solver, 0, g.n - 1, 1e-10)
-        assert p.eta == rd.implied_potential_accuracy(g, 1e-10)
-        assert p.values[0] == pytest.approx(rd.exact_reff(g, 0, g.n - 1), abs=1e-8)
+        assert np.abs(p - exact).max() <= rd.implied_potential_accuracy(g, 1e-10)
+        assert p[0] == pytest.approx(rd.exact_reff(g, 0, g.n - 1), abs=1e-8)
 
     @pytest.mark.parametrize("zeta", [np.nan, 0.0, 1.0])
     def test_zeta_validated(self, zeta):
         with pytest.raises(ValueError, match="zeta"):
             rd.st_potential(rd.LaplacianSolver(path_graph(3)), 0, 2, zeta)
 
-    def test_eta_metadata_matches_inverse_formula(self):
-        g = path_graph(3)
-        p = rd.st_potential(rd.LaplacianSolver(g), 0, 2, 1e-6)
-        assert p.eta == pytest.approx(rd.implied_potential_accuracy(g, 1e-6))
+    def test_read_only_float64_array(self):
+        p = rd.st_potential(rd.LaplacianSolver(path_graph(3)), 0, 2, 1e-8)
+        assert type(p) is np.ndarray and p.dtype == np.float64 and p.shape == (3,)
+        assert not p.flags.writeable
+        with pytest.raises(ValueError):
+            p[0] = 1.0
 
 
 class TestExactReff:
@@ -469,7 +473,7 @@ class TestExactReff:
         assert rd.exact_reff_matrix(rd.build_graph(1, [])).tolist() == [[0.0]]
 
     def test_resistance_diameter(self):
-        assert rd.exact_resistance_diameter(path_graph(5)) == pytest.approx(4.0, rel=1e-9)
+        assert rd.exact_reff_matrix(path_graph(5)).max() == pytest.approx(4.0, rel=1e-9)
 
 
 class TestResistanceProperties:
@@ -477,7 +481,7 @@ class TestResistanceProperties:
         for g in corpus[:15]:
             zeta = rd.required_solver_accuracy(g, 1e-8)
             p = rd.st_potential(rd.LaplacianSolver(g), 0, g.n - 1, zeta)
-            drop = p.values[0] - p.values[g.n - 1]
+            drop = p[0] - p[g.n - 1]
             assert abs(drop - rd.exact_reff(g, 0, g.n - 1)) <= 1e-6
 
     def test_metric_axioms(self, corpus):

@@ -68,7 +68,7 @@ class TestSweepLevelSets:
         with pytest.raises(ValueError):
             _level_profile(path_graph(3), np.array([2.0, 1.0, 0.0]), 0.5)
 
-    def test_accepts_potential_vector(self):
+    def test_accepts_st_potential(self):
         g = path_graph(3)
         p = rd.st_potential(rd.LaplacianSolver(g), 0, 2, 1e-8)
         prof = _level_profile(g, p, 0.25)
@@ -154,7 +154,7 @@ class TestFindSparseCut:
         assert res.certificate_c == min(prof.scores)
         # the diameter really is tiny here, so no useful sparse cut exists:
         # the target derived from Reff = 1/4 sits above every balanced score
-        assert rd.exact_resistance_diameter(g) == pytest.approx(0.25, rel=1e-9)
+        assert rd.exact_reff_matrix(g).max() == pytest.approx(0.25, rel=1e-9)
         expected_target = math.sqrt(2 * 7 ** -0.5 / (res.reff_estimate * 0.25))
         assert res.target_c == pytest.approx(expected_target, rel=1e-9)
 
@@ -181,7 +181,7 @@ class TestFindSparseCut:
         triggered = 0
         for g in graphs:
             res = rd.find_sparse_cut(g, 0.25)
-            rdiam = rd.exact_resistance_diameter(g)
+            rdiam = rd.exact_reff_matrix(g).max()
             if rdiam > CERTIFICATE_DIAMETER_FACTOR * res.reff_estimate:
                 triggered += 1
                 assert res.certificate_c <= res.target_c
@@ -232,11 +232,12 @@ class TestFindSparseCut:
         assert res.stats.volume == pytest.approx(st.volume, rel=1e-9)
         assert res.certificate_c == pytest.approx(
             st.conductance * st.volume ** (0.5 - res.epsilon), rel=1e-9)
-        # the cut's potential is within its eta of the dense oracle
+        # the cut's eta is the accuracy its zeta implies, and its potential
+        # is within that eta of the dense oracle
+        assert res.eta == rd.implied_potential_accuracy(g, res.zeta)
         p = rd.st_potential(rd.LaplacianSolver(g, "iterative"), res.source, res.sink, res.zeta)
         exact = rd.st_potential(rd.LaplacianSolver(g, "dense"), res.source, res.sink, 1e-8)
-        assert p.eta == res.eta
-        assert np.abs(p.values - exact.values).max() <= p.eta
+        assert np.abs(p - exact).max() <= res.eta
 
     def test_deterministic(self):
         g = rd.grid2d(6)
