@@ -311,8 +311,9 @@ _COMMANDS = {
 
 def execute(argv) -> int:
     """Run one subcommand; returns 0 on success, 1 on usage error, 2 on a
-    computation error (which still emits a report with an error payload)
-    or when the report's --out cannot be written (reported on stderr)."""
+    computation error, running out of memory included (which still emits a
+    report with an error payload), or when the report's --out cannot be
+    written (reported on stderr)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -324,7 +325,7 @@ def execute(argv) -> int:
     code = 0
     try:
         report.update(_COMMANDS[args.command](args))
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = 2
     if args.timing:

@@ -148,9 +148,17 @@ def build_graph(n: int, edges) -> WeightedGraph:
 
 def _subset_mask(g: WeightedGraph, s) -> np.ndarray:
     """Membership mask of the vertex ids ``s``. Ids that are not integers
-    (a boolean mask or floats) are a ValueError rather than being read as
-    0/1 or truncated; an empty ``s`` of any dtype is the empty set."""
-    ids = np.asarray(list(s) if not isinstance(s, np.ndarray) else s)
+    (a boolean mask, bools among ints, or floats) are a ValueError rather
+    than being read as 0/1 or truncated; an empty ``s`` of any dtype is the
+    empty set."""
+    if not isinstance(s, np.ndarray):
+        s = list(s)
+        # numpy promotes [True, 2] to int64 before the dtype test below, so
+        # the ids are tested once per distinct type, as build_graph does
+        if not all(map(_is_int, {type(x): x for x in s}.values())):
+            bad = next(x for x in s if not _is_int(x))
+            raise ValueError(f"vertex ids must be integers, got {bad!r}")
+    ids = np.asarray(s)
     if ids.size and ids.dtype.kind not in "iu":
         raise ValueError(f"vertex ids must be integers, got dtype {ids.dtype}")
     ids = np.unique(ids.astype(np.int64, copy=False))

@@ -274,11 +274,24 @@ def solve_laplacian_many(solver: LaplacianSolver, B: np.ndarray, zeta: float) ->
     """Solve L X[i] = B[i] for a batch of zero-sum right-hand-side rows.
 
     Each row satisfies the energy-norm accuracy contract for ``zeta`` and is
-    orthogonal to the all-ones vector.
+    orthogonal to the all-ones vector. ``B`` is left unchanged.
     """
+    # C order whatever the order of B, so each direct solve's row mean is
+    # summed along a contiguous row
+    X = np.array(B, dtype=np.float64, order="C")
+    _solve_in_place(solver, X, zeta)
+    return X
+
+
+def _solve_in_place(solver: LaplacianSolver, B: np.ndarray, zeta: float) -> None:
+    """:func:`solve_laplacian_many` on a writable float64 batch whose rows it
+    overwrites with their solutions, so the batch is the only k×n array the
+    solve holds: PCG writes each row after its own solve, the direct
+    backends write the grounded solution into ``B[:, :-1]`` (the dense one
+    through LAPACK's copy of the batch), zero the last column and subtract
+    the row means."""
     if not (0 < zeta < 1):
         raise ValueError(f"zeta must lie in (0, 1), got {zeta}")
-    B = np.asarray(B, dtype=np.float64)
     n = solver.graph.n
     if B.ndim != 2 or B.shape[1] != n:
         raise ValueError(f"batch must have shape (k, {n}), got {B.shape}")
@@ -289,26 +302,23 @@ def solve_laplacian_many(solver: LaplacianSolver, B: np.ndarray, zeta: float) ->
             raise ValueError("every right-hand side row must be finite")
         if (np.abs(rows.sum(axis=1)) > 1e-12 * np.maximum(1.0, np.abs(rows).sum(axis=1))).any():
             raise ValueError("every right-hand side row must sum to zero")
-    if not B.any():  # includes n = 1, where nothing is factored
-        return np.zeros_like(B)
+    if not B.any():  # every row is its own solution; includes n = 1
+        return
     if solver.method == "iterative":
-        X = np.zeros_like(B)
         for i in range(B.shape[0]):
             if B[i].any():
-                X[i] = _pcg(solver, B[i], zeta)
-        return X
+                B[i] = _pcg(solver, B[i], zeta)
+        return
     # direct backends: solve the grounded system, pad the grounded vertex
-    # with zero, then remove the mean. X is C-ordered whatever the order of
-    # B, so each row mean is summed along a contiguous row.
-    X = np.zeros(B.shape)
+    # with zero, then remove the mean
     if solver.method == "dense":
-        X[:, :-1] = sla.cho_solve(solver._factor, B[:, :-1].T, check_finite=False).T
+        B[:, :-1] = sla.cho_solve(solver._factor, B[:, :-1].T, check_finite=False).T
     else:
         for i in range(0, B.shape[0], SPARSE_SOLVE_CHUNK):
             chunk = slice(i, i + SPARSE_SOLVE_CHUNK)
-            X[chunk, :-1] = solver._factor.solve(B[chunk, :-1].T).T
-    X -= X.mean(axis=1, keepdims=True)
-    return X
+            B[chunk, :-1] = solver._factor.solve(B[chunk, :-1].T).T
+    B[:, -1] = 0.0
+    B -= B.mean(axis=1, keepdims=True)
 
 
 def required_solver_accuracy(g: WeightedGraph, eta: float) -> float:

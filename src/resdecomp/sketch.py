@@ -25,15 +25,16 @@ the corrected estimate would only reproduce the quadratic form exactly. In
 this exact regime, on graphs of at most ``ORACLE_BLOCK_LIMIT`` vertices, the
 sketch draws no probes and returns row u of the solver's all-pairs
 resistance matrix, which the solver keeps for the block certificate. That
-n×n matrix is never larger than the two k×n arrays it replaces, as
+n×n matrix is at most one row larger than the k×n array it replaces, as
 k ≥ m ≥ n − 1. A larger graph draws min(k, m) probes.
 
 Memory on the probe path: with k probes, a sketch holds the k×m probe signs
-as int8 (k·m bytes), drawn a few rows at a time, plus two k×n float64
-arrays: the probe right-hand sides, later overwritten by the Gram-corrected
-solutions, and the solutions. Sparse-LU and PCG solves add only per-chunk
-temporaries; a dense solve (at most ``DENSE_SOLVE_LIMIT`` vertices) copies
-the batch for LAPACK.
+as int8 (k·m bytes), drawn a few rows at a time and freed before the
+solves, plus one k×n float64 array: the probe right-hand sides, which the
+solves overwrite with their solutions. The Gram correction then takes
+``_CORRECTION_BLOCK`` vertex columns at a time. Sparse-LU and PCG solves
+add only per-chunk temporaries; a dense solve (at most
+``DENSE_SOLVE_LIMIT`` vertices) adds LAPACK's copy of the batch.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from scipy.linalg.lapack import dpotri, dpstrf
 
 from .graph import WeightedGraph, _is_int
 from .linalg import (ORACLE_BLOCK_LIMIT, ZETA_CAP, ZETA_FLOOR, LaplacianSolver,
-                     solve_laplacian_many)
+                     _solve_in_place)
 
 # Probe budget ceil(C * ln n / beta^2). C = 8 is a conservative
 # Johnson-Lindenstrauss constant folding in a per-graph failure
@@ -70,6 +71,9 @@ TIE_TOLERANCE = 1e-9
 # temporaries, neither changes a bit of its output.
 _PROBE_CHUNK = 32
 _GRAM_BLOCK = 1024
+# Vertex columns per step of the Gram correction: it bounds the correction's
+# k×block temporaries. The product's last bits can depend on the block width.
+_CORRECTION_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -125,8 +129,8 @@ def _probe_system(g: WeightedGraph, k: int, seed: int) -> tuple[np.ndarray, np.n
     """The k×n right-hand sides ``B^T W^{1/2} q_i`` (each row zero-sum) and
     the k×k probe Gram for k signed probes q_i drawn from ``seed``.
 
-    Probe rows are drawn a chunk at a time, which reproduces the one-shot
-    k×m draw of the generator bit for bit, and kept as int8.
+    Probe rows are drawn a chunk at a time as int32, which reproduces the
+    one-shot k×m int64 draw of the generator bit for bit, and kept as int8.
     """
     m, n = g.m, g.n
     eu, ev, ew = g.edges()
@@ -141,8 +145,10 @@ def _probe_system(g: WeightedGraph, k: int, seed: int) -> tuple[np.ndarray, np.n
     rhs = np.empty((k, n))
     for start in range(0, k, _PROBE_CHUNK):
         stop = min(start + _PROBE_CHUNK, k)
-        signs = rng.integers(0, 2, size=(stop - start, m)) * 2 - 1
-        probes[start:stop] = signs
+        signs = probes[start:stop]
+        signs[...] = rng.integers(0, 2, size=(stop - start, m), dtype=np.int32)
+        signs *= 2
+        signs -= 1
         rhs[start:stop] = incidence_t.dot(np.ascontiguousarray(signs.T, dtype=np.float64)).T
     # The Gram of ±1 probes is integer-valued. Within a block every partial
     # sum is an integer of magnitude at most _GRAM_BLOCK < 2^24, so float32
@@ -232,12 +238,15 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
     inv = np.zeros((k, k))
     inv[np.ix_(pivots, pivots)] = np.triu(lead) + np.triu(lead, 1).T
     zeta = _probe_zeta(inv, rank, m, cfg.beta)
-    Z = solve_laplacian_many(solver, rhs, zeta)
+    # the right-hand sides become the solutions: the sketch's one k×n array
+    Z = rhs
+    _solve_in_place(solver, Z, zeta)
     Z -= Z[:, [u]]  # column v holds Q·W^{1/2}B·L†(e_u − e_v)
-    # the spent right-hand sides take the corrected probes in one product;
-    # splitting it by columns moves last bits
-    np.matmul(inv, Z, out=rhs)
-    estimates = (m / rank) * np.einsum("iv,iv->v", Z, rhs)
+    estimates = np.empty(g.n)
+    for start in range(0, g.n, _CORRECTION_BLOCK):
+        block = Z[:, start:start + _CORRECTION_BLOCK]
+        estimates[start:start + _CORRECTION_BLOCK] = np.einsum("iv,iv->v", block, inv @ block)
+    estimates *= m / rank
     estimates[u] = 0.0
 
     # a vanishing estimate for v != u means the probes missed that
@@ -249,8 +258,8 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
         pairs = np.zeros((bad.size, g.n))
         pairs[:, u] = 1.0
         pairs[rows, bad] = -1.0
-        X = solve_laplacian_many(solver, pairs, zeta)
-        estimates[bad] = X[:, u] - X[rows, bad]
+        _solve_in_place(solver, pairs, zeta)
+        estimates[bad] = pairs[:, u] - pairs[rows, bad]
     estimates.flags.writeable = False
     return estimates
 

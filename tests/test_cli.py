@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import resdecomp as rd
-from resdecomp import decompose, linalg, sweep
+from resdecomp import cli, decompose, linalg, sweep
 from resdecomp.cli import execute
 from resdecomp.decompose import ORACLE_BLOCK_LIMIT
 
@@ -243,6 +243,17 @@ class TestCut:
         assert code == 2
         assert report["error"]["type"] == "ValueError"
         assert "beta" in report["error"]["message"]
+
+    def test_memory_error_is_computation_error(self, capsys, barbell4, monkeypatch):
+        # a probe sketch too large for memory is reported like any other
+        # computation error
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 21.8 GiB")
+
+        monkeypatch.setattr(cli, "find_sparse_cut", out_of_memory)
+        code, report = run_json(capsys, "cut", "--graph", barbell4)
+        assert code == 2
+        assert report["error"] == {"type": "MemoryError", "message": "Unable to allocate 21.8 GiB"}
 
     def test_huge_beta_runs_one_probe(self, capsys, barbell4):
         code, report = run_json(capsys, "cut", "--graph", barbell4, "--beta", "1e308")

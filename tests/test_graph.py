@@ -124,9 +124,12 @@ class TestCutStats:
 
     @pytest.mark.parametrize("ids", [
         np.isin(np.arange(9), [4, 5, 7, 8]), [True, False], [0.9, 2.7], np.array([1.0, 2.0]),
-    ], ids=["bool-mask", "bool-list", "float-list", "float-array"])
+        [True, 2], [0, True, 2], (np.int64(0), np.bool_(True)),
+    ], ids=["bool-mask", "bool-list", "float-list", "float-array", "bool-among-ints",
+            "bool-between-ints", "numpy-bool-among-numpy-ints"])
     def test_non_integer_ids_rejected(self, ids):
-        # a boolean mask was read as the ids 0 and 1, and floats truncated
+        # a boolean mask was read as the ids 0 and 1, and floats truncated;
+        # numpy reads a bool among ints as 0 or 1
         g = rd.grid2d(3)
         for fn in (rd.cut_stats, rd.induced_subgraph):
             with pytest.raises(ValueError, match="integers"):

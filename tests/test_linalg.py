@@ -309,9 +309,24 @@ class TestLaplacianSolver:
         assert (rd.solve_laplacian_many(shared, B[2:], 1e-6).tobytes()
                 == rd.solve_laplacian_many(fresh, B[2:], 1e-6).tobytes())
 
+    @pytest.mark.parametrize("method", ["dense", "sparse", "iterative"])
+    def test_batch_left_unchanged(self, method, monkeypatch):
+        # the solutions go to a copy: only the sketch's private in-place
+        # solve overwrites its right-hand sides
+        g = rd.grid2d(12)
+        if method == "sparse":
+            monkeypatch.setattr(linalg, "DENSE_SOLVE_LIMIT", g.n - 1)
+        solver = rd.LaplacianSolver(g, "iterative" if method == "iterative" else "auto")
+        assert solver.method == method
+        B = np.random.default_rng(9).normal(size=(3, g.n))
+        B -= B.mean(axis=1, keepdims=True)
+        before = B.copy()
+        X = rd.solve_laplacian_many(solver, B, 1e-8)
+        assert np.array_equal(B, before) and not np.shares_memory(X, B)
+
     @pytest.mark.parametrize("method", ["dense", "sparse"])
     def test_direct_solve_independent_of_batch_order(self, method, monkeypatch):
-        # the sketch hands in Fortran-ordered batches; the row means of a
+        # a caller may hand in a Fortran-ordered batch; the row means of a
         # direct solve must be summed as for a C-ordered copy
         g = rd.grid2d(12)
         if method == "sparse":
