@@ -8,8 +8,11 @@ once, with one of three backends:
 - "dense": a Cholesky factor of the grounded Laplacian, written straight
   from the edge arrays and factored in place;
 - "sparse": a sparse LU factor (SuperLU) of the grounded Laplacian;
-- "iterative": Jacobi-preconditioned conjugate gradient, stopped by a
-  certificate of the contract built from one spanning tree.
+- "iterative": Jacobi-preconditioned conjugate gradient, run as plain
+  conjugate gradient on D^{-1/2} L D^{-1/2} (D the weighted degrees) with
+  in-place BLAS updates, stopped by a certificate of the contract built
+  from one spanning tree. Its dot products are summed in fixed blocks, so
+  its bits do not depend on the BLAS thread count.
 
 The sparse Laplacian is assembled only for the backends that read it:
 sparse LU, PCG and the fill probe.
@@ -32,6 +35,7 @@ few dozen iterations and nothing factors cheaply).
 """
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -39,6 +43,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import daxpy, ddot, dscal
 
 from .errors import ConvergenceError, DisconnectedGraphError, InfiniteResistanceError
 from .graph import WeightedGraph, connected_components, induced_subgraph
@@ -65,6 +70,9 @@ _CHECK_CHUNK = 64
 # keeps the value a valid relative tolerance.
 ZETA_FLOOR = 1e-13
 ZETA_CAP = 0.5
+# PCG sums its dot products over blocks of at most this many entries:
+# OpenBLAS splits longer ones across its threads.
+_DOT_BLOCK = 10000
 # Iterations one PCG solve may take before ConvergenceError; read per solve.
 PCG_MAX_ITERATIONS = 20000
 # The methods a caller may ask for; "auto" picks a backend per graph.
@@ -102,10 +110,14 @@ class LaplacianSolver:
     Laplacian: dense Cholesky writes it from the edge arrays and factors it
     in place, sparse LU factors the sparse L. :attr:`laplacian`, the sparse
     L, is assembled on first use, so only the fill probe, sparse LU and PCG
-    build it. PCG builds its shortest-path spanning tree from vertex 0
-    (edge lengths 1/w) on its first solve; the tree's flow energy certifies
-    each stop: PCG stops once the tree energy of the residual is at most
-    ζ²‖b‖²/(2·max deg).
+    build it. PCG is conjugate gradient on D^{-1/2} L D^{-1/2}, which it
+    builds on its first solve beside its shortest-path spanning tree from
+    vertex 0 (edge lengths 1/w); the tree's flow energy certifies each
+    stop: PCG stops once the tree energy of the residual is at most
+    ζ²‖b‖²/(2·max deg). Within a batch, each row after the first evaluates
+    that energy at the threshold carried from the row before, so it
+    usually checks once. Its dot products are summed in fixed blocks of
+    10⁴ entries, so PCG's bits do not depend on the BLAS thread count.
     :meth:`reff_matrix` inverts the grounded factor once, on first use, and
     keeps the result. Build one solver per graph and hand it to every solve
     on that graph: the sketch (or, in its exact regime, a row of the
@@ -141,7 +153,6 @@ class LaplacianSolver:
                                      options=dict(SymmetricMode=True))
             return
         # λmax ≤ 2·max deg (Gershgorin) lower-bounds ‖L†b‖²_L by ‖b‖²/λmax.
-        self._inv_diag = 1.0 / g.degrees
         self._lambda_max = 2.0 * float(g.degrees.max())
 
     @cached_property
@@ -155,6 +166,18 @@ class LaplacianSolver:
         """PCG's certificate tree, built on first use: a solver that is only
         factored, e.g. for a block certificate, never pays for it."""
         return _spanning_tree(self.graph)
+
+    @cached_property
+    def _scaled(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+        """PCG's operator D^{-1/2} L D^{-1/2}, built on first use, with √deg
+        and 1/√deg. Its CSR shares L's index arrays; only the data is new."""
+        L = self.laplacian
+        sqrt_deg = np.sqrt(self.graph.degrees)
+        inv_sqrt = 1.0 / sqrt_deg
+        data = np.repeat(inv_sqrt, np.diff(L.indptr))
+        data *= L.data
+        data *= inv_sqrt[L.indices]
+        return sp.csr_matrix((data, L.indices, L.indptr), shape=L.shape), sqrt_deg, inv_sqrt
 
     def reff_matrix(self) -> np.ndarray:
         """All-pairs effective resistances of the solver's graph (read-only),
@@ -208,7 +231,7 @@ def _tree_energy(solver: LaplacianSolver, r: np.ndarray) -> float:
     f = c[last]
     f -= c[:-1]
     f *= f
-    return float(f @ res)
+    return _dot(f, res)
 
 
 def _rcm_envelope(L: sp.csr_matrix) -> int:
@@ -223,51 +246,82 @@ def _rcm_envelope(L: sp.csr_matrix) -> int:
     return int((np.arange(L.shape[0]) - first).sum())
 
 
-def _pcg(solver: LaplacianSolver, b: np.ndarray, zeta: float) -> np.ndarray:
-    L, inv_diag, maxiter = solver.laplacian, solver._inv_diag, PCG_MAX_ITERATIONS
-    lam_max = solver._lambda_max
-    bnorm = float(np.linalg.norm(b))
-    goal = (zeta * bnorm) ** 2 / lam_max
-    # The tree energy is evaluated only once ‖r‖² times the last measured
-    # energy/‖r‖² reaches the goal; that ratio is at least 1/λmax.
-    ratio = 1.0 / lam_max
-    x = np.zeros_like(b)
-    r = b.copy()
-    s = inv_diag * r
-    d = s.copy()
-    delta = float(r @ s)
-    it = 0
-    while True:
-        rr = float(r @ r)
-        if rr * ratio <= goal:
-            energy = _tree_energy(solver, r)
-            if energy <= goal:
-                break
-            ratio = energy / rr
-        if it >= maxiter:
-            resnorm = float(np.sqrt(rr))
-            attained = float(np.sqrt(_tree_energy(solver, r) * lam_max)) / bnorm
-            raise ConvergenceError(
-                f"PCG did not certify zeta {zeta:.3e} within {maxiter} iterations "
-                f"(residual {resnorm:.3e}, attained zeta {attained:.3e})",
-                residual=resnorm, attained_zeta=attained)
-        q = L @ d
-        alpha = delta / float(d @ q)
-        np.multiply(d, alpha, out=s)
-        x += s
-        if (it + 1) % 50 == 0:
-            r = b - L @ x  # periodic refresh against drift
-        else:
-            q *= alpha
-            r -= q
-        np.multiply(inv_diag, r, out=s)
-        delta_new = float(r @ s)
-        d *= delta_new / delta
-        d += s
-        delta = delta_new
-        it += 1
-    x -= x.mean()
-    return x
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """aᵀb summed over fixed blocks of ``_DOT_BLOCK`` entries in order.
+    OpenBLAS splits a longer dot product across its threads, so its bits
+    would depend on the thread count; up to the block size it does not."""
+    n = a.shape[0]
+    if n <= _DOT_BLOCK:
+        return ddot(a, b)
+    total = 0.0
+    for i in range(0, n, _DOT_BLOCK):
+        total += ddot(a[i:i + _DOT_BLOCK], b[i:i + _DOT_BLOCK])
+    return total
+
+
+def _pcg(solver: LaplacianSolver, B: np.ndarray, zeta: float) -> None:
+    """Overwrite each nonzero row b of ``B`` with its certified solution.
+
+    Conjugate gradient on L̃ = D^{-1/2} L D^{-1/2}, which is Jacobi PCG on L
+    in exact arithmetic: with r̃ = D^{-1/2} r and x̃ = D^{1/2} x, rᵀD⁻¹r =
+    r̃ᵀr̃ and dᵀLd = d̃ᵀL̃d̃, so every step length is the same, and r̃ᵀr̃
+    feeds both the stop test and the next direction. A row stops once the
+    tree energy of its residual D^{1/2} r̃ is at most ζ²‖b‖²/λmax. That
+    energy is evaluated at each iterate where r̃ᵀr̃ times a ratio
+    energy/r̃ᵀr̃ reaches the goal. The first row takes 1/2, a lower bound:
+    the energy is at least r̃ᵀL̃†r̃ and L̃'s eigenvalues are at most 2, so
+    it checks every iterate that could pass. Each later row of the batch
+    takes the ratio measured at the previous row's stop, so it usually
+    checks once. The iterate at which the budget runs out is always checked, so a
+    row raises :class:`ConvergenceError` only on an iterate the tree does
+    not certify.
+    """
+    Lt, sqrt_deg, inv_sqrt = solver._scaled
+    lam_max, maxiter = solver._lambda_max, PCG_MAX_ITERATIONS
+    n = B.shape[1]
+    x, r, d = np.empty(n), np.empty(n), np.empty(n)
+    ratio = 0.5
+    for b in B:
+        if not b.any():
+            continue
+        bnorm = math.sqrt(_dot(b, b))
+        goal = (zeta * bnorm) ** 2 / lam_max
+        x.fill(0.0)
+        np.multiply(b, inv_sqrt, out=r)
+        d[:] = r
+        delta = _dot(r, r)
+        it = 0
+        while True:
+            if delta * ratio <= goal or it >= maxiter:
+                res = sqrt_deg * r
+                energy = _tree_energy(solver, res)
+                if energy <= goal:
+                    break
+                if it >= maxiter:
+                    resnorm = math.sqrt(_dot(res, res))
+                    attained = math.sqrt(energy * lam_max) / bnorm
+                    raise ConvergenceError(
+                        f"PCG did not certify zeta {zeta:.3e} within {maxiter} iterations "
+                        f"(residual {resnorm:.3e}, attained zeta {attained:.3e})",
+                        residual=resnorm, attained_zeta=attained)
+            q = Lt @ d
+            alpha = delta / _dot(d, q)
+            daxpy(d, x, a=alpha)
+            if (it + 1) % 50 == 0:  # periodic refresh against drift
+                np.multiply(b, inv_sqrt, out=r)
+                r -= Lt @ x
+            else:
+                daxpy(q, r, a=-alpha)
+            delta_new = _dot(r, r)
+            dscal(delta_new / delta, d)
+            daxpy(r, d)
+            delta = delta_new
+            it += 1
+        # an exactly vanishing residual is certified but measures no ratio
+        if delta > 0.0:
+            ratio = energy / delta
+        np.multiply(x, inv_sqrt, out=b)
+        b -= b.mean()
 
 
 def solve_laplacian_many(solver: LaplacianSolver, B: np.ndarray, zeta: float) -> np.ndarray:
@@ -305,9 +359,7 @@ def _solve_in_place(solver: LaplacianSolver, B: np.ndarray, zeta: float) -> None
     if not B.any():  # every row is its own solution; includes n = 1
         return
     if solver.method == "iterative":
-        for i in range(B.shape[0]):
-            if B[i].any():
-                B[i] = _pcg(solver, B[i], zeta)
+        _pcg(solver, B, zeta)
         return
     # direct backends: solve the grounded system, pad the grounded vertex
     # with zero, then remove the mean

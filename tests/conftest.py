@@ -46,6 +46,24 @@ def log_uniform_mesh(side, lo, hi, seed):
     return rd.build_graph(base.n, zip(base.edge_u.tolist(), base.edge_v.tolist(), w.tolist()))
 
 
+def jacobi_pcg(g, b):
+    """Textbook Jacobi-preconditioned conjugate gradient on the Laplacian of
+    g from x = 0: yields the iterate and its residual (x, r) before the
+    first step and after each step."""
+    L = rd.assemble_laplacian(g)
+    inv_diag = 1.0 / L.diagonal()
+    x, r = np.zeros(g.n), b.copy()
+    d = inv_diag * r
+    while True:
+        yield x, r
+        q = L @ d
+        alpha = (r @ (inv_diag * r)) / (d @ q)
+        x = x + alpha * d
+        r_new = r - alpha * q
+        d = inv_diag * r_new + (r_new @ (inv_diag * r_new)) / (r @ (inv_diag * r)) * d
+        r = r_new
+
+
 @pytest.fixture(scope="session")
 def corpus():
     """50 seeded random connected graphs, n <= 12, weights in [0.1, 10]."""

@@ -1,12 +1,21 @@
+import itertools
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse.csgraph as csgraph
 
 import resdecomp as rd
-from resdecomp import linalg
+from resdecomp import linalg, sketch
 from resdecomp.linalg import ZETA_CAP, ZETA_FLOOR
 
-from conftest import log_uniform_mesh, path_graph, random_connected_graph, skewed
+from conftest import jacobi_pcg, log_uniform_mesh, path_graph, random_connected_graph, skewed
+
+
+# iterations within which every PCG solve of these tests stops
+PCG_CAP = 2000
 
 
 def dense_pinv_solution(g, b):
@@ -158,17 +167,7 @@ class TestSolveLaplacian:
         err = info.value
         # replay two Jacobi PCG steps; the attained zeta is
         # sqrt(tree energy of the residual * 2 max deg) / |b|
-        L = rd.assemble_laplacian(g)
-        inv_diag = 1.0 / L.diagonal()
-        x, r = np.zeros(g.n), b.copy()
-        d = inv_diag * r
-        for _ in range(2):
-            q = L @ d
-            alpha = (r @ (inv_diag * r)) / (d @ q)
-            x = x + alpha * d
-            r_new = r - alpha * q
-            d = inv_diag * r_new + (r_new @ (inv_diag * r_new)) / (r @ (inv_diag * r)) * d
-            r = r_new
+        x, r = next(itertools.islice(jacobi_pcg(g, b), 2, None))
         assert err.residual == pytest.approx(np.linalg.norm(r), rel=1e-12)
         lam_max = 2.0 * g.degrees.max()
         expected = np.sqrt(tree_flow_energy(g, r) * lam_max) / np.linalg.norm(b)
@@ -190,6 +189,34 @@ class TestSolveLaplacian:
                 x = _solve(g, b, zeta, "iterative")
                 assert energy_norm(g, x - exact) <= zeta * energy_norm(g, exact) + 1e-13
 
+    def test_kernel_is_jacobi_pcg(self, monkeypatch, corpus):
+        # CG on D^{-1/2} L D^{-1/2} is Jacobi PCG in exact arithmetic: a
+        # one-row solve stops within one iteration of the first textbook
+        # iterate whose residual the tree certifies
+        skew = [skewed(rd.grid2d(6), 1e3), skewed(rd.hypercube(5), 1e3),
+                skewed(rd.random_regular(60, 4, 0), 1e2)]
+        for g in corpus[:20] + skew:
+            b = _unit_pair_rhs(g.n, 0, g.n - 1)
+            exact = dense_pinv_solution(g, b)
+            solver = rd.LaplacianSolver(g, "iterative")
+            for zeta in (1e-2, 1e-6):
+                goal = zeta ** 2 * (b @ b) / (2.0 * g.degrees.max())
+                steps = itertools.islice(jacobi_pcg(g, b), PCG_CAP)
+                replay, x_replay = next((step, x) for step, (x, r) in enumerate(steps)
+                                        if linalg._tree_energy(solver, r) <= goal)
+                for budget in range(PCG_CAP):
+                    monkeypatch.setattr(linalg, "PCG_MAX_ITERATIONS", budget)
+                    try:
+                        x = rd.solve_laplacian_many(solver, b[None], zeta)[0]
+                        break
+                    except rd.ConvergenceError:
+                        pass
+                else:
+                    pytest.fail(f"no budget below {PCG_CAP} certifies zeta {zeta}")
+                assert abs(budget - replay) <= 1
+                for y in (x, x_replay - x_replay.mean()):
+                    assert energy_norm(g, y - exact) <= zeta * energy_norm(g, exact) + 1e-13
+
     @pytest.mark.parametrize("g", [skewed(rd.hypercube(6), 1e2),
                                    skewed(rd.random_regular(100, 4, 2), 1e3)],
                              ids=["hypercube6-skew1e2", "expander100-skew1e3"])
@@ -209,6 +236,23 @@ class TestSolveLaplacian:
         assert before.attained_zeta > zeta
         r = b - rd.assemble_laplacian(g) @ x
         assert tree_flow_energy(g, r) <= goal * (1 + 1e-6)
+
+    def test_batch_contract_at_scale(self):
+        # probe rows of a skewed expander above DENSE_SOLVE_LIMIT as one batch:
+        # every row after the first checks its residual at the ratio carried
+        # from the row before, and the scaling by D^{-1/2} rounds under skew
+        g = skewed(rd.random_regular(3000, 4, 0), 1e2)
+        assert g.n > linalg.DENSE_SOLVE_LIMIT
+        B, _ = sketch._probe_system(g, 12, 0)
+        exact = rd.solve_laplacian_many(rd.LaplacianSolver(g, "dense"), B, 1e-8)
+        L = rd.assemble_laplacian(g)
+        solver = rd.LaplacianSolver(g, "iterative")
+        for zeta in (1e-4, 1e-8):
+            X = rd.solve_laplacian_many(solver, B, zeta)
+            for x, x_ref in zip(X, exact):
+                e = x - x_ref
+                assert np.sqrt(e @ (L @ e)) <= zeta * np.sqrt(x_ref @ (L @ x_ref))
+            assert X[0].tobytes() == rd.solve_laplacian_many(solver, B[:1], zeta)[0].tobytes()
 
     def test_energy_norm_contract_dense(self, corpus):
         for g in corpus[:20]:
@@ -233,6 +277,14 @@ class TestSolveLaplacian:
             single = rd.solve_laplacian_many(solver, b[None], 1e-8)[0]
             assert np.allclose(row, single, atol=1e-12)
 
+    def test_vanishing_residual_certified_in_batch(self):
+        # on one edge a single CG step leaves a residual of exactly zero: a
+        # certified stop, and the next row of the batch still solves
+        g = rd.build_graph(2, [(0, 1, 4.0)])
+        solver = rd.LaplacianSolver(g, "iterative")
+        X = rd.solve_laplacian_many(solver, np.array([[1.0, -1.0], [-2.0, 2.0]]), 1e-8)
+        assert np.array_equal(X, [[0.125, -0.125], [-0.25, 0.25]])
+
     def test_batch_iterative_branch(self):
         g = rd.grid2d(6)
         solver = rd.LaplacianSolver(g, "iterative")
@@ -240,6 +292,30 @@ class TestSolveLaplacian:
         X = rd.solve_laplacian_many(solver, B, 1e-6)
         assert np.array_equal(X[1], np.zeros(g.n))
         assert np.array_equal(X[0], rd.solve_laplacian_many(solver, B[:1], 1e-6)[0])
+
+
+class TestBlasThreads:
+    def test_pcg_bits_independent_of_thread_count(self):
+        # above 10^4 entries OpenBLAS splits a dot product across its
+        # threads; the kernel sums its reductions in fixed blocks, so a
+        # solve on 12000 vertices keeps its bits at 1 and 2 threads
+        script = (
+            "import numpy as np, resdecomp as rd\n"
+            "g = rd.random_regular(12000, 4, 1)\n"
+            "solver = rd.LaplacianSolver(g, 'iterative')\n"
+            "x = rd.st_potential(solver, 0, 11999, 1e-8)\n"
+            "B = np.random.default_rng(3).normal(size=(2, g.n))\n"
+            "B -= B.mean(axis=1, keepdims=True)\n"
+            "for v in (x, *rd.solve_laplacian_many(solver, B, 1e-6)):\n"
+            "    print(' '.join(map(float.hex, v.tolist())))\n")
+        src = os.path.dirname(os.path.dirname(rd.__file__))
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            out.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                      capture_output=True, text=True, timeout=300).stdout)
+        assert out[0].count("\n") == 3
+        assert out[0] == out[1]
 
 
 class TestLaplacianSolver:
