@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DisconnectedGraphError
 from .graph import WeightedGraph, _is_int, connected_components, induced_subgraph
-from .linalg import ORACLE_BLOCK_LIMIT, LaplacianSolver, _check_method
+from .linalg import LaplacianSolver, _check_method
 from .sketch import TIE_TOLERANCE, SketchConfig, furthest_pair
 from .sweep import DEFAULT_EPSILON, _far_pair_cut
 
@@ -60,13 +60,14 @@ class DecompositionConfig:
         if not delta >= 2:
             raise ValueError(f"delta must be at least 2, got {delta}")
         floor = 4.0 / DEFAULT_EPSILON
-        if not c_r * delta ** 2 >= floor:
+        scale = c_r * delta * delta  # saturates to inf where ** would overflow
+        if not scale >= floor:
             raise ValueError(
-                f"c_r * delta^2 = {c_r * delta ** 2:g} is below the charge-amortization "
+                f"c_r * delta^2 = {scale:g} is below the charge-amortization "
                 f"floor {floor:g}; raise delta (or c_r) so the per-edge charge "
                 f"bound applies")
         budget = g.total_weight / delta
-        target = c_r * delta ** 2 * g.n / budget if budget > 0 else math.inf
+        target = scale * g.n / budget if budget > 0 else math.inf
         return cls(delta=delta, n_original=g.n, cut_budget=budget, resistance_target=target)
 
 
@@ -142,8 +143,6 @@ def prune_low_degree(h: WeightedGraph, threshold: float) -> tuple[WeightedGraph,
     queued[stack] = True
     while stack:
         v = stack.pop()
-        if killed[v]:
-            continue
         killed[v] = True
         nbrs, wts = h.neighbors(v)
         for u, w in zip(nbrs, wts):
@@ -201,15 +200,15 @@ class _Accounting:
 def _certify_block(solver: LaplacianSolver, cfg: SketchConfig,
                    estimate: float | None = None) -> BlockResistance:
     """Certified resistance diameter of a connected block of two or more
-    vertices, given the solver of its induced subgraph: up to
-    ``ORACLE_BLOCK_LIMIT`` vertices the exact diameter, the largest entry of
-    ``solver.reff_matrix()`` (the very matrix whose row the exact-regime
-    sketch returned, so the block is inverted once), beyond it 2·e^beta
-    times the far-pair estimate, sketched here unless the caller has it.
-    The limit is read at call time, so the partition and the verifier
-    certify alike under a patched limit."""
-    if solver.graph.n <= ORACLE_BLOCK_LIMIT:
-        return BlockResistance(float(solver.reff_matrix().max()), True)
+    vertices, given the solver of its induced subgraph: the exact diameter,
+    the largest entry of ``solver.reff_matrix()`` (the very matrix whose row
+    the exact-regime sketch returned, so the block is inverted once), when
+    the solver forms that matrix, else 2·e^beta times the far-pair estimate,
+    sketched here unless the caller has it. The solver owns the size limit
+    and reads it at each call, so the sketch, the partition and the
+    verifier always agree on it."""
+    if (R := solver.reff_matrix()) is not None:
+        return BlockResistance(float(R.max()), True)
     if estimate is None:
         _, _, estimate = furthest_pair(solver.graph, cfg, solver)
     return BlockResistance(2.0 * math.exp(cfg.beta) * estimate, False)
@@ -365,8 +364,9 @@ def _verification_record(g: WeightedGraph, blocks: list[np.ndarray], delta: floa
 
     rdiams = list(rdiams)
     if g.total_weight > 0:
-        rdiam_bound = C_RES * delta ** 3 * g.n / g.total_weight
-        resistance_target = c_r * delta ** 3 * g.n / g.total_weight
+        cube = delta * delta * delta  # saturates to inf where ** would overflow
+        rdiam_bound = C_RES * cube * g.n / g.total_weight
+        resistance_target = c_r * cube * g.n / g.total_weight
     else:
         rdiam_bound = math.inf
         resistance_target = math.inf

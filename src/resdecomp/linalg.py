@@ -51,23 +51,20 @@ from .graph import WeightedGraph, connected_components, induced_subgraph
 # Up to this order the auto method takes dense Cholesky; above it, the fill
 # probe chooses between sparse LU and PCG.
 DENSE_SOLVE_LIMIT = 2048
-# Up to this order a solver's all-pairs resistance matrix may be formed: the
-# sketch's exact regime and the block certificate both read it. A larger
-# block is certified by 2·e^beta ≈ 3 times its sketch estimate.
+# Up to this order LaplacianSolver.reff_matrix forms the all-pairs resistance
+# matrix that the sketch's exact regime and the block certificate read. A
+# larger block is certified by 2·e^beta ≈ 3 times its sketch estimate.
 ORACLE_BLOCK_LIMIT = 2048
 # The fill probe admits sparse LU when the RCM envelope of L is at most this
 # factor times n^{3/2}. Measured envelope/n^{3/2}: 2-d grids 0.67 from 46 to
 # 316 per side; hypercube(12) 10.8, random_regular(3000, 4) 11.4.
 SPARSE_ENVELOPE_FACTOR = 2.0
-# Sparse LU solves this many right-hand sides at a time: SuperLU's workspace
-# grows with the batch, and this keeps it out of the peak memory.
-SPARSE_SOLVE_CHUNK = 64
-# The zero-sum check of a batch takes |B| this many rows at a time, so it
-# never holds a second copy of the batch.
-_CHECK_CHUNK = 64
-# Requested solve tolerances are clamped to [ZETA_FLOOR, ZETA_CAP]: below the
-# floor the demanded accuracy is unattainable in double precision, and a cap
-# keeps the value a valid relative tolerance.
+# Batches are checked and solved directly this many rows at a time, so the
+# solvers' copies of the right-hand sides stay out of the peak memory.
+_ROW_CHUNK = 64
+# _clamp_zeta clamps requested solve tolerances to [ZETA_FLOOR, ZETA_CAP]:
+# below the floor the demanded accuracy is unattainable in double precision,
+# and a cap keeps the value a valid relative tolerance.
 ZETA_FLOOR = 1e-13
 ZETA_CAP = 0.5
 # PCG sums its dot products over blocks of at most this many entries:
@@ -82,6 +79,10 @@ METHODS = ("auto", "dense", "iterative")
 def _check_method(method: str) -> None:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+
+
+def _clamp_zeta(zeta: float) -> float:
+    return float(min(max(zeta, ZETA_FLOOR), ZETA_CAP))
 
 
 def assemble_laplacian(g: WeightedGraph) -> sp.csr_matrix:
@@ -119,10 +120,11 @@ class LaplacianSolver:
     usually checks once. Its dot products are summed in fixed blocks of
     10⁴ entries, so PCG's bits do not depend on the BLAS thread count.
     :meth:`reff_matrix` inverts the grounded factor once, on first use, and
-    keeps the result. Build one solver per graph and hand it to every solve
-    on that graph: the sketch (or, in its exact regime, a row of the
-    resistance matrix), the patch solves, the cut's potential and the block
-    certificate.
+    keeps the result; above ``ORACLE_BLOCK_LIMIT`` vertices it forms no
+    matrix and returns ``None``. Build one solver per graph and hand it to
+    every solve on that graph: the sketch (or, in its exact regime, a row of
+    the resistance matrix), the patch solves, the cut's potential and the
+    block certificate.
     """
 
     def __init__(self, g: WeightedGraph, method: str = "auto"):
@@ -179,12 +181,14 @@ class LaplacianSolver:
         data *= inv_sqrt[L.indices]
         return sp.csr_matrix((data, L.indices, L.indptr), shape=L.shape), sqrt_deg, inv_sqrt
 
-    def reff_matrix(self) -> np.ndarray:
+    def reff_matrix(self) -> np.ndarray | None:
         """All-pairs effective resistances of the solver's graph (read-only),
-        computed on the first call and kept. It inverts the dense backend's
-        own grounded factor; any other backend's Laplacian is factored here.
-        Holds n² floats, so it is meant for at most ``ORACLE_BLOCK_LIMIT``
-        vertices."""
+        computed on the first call and kept, or ``None`` above
+        ``ORACLE_BLOCK_LIMIT`` vertices: the solver owns that limit and reads
+        it at each call. It inverts the dense backend's own grounded factor;
+        any other backend's Laplacian is factored here."""
+        if self.graph.n > ORACLE_BLOCK_LIMIT:
+            return None
         if self._reff is None:
             n = self.graph.n
             if n <= 1:
@@ -340,17 +344,17 @@ def solve_laplacian_many(solver: LaplacianSolver, B: np.ndarray, zeta: float) ->
 def _solve_in_place(solver: LaplacianSolver, B: np.ndarray, zeta: float) -> None:
     """:func:`solve_laplacian_many` on a writable float64 batch whose rows it
     overwrites with their solutions, so the batch is the only k×n array the
-    solve holds: PCG writes each row after its own solve, the direct
-    backends write the grounded solution into ``B[:, :-1]`` (the dense one
-    through LAPACK's copy of the batch), zero the last column and subtract
-    the row means."""
+    solve holds: PCG writes each row after its own solve; the direct
+    backends take ``_ROW_CHUNK`` rows at a time, write their grounded
+    solutions into the chunk's first n − 1 columns, zero its last column and
+    subtract its row means."""
     if not (0 < zeta < 1):
         raise ValueError(f"zeta must lie in (0, 1), got {zeta}")
     n = solver.graph.n
     if B.ndim != 2 or B.shape[1] != n:
         raise ValueError(f"batch must have shape (k, {n}), got {B.shape}")
-    for i in range(0, B.shape[0], _CHECK_CHUNK):
-        rows = B[i:i + _CHECK_CHUNK]
+    for i in range(0, B.shape[0], _ROW_CHUNK):
+        rows = B[i:i + _ROW_CHUNK]
         # a NaN row would pass the zero-sum test below: abs(nan) > tol is false
         if not np.isfinite(rows).all():
             raise ValueError("every right-hand side row must be finite")
@@ -363,14 +367,13 @@ def _solve_in_place(solver: LaplacianSolver, B: np.ndarray, zeta: float) -> None
         return
     # direct backends: solve the grounded system, pad the grounded vertex
     # with zero, then remove the mean
-    if solver.method == "dense":
-        B[:, :-1] = sla.cho_solve(solver._factor, B[:, :-1].T, check_finite=False).T
-    else:
-        for i in range(0, B.shape[0], SPARSE_SOLVE_CHUNK):
-            chunk = slice(i, i + SPARSE_SOLVE_CHUNK)
-            B[chunk, :-1] = solver._factor.solve(B[chunk, :-1].T).T
-    B[:, -1] = 0.0
-    B -= B.mean(axis=1, keepdims=True)
+    for i in range(0, B.shape[0], _ROW_CHUNK):
+        rows = B[i:i + _ROW_CHUNK]
+        rhs = rows[:, :-1].T
+        rows[:, :-1] = (sla.cho_solve(solver._factor, rhs, check_finite=False)
+                        if solver.method == "dense" else solver._factor.solve(rhs)).T
+        rows[:, -1] = 0.0
+        rows -= rows.mean(axis=1, keepdims=True)
 
 
 def required_solver_accuracy(g: WeightedGraph, eta: float) -> float:
@@ -386,8 +389,7 @@ def required_solver_accuracy(g: WeightedGraph, eta: float) -> float:
         raise ValueError("graph has no edges")
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    zeta = eta * g.min_weight() / (g.n - 1)
-    return float(min(max(zeta, ZETA_FLOOR), ZETA_CAP))
+    return _clamp_zeta(eta * g.min_weight() / (g.n - 1))
 
 
 def implied_potential_accuracy(g: WeightedGraph, zeta: float) -> float:

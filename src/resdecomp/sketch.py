@@ -22,19 +22,18 @@ missed, run at the same ζ.
 
 Once the probe count k reaches the edge count m no compression is needed:
 the corrected estimate would only reproduce the quadratic form exactly. In
-this exact regime, on graphs of at most ``ORACLE_BLOCK_LIMIT`` vertices, the
-sketch draws no probes and returns row u of the solver's all-pairs
-resistance matrix, which the solver keeps for the block certificate. That
-n×n matrix is at most one row larger than the k×n array it replaces, as
-k ≥ m ≥ n − 1. A larger graph draws min(k, m) probes.
+this exact regime, when the solver forms its all-pairs resistance matrix
+(``LaplacianSolver.reff_matrix`` decides), the sketch draws no probes and
+returns row u of that matrix, which the solver keeps for the block
+certificate. That n×n matrix is at most one row larger than the k×n array
+it replaces, as k ≥ m ≥ n − 1. Otherwise the sketch draws min(k, m) probes.
 
 Memory on the probe path: with k probes, a sketch holds the k×m probe signs
 as int8 (k·m bytes), drawn a few rows at a time and freed before the
 solves, plus one k×n float64 array: the probe right-hand sides, which the
 solves overwrite with their solutions. The Gram correction then takes
-``_CORRECTION_BLOCK`` vertex columns at a time. Sparse-LU and PCG solves
-add only per-chunk temporaries; a dense solve (at most
-``DENSE_SOLVE_LIMIT`` vertices) adds LAPACK's copy of the batch.
+``_CORRECTION_BLOCK`` vertex columns at a time. Every backend's solves add
+only per-chunk temporaries.
 """
 from __future__ import annotations
 
@@ -46,8 +45,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpotri, dpstrf
 
 from .graph import WeightedGraph, _is_int
-from .linalg import (ORACLE_BLOCK_LIMIT, ZETA_CAP, ZETA_FLOOR, LaplacianSolver,
-                     _solve_in_place)
+from .linalg import LaplacianSolver, _clamp_zeta, _solve_in_place
 
 # Probe budget ceil(C * ln n / beta^2). C = 8 is a conservative
 # Johnson-Lindenstrauss constant folding in a per-graph failure
@@ -121,8 +119,7 @@ def _probe_zeta(inv: np.ndarray, rank: int, m: int, beta: float) -> float:
     why it moves sqrt of each estimate by at most γ·β·sqrt(Reff)."""
     k = inv.shape[0]
     rho = (m / rank) * float(np.abs(inv).sum(axis=1).max())
-    zeta = SOLVE_ERROR_SHARE * beta / math.sqrt(rho * k * m)
-    return float(min(max(zeta, ZETA_FLOOR), ZETA_CAP))
+    return _clamp_zeta(SOLVE_ERROR_SHARE * beta / math.sqrt(rho * k * m))
 
 
 def _probe_system(g: WeightedGraph, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -170,9 +167,9 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
     entry satisfies the two-sided e^{±beta} bracket; for beta ≤ 1 the
     probe solves' error takes at most e^{±4γ·beta} of it, with
     γ = ``SOLVE_ERROR_SHARE``. When the probe count is
-    at least m and the graph has at most ``ORACLE_BLOCK_LIMIT`` vertices, no
-    probes are drawn: the result is row u of ``solver.reff_matrix()``, exact
-    up to rounding. Deterministic for fixed (graph, cfg, solver method).
+    at least m and ``solver.reff_matrix()`` forms the resistance matrix, no
+    probes are drawn: the result is row u of that matrix, exact up to
+    rounding. Deterministic for fixed (graph, cfg, solver method).
     ``solver`` must be built for ``g``; by default an "auto" solver is
     built, and a disconnected graph raises :class:`DisconnectedGraphError`
     there.
@@ -218,8 +215,8 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
 
     m = g.m
     k = _num_probes(cfg, g.n)
-    if k >= m and g.n <= ORACLE_BLOCK_LIMIT:
-        estimates = solver.reff_matrix()[u].copy()
+    if k >= m and (R := solver.reff_matrix()) is not None:
+        estimates = R[u].copy()
         estimates.flags.writeable = False
         return estimates
     # m probes already give the quadratic form exactly

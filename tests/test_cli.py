@@ -9,7 +9,7 @@ import pytest
 import resdecomp as rd
 from resdecomp import cli, decompose, linalg, sweep
 from resdecomp.cli import execute
-from resdecomp.decompose import ORACLE_BLOCK_LIMIT
+from resdecomp.linalg import ORACLE_BLOCK_LIMIT
 
 from conftest import skewed
 
@@ -325,6 +325,15 @@ class TestDecomposeVerify:
         # every non-singleton component is either cut or accepted as a block
         components = res["num_sparse_cuts"] + sum(len(b) > 1 for b in res["blocks"])
         assert len(calls) == components == 3
+
+    def test_huge_delta_runs(self, capsys, barbell4):
+        # delta ** 3 overflowed to an OverflowError report; the bounds
+        # saturate to inf
+        code, report = run_json(capsys, "decompose", "--graph", barbell4,
+                                "--delta", "1e200", "--exact-verify")
+        assert code == 0
+        assert report["config"]["resistance_target"] == "inf"
+        assert report["results"]["verification"]["rdiam_bound"] == "inf"
 
     def test_delta_guard_reported(self, capsys, barbell4):
         code, report = run_json(capsys, "decompose", "--graph", barbell4, "--delta", "2")

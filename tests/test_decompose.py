@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse.csgraph as csgraph
 
 import resdecomp as rd
-from resdecomp import decompose, linalg, sweep
+from resdecomp import decompose, linalg, sketch, sweep
 
 from conftest import path_graph, random_connected_graph, two_triangles_bridge
 
@@ -100,6 +100,18 @@ class TestDecompositionConfig:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             rd.DecompositionConfig.for_graph(rd.build_graph(0, []), 4.0)
+
+    def test_huge_delta_saturates_to_infinity(self):
+        # delta ** 2 and delta ** 3 raise OverflowError here; the products
+        # saturate to inf
+        g = rd.grid2d(6)
+        assert math.isinf(rd.DecompositionConfig.for_graph(g, 1e200).resistance_target)
+        part, report = rd.partition(g, 1e155)
+        assert [b.tolist() for b in part.blocks] == [list(range(g.n))]
+        assert math.isinf(report.config.resistance_target)
+        rec = rd.verify_partition(g, part, 1e200)
+        assert rec.rdiam_bound == math.inf and rec.resistance_target == math.inf
+        assert rec.passed
 
 
 class TestPartition:
@@ -385,7 +397,7 @@ class TestPartition:
     def test_block_certificates_match_verifier(self, monkeypatch, probes):
         # oracle-certified and sketch-certified blocks both occur below the
         # lowered limit; probes=10 runs the sketch with fewer probes than edges
-        monkeypatch.setattr(decompose, "ORACLE_BLOCK_LIMIT", 8)
+        monkeypatch.setattr(linalg, "ORACLE_BLOCK_LIMIT", 8)
         g = rd.grid2d(10)
         cfg = rd.SketchConfig(probe_count=probes)
         config = rd.DecompositionConfig(delta=4.0, n_original=g.n,
@@ -398,12 +410,33 @@ class TestPartition:
                  for b, r in zip(part.blocks, report.per_block_rdiam)}
         assert {(True, True), (True, False)} <= kinds
 
+    def test_solver_limit_governs_sketch_and_certificate(self, monkeypatch):
+        # grid2d(8) has k = 203 probes >= m = 112 edges, the sketch's exact
+        # regime below the limit; above the patched one neither the sketch
+        # nor the certificate forms the resistance matrix
+        g = rd.grid2d(8)
+        cfg = rd.SketchConfig()
+        assert sketch._num_probes(cfg, g.n) == 203 and g.m == 112
+        want = rd.exact_reff_matrix(g)[0]
+
+        def no_matrix(factor):
+            raise AssertionError("resistance matrix formed above the limit")
+
+        monkeypatch.setattr(linalg, "ORACLE_BLOCK_LIMIT", 8)
+        monkeypatch.setattr(linalg, "_grounded_reff_matrix", no_matrix)
+        solver = rd.LaplacianSolver(g)
+        assert solver.reff_matrix() is None
+        # m probes reproduce the quadratic form exactly
+        A = rd.approx_reff_from_source(g, 0, cfg, solver)
+        assert np.allclose(A, want, rtol=1e-9, atol=0.0)
+        assert not decompose._certify_block(solver, cfg).certified_exact
+
     def test_verifier_reads_patched_oracle_limit(self, monkeypatch):
         # the limit is read when verify_partition runs, as the partition reads it
         g = rd.grid2d(6)
         blocks = [np.arange(g.n)]
         assert rd.verify_partition(g, blocks, 4.0).block_rdiams[0].certified_exact
-        monkeypatch.setattr(decompose, "ORACLE_BLOCK_LIMIT", 8)
+        monkeypatch.setattr(linalg, "ORACLE_BLOCK_LIMIT", 8)
         assert not rd.verify_partition(g, blocks, 4.0).block_rdiams[0].certified_exact
 
 
@@ -489,7 +522,7 @@ class TestVerifyPartition:
                                         cut_budget=g.total_weight / 4,
                                         resistance_target=2.0)
         part, _ = rd.partition_with_config(g, config)
-        assert max(b.size for b in part.blocks) <= decompose.ORACLE_BLOCK_LIMIT
+        assert max(b.size for b in part.blocks) <= linalg.ORACLE_BLOCK_LIMIT
         default = rd.verify_partition(g, part, 4.0)
         forced = rd.verify_partition(g, part, 4.0, method="iterative")
         assert all(r.certified_exact for r in forced.block_rdiams)
@@ -543,8 +576,8 @@ class TestVerifyPartition:
     def test_disconnected_block_infinite_diameter(self, monkeypatch):
         g = path_graph(4)
         # the block's solver rejects it below and above the oracle limit
-        for oracle_limit in (decompose.ORACLE_BLOCK_LIMIT, 1):
-            monkeypatch.setattr(decompose, "ORACLE_BLOCK_LIMIT", oracle_limit)
+        for oracle_limit in (linalg.ORACLE_BLOCK_LIMIT, 1):
+            monkeypatch.setattr(linalg, "ORACLE_BLOCK_LIMIT", oracle_limit)
             rec = rd.verify_partition(g, [[0, 3], [1, 2]], 4.0)
             assert math.isinf(rec.block_rdiams[0].value)
             assert rec.block_rdiams[0].certified_exact

@@ -30,8 +30,9 @@ def _solve(g, b, zeta=1e-8, method="auto"):
 
 
 def energy_norm(g, x):
+    # xᵀLx can round below zero when x is at rounding level
     L = rd.assemble_laplacian(g)
-    return float(np.sqrt(x @ (L @ x)))
+    return float(np.sqrt(max(x @ (L @ x), 0.0)))
 
 
 class TestAssembleLaplacian:
@@ -148,7 +149,7 @@ class TestSolveLaplacian:
         g = rd.grid2d(5)
         solver = rd.LaplacianSolver(g, method)
         assert solver.method == method
-        B = np.zeros((linalg._CHECK_CHUNK + 6, g.n))
+        B = np.zeros((linalg._ROW_CHUNK + 6, g.n))
         B[:, 0], B[:, -1] = 1.0, -1.0
         B[-2, 3] = bad
         B[-2, 4] = -bad
@@ -356,7 +357,7 @@ class TestLaplacianSolver:
         assert solver.method == "sparse"
         rng = np.random.default_rng(6)
         # more rows than one solve chunk, and a zero row
-        B = rng.normal(size=(linalg.SPARSE_SOLVE_CHUNK + 7, g.n))
+        B = rng.normal(size=(linalg._ROW_CHUNK + 7, g.n))
         B -= B.mean(axis=1, keepdims=True)
         B[3] = 0.0
         zeta = 1e-8
@@ -366,6 +367,19 @@ class TestLaplacianSolver:
         for x, x_ref in zip(X, exact):
             assert abs(x.mean()) <= 1e-14 * max(1.0, np.abs(x).max())
             assert energy_norm(g, x - x_ref) <= zeta * energy_norm(g, x_ref)
+
+    @pytest.mark.parametrize("method", ["dense", "sparse"])
+    def test_direct_backends_solve_every_row_chunk(self, monkeypatch, method):
+        # two full row chunks and a partial one against the pseudo-inverse
+        g = log_uniform_mesh(8, 1.0, 10.0, seed=3)
+        monkeypatch.setattr(linalg, "DENSE_SOLVE_LIMIT", 0 if method == "sparse" else g.n)
+        solver = rd.LaplacianSolver(g)
+        assert solver.method == method
+        B = np.random.default_rng(4).normal(size=(2 * linalg._ROW_CHUNK + 5, g.n))
+        B -= B.mean(axis=1, keepdims=True)
+        X = rd.solve_laplacian_many(solver, B, 1e-8)
+        want = B @ np.linalg.pinv(rd.assemble_laplacian(g).toarray())
+        assert np.allclose(X, want, rtol=0.0, atol=1e-10 * np.abs(want).max())
 
     def test_disconnected_rejected_at_construction(self):
         g = rd.build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])

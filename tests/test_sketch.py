@@ -121,7 +121,7 @@ class TestApproxReffFromSource:
             drawn.append(k)
             return real(g, k, seed)
 
-        monkeypatch.setattr(sketch, "ORACLE_BLOCK_LIMIT", 1)
+        monkeypatch.setattr(linalg, "ORACLE_BLOCK_LIMIT", 1)
         monkeypatch.setattr(sketch, "_probe_system", recording)
         A = rd.approx_reff_from_source(g, 0, rd.SketchConfig(probe_count=10 * g.m))
         assert drawn == [g.m]
@@ -336,17 +336,20 @@ class TestStreamedSketch:
         m = rd.complete(70).m  # more than two Gram blocks and an odd tail
         assert m > 2 * sketch._GRAM_BLOCK and (m % sketch._GRAM_BLOCK) % 2 == 1
 
-    def test_peak_memory_without_dense_probe_matrix(self):
+    @pytest.mark.parametrize("method", ["iterative", "dense"])
+    def test_peak_memory_without_dense_probe_matrix(self, method):
         # one k×n float64 array (9.4 MB here; the solves write into the
-        # right-hand sides), the int8 probes (k·m bytes, 2.3 MB) and k×k
-        # Gram-sized temporaries stay below two k×n arrays; the one-shot
-        # draw holds k×m float64 and int64 matrices
+        # right-hand sides, a row chunk at a time on the dense backend), the
+        # int8 probes (k·m bytes, 2.3 MB) and k×k Gram-sized temporaries stay
+        # below two k×n arrays; the one-shot draw holds k×m float64 and int64
+        # matrices. "auto" takes PCG here.
         g = rd.random_regular(3000, 4, 1)
         k = _num_probes(rd.SketchConfig(), g.n)
         assert k == 390 and rd.LaplacianSolver(g).method == "iterative"
+        solver = rd.LaplacianSolver(g, method)
         tracemalloc.start()
         try:
-            rd.approx_reff_from_source(g, 0)
+            rd.approx_reff_from_source(g, 0, solver=solver)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
