@@ -32,6 +32,16 @@ C_LOSS = 8.0
 C_RES = 32.0
 
 
+def _as_float(x: float) -> float:
+    """``x`` as a float. An int beyond the float range saturates to ±inf,
+    as a product of huge floats does; as an exact int, δ·δ·δ would raise
+    ``OverflowError`` when it meets a float."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class DecompositionConfig:
     """Frozen parameters of one decomposition run.
@@ -56,6 +66,7 @@ class DecompositionConfig:
     def for_graph(cls, g: WeightedGraph, delta: float, c_r: float = 1.0) -> "DecompositionConfig":
         if g.n == 0:
             raise ValueError("graph must be non-empty")
+        delta, c_r = _as_float(delta), _as_float(c_r)
         # negated so that NaN fails each check
         if not delta >= 2:
             raise ValueError(f"delta must be at least 2, got {delta}")
@@ -345,6 +356,7 @@ def _verification_record(g: WeightedGraph, blocks: list[np.ndarray], delta: floa
 
     The cover, cut weight and loss come from ``g``; ``rdiams`` is consumed
     only after the cover is checked."""
+    delta, c_r = _as_float(delta), _as_float(c_r)
     label = np.full(g.n, -1, dtype=np.int64)
     total = 0
     for i, b in enumerate(blocks):

@@ -70,6 +70,8 @@ ZETA_CAP = 0.5
 # PCG sums its dot products over blocks of at most this many entries:
 # OpenBLAS splits longer ones across its threads.
 _DOT_BLOCK = 10000
+# The energy ratio PCG's first row takes (see _pcg): a lower bound.
+_PCG_FIRST_RATIO = 0.5
 # Iterations one PCG solve may take before ConvergenceError; read per solve.
 PCG_MAX_ITERATIONS = 20000
 # The methods a caller may ask for; "auto" picks a backend per graph.
@@ -263,7 +265,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return total
 
 
-def _pcg(solver: LaplacianSolver, B: np.ndarray, zeta: float) -> None:
+def _pcg(solver: LaplacianSolver, B: np.ndarray, zeta: float, ratio: float) -> float:
     """Overwrite each nonzero row b of ``B`` with its certified solution.
 
     Conjugate gradient on L̃ = D^{-1/2} L D^{-1/2}, which is Jacobi PCG on L
@@ -272,19 +274,18 @@ def _pcg(solver: LaplacianSolver, B: np.ndarray, zeta: float) -> None:
     feeds both the stop test and the next direction. A row stops once the
     tree energy of its residual D^{1/2} r̃ is at most ζ²‖b‖²/λmax. That
     energy is evaluated at each iterate where r̃ᵀr̃ times a ratio
-    energy/r̃ᵀr̃ reaches the goal. The first row takes 1/2, a lower bound:
-    the energy is at least r̃ᵀL̃†r̃ and L̃'s eigenvalues are at most 2, so
-    it checks every iterate that could pass. Each later row of the batch
+    energy/r̃ᵀr̃ reaches the goal. The first row takes ``ratio``; 1/2 is a
+    lower bound: the energy is at least r̃ᵀL̃†r̃ and L̃'s eigenvalues are at
+    most 2, so it checks every iterate that could pass. Each later row
     takes the ratio measured at the previous row's stop, so it usually
-    checks once. The iterate at which the budget runs out is always checked, so a
-    row raises :class:`ConvergenceError` only on an iterate the tree does
-    not certify.
+    checks once. Returns the ratio the next row would take. The iterate at
+    which the budget runs out is always checked, so a row raises
+    :class:`ConvergenceError` only on an iterate the tree does not certify.
     """
     Lt, sqrt_deg, inv_sqrt = solver._scaled
     lam_max, maxiter = solver._lambda_max, PCG_MAX_ITERATIONS
     n = B.shape[1]
     x, r, d = np.empty(n), np.empty(n), np.empty(n)
-    ratio = 0.5
     for b in B:
         if not b.any():
             continue
@@ -326,6 +327,7 @@ def _pcg(solver: LaplacianSolver, B: np.ndarray, zeta: float) -> None:
             ratio = energy / delta
         np.multiply(x, inv_sqrt, out=b)
         b -= b.mean()
+    return ratio
 
 
 def solve_laplacian_many(solver: LaplacianSolver, B: np.ndarray, zeta: float) -> np.ndarray:
@@ -341,13 +343,17 @@ def solve_laplacian_many(solver: LaplacianSolver, B: np.ndarray, zeta: float) ->
     return X
 
 
-def _solve_in_place(solver: LaplacianSolver, B: np.ndarray, zeta: float) -> None:
+def _solve_in_place(solver: LaplacianSolver, B: np.ndarray, zeta: float,
+                    ratio: float = _PCG_FIRST_RATIO) -> float:
     """:func:`solve_laplacian_many` on a writable float64 batch whose rows it
     overwrites with their solutions, so the batch is the only k×n array the
     solve holds: PCG writes each row after its own solve; the direct
     backends take ``_ROW_CHUNK`` rows at a time, write their grounded
     solutions into the chunk's first n − 1 columns, zero its last column and
-    subtract its row means."""
+    subtract its row means. Returns PCG's energy ratio for the next row
+    (see :func:`_pcg`; ``ratio`` unchanged on the direct backends): a caller
+    that solves one batch in several calls passes it on, and gets the bits
+    of one call."""
     if not (0 < zeta < 1):
         raise ValueError(f"zeta must lie in (0, 1), got {zeta}")
     n = solver.graph.n
@@ -361,10 +367,9 @@ def _solve_in_place(solver: LaplacianSolver, B: np.ndarray, zeta: float) -> None
         if (np.abs(rows.sum(axis=1)) > 1e-12 * np.maximum(1.0, np.abs(rows).sum(axis=1))).any():
             raise ValueError("every right-hand side row must sum to zero")
     if not B.any():  # every row is its own solution; includes n = 1
-        return
+        return ratio
     if solver.method == "iterative":
-        _pcg(solver, B, zeta)
-        return
+        return _pcg(solver, B, zeta, ratio)
     # direct backends: solve the grounded system, pad the grounded vertex
     # with zero, then remove the mean
     for i in range(0, B.shape[0], _ROW_CHUNK):
@@ -374,6 +379,7 @@ def _solve_in_place(solver: LaplacianSolver, B: np.ndarray, zeta: float) -> None
                         if solver.method == "dense" else solver._factor.solve(rhs)).T
         rows[:, -1] = 0.0
         rows -= rows.mean(axis=1, keepdims=True)
+    return ratio
 
 
 def required_solver_accuracy(g: WeightedGraph, eta: float) -> float:

@@ -28,12 +28,17 @@ returns row u of that matrix, which the solver keeps for the block
 certificate. That n×n matrix is at most one row larger than the k×n array
 it replaces, as k ≥ m ≥ n − 1. Otherwise the sketch draws min(k, m) probes.
 
-Memory on the probe path: with k probes, a sketch holds the k×m probe signs
-as int8 (k·m bytes), drawn a few rows at a time and freed before the
-solves, plus one k×n float64 array: the probe right-hand sides, which the
-solves overwrite with their solutions. The Gram correction then takes
-``_CORRECTION_BLOCK`` vertex columns at a time. Every backend's solves add
-only per-chunk temporaries.
+Memory on the probe path: with k probes, a sketch holds the k×m probe
+signs bit-packed (k·m/8 bytes), drawn a few rows at a time, and one k×n
+array of probe solutions y_i = x_i − x_i(u). Each ``_ROW_CHUNK`` of
+right-hand sides is built just before it is solved. The dense and sparse-LU
+backends, and PCG when ζ < 2⁻²³, solve straight into the array's float64
+rows. Otherwise PCG solves each chunk in one float64 buffer and stores its
+rows as float32, each scaled by the power of two that puts its largest
+entry in [1/2, 1): half the bytes, at a rounding the solves leave room for
+(see :func:`approx_reff_from_source`). The Gram correction then takes
+``_CORRECTION_BLOCK`` vertex columns at a time, float32 ones widened and
+unscaled. Every backend's solves add only per-chunk temporaries.
 """
 from __future__ import annotations
 
@@ -45,7 +50,8 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpotri, dpstrf
 
 from .graph import WeightedGraph, _is_int
-from .linalg import LaplacianSolver, _clamp_zeta, _solve_in_place
+from .linalg import (_PCG_FIRST_RATIO, _ROW_CHUNK, LaplacianSolver, _clamp_zeta,
+                     _solve_in_place)
 
 # Probe budget ceil(C * ln n / beta^2). C = 8 is a conservative
 # Johnson-Lindenstrauss constant folding in a per-graph failure
@@ -64,11 +70,16 @@ SOLVE_ERROR_SHARE = 0.01
 # not break those ties.
 TIE_TOLERANCE = 1e-9
 
-# Probe rows drawn, stored and pushed through the incidence matrix at a time,
-# and probe columns per step of the Gram sum; both bound the sketch's
-# temporaries, neither changes a bit of its output.
-_PROBE_CHUNK = 32
+# Probe rows drawn and pushed through the incidence matrix at a time, and
+# probe columns per step of the Gram sum; both bound the sketch's
+# temporaries, neither changes a bit of its output. The chunk is even, so
+# each chunk but the last takes whole 64-bit words of the bit generator; the
+# block is a multiple of 8, so it takes whole bytes of the packed signs.
+_PROBE_CHUNK = 16
 _GRAM_BLOCK = 1024
+# float32's unit roundoff: the share of ζ a float32 row's rounding takes
+# (see _row_storage).
+_FLOAT32_ROUNDING = 2.0 ** -24
 # Vertex columns per step of the Gram correction: it bounds the correction's
 # k×block temporaries. The product's last bits can depend on the block width.
 _CORRECTION_BLOCK = 512
@@ -123,39 +134,80 @@ def _probe_zeta(inv: np.ndarray, rank: int, m: int, beta: float) -> float:
 
 
 def _probe_system(g: WeightedGraph, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k×n right-hand sides ``B^T W^{1/2} q_i`` (each row zero-sum) and
-    the k×k probe Gram for k signed probes q_i drawn from ``seed``.
+    """k signed probes q_i ∈ {±1}^m drawn from ``seed``, bit-packed as k×⌈m/8⌉
+    uint8 (bit 1 for +1, each row padded with 0 bits), and their k×k Gram.
 
-    Probe rows are drawn a chunk at a time as int32, which reproduces the
-    one-shot k×m int64 draw of the generator bit for bit, and kept as int8.
+    Sign j of probe i is bit 31 of the (i·m + j)-th 32-bit half of the bit
+    generator's raw 64-bit words, low half first. That is the top bit of
+    each 32-bit output, which is what ``Generator.integers(0, 2, size=(k, m))``
+    returns, so the signs and the Gram are those of that one-shot draw, bit
+    for bit.
     """
-    m, n = g.m, g.n
-    eu, ev, ew = g.edges()
-    sqrt_w = np.sqrt(ew)
-    rows = np.concatenate([np.arange(m), np.arange(m)])
-    cols = np.concatenate([eu, ev])
-    vals = np.concatenate([sqrt_w, -sqrt_w])
-    incidence_t = sp.csr_matrix((vals, (rows, cols)), shape=(m, n)).T
-
-    rng = np.random.default_rng(seed)
-    probes = np.empty((k, m), dtype=np.int8)
-    rhs = np.empty((k, n))
+    m = g.m
+    bitgen = np.random.default_rng(seed).bit_generator
+    signs = np.empty((k, (m + 7) // 8), dtype=np.uint8)
     for start in range(0, k, _PROBE_CHUNK):
         stop = min(start + _PROBE_CHUNK, k)
-        signs = probes[start:stop]
-        signs[...] = rng.integers(0, 2, size=(stop - start, m), dtype=np.int32)
-        signs *= 2
-        signs -= 1
-        rhs[start:stop] = incidence_t.dot(np.ascontiguousarray(signs.T, dtype=np.float64)).T
+        count = (stop - start) * m
+        # little-endian words read as int32 pairs, low half first; a half
+        # is negative exactly when its bit 31 is set
+        halves = bitgen.random_raw((count + 1) // 2).astype("<u8", copy=False).view("<i4")
+        signs[start:stop] = np.packbits((halves[:count] < 0).reshape(stop - start, m), axis=1)
     # The Gram of ±1 probes is integer-valued. Within a block every partial
     # sum is an integer of magnitude at most _GRAM_BLOCK < 2^24, so float32
     # products are exact; summed in float64 over blocks (entries at most
     # m < 2^53), the Gram is exact.
     gram = np.zeros((k, k))
     for start in range(0, m, _GRAM_BLOCK):
-        block = probes[:, start:start + _GRAM_BLOCK].astype(np.float32)
+        block = np.unpackbits(signs[:, start // 8:(start + _GRAM_BLOCK) // 8], axis=1,
+                              count=min(_GRAM_BLOCK, m - start)).astype(np.float32)
+        block *= 2
+        block -= 1
         gram += block @ block.T
-    return rhs, gram
+    return signs, gram
+
+
+def _gram_pinv(gram: np.ndarray) -> tuple[np.ndarray, int]:
+    """The pseudo-inverse of the probe Gram and its rank, from one pivoted
+    Cholesky factorization, which overwrites ``gram``.
+
+    Every column of the sketch's k×n array lies in the Gram's range, where
+    the inverse of its rank×rank block on the accepted pivots J, scattered
+    into rows and columns J of a zero k×k matrix, acts as the
+    pseudo-inverse. The transpose of the symmetric Gram is the same matrix
+    in the Fortran order LAPACK factors in place; dpotri writes only the
+    upper triangle.
+    """
+    k = gram.shape[0]
+    factor, piv, rank, _ = dpstrf(gram.T, overwrite_a=True)
+    lead, _ = dpotri(factor[:rank, :rank], overwrite_c=True)
+    pivots = piv[:rank] - 1
+    inv = np.zeros((k, k))
+    inv[np.ix_(pivots, pivots)] = np.triu(lead) + np.triu(lead, 1).T
+    return inv, rank
+
+
+def _row_storage(solver: LaplacianSolver, zeta: float) -> tuple[type, float]:
+    """The dtype of the sketch's probe solutions and the ζ their solves ask
+    for, given the probe ζ: float32 rows and ζ − 2⁻²⁴ on PCG at ζ ≥ 2⁻²³,
+    which leaves at least half of ζ to the solves; float64 rows and ζ
+    itself elsewhere, where the solves run to rounding or ζ leaves too
+    little room."""
+    if solver.method == "iterative" and zeta >= 2 * _FLOAT32_ROUNDING:
+        return np.float32, zeta - _FLOAT32_ROUNDING
+    return np.float64, zeta
+
+
+def _probe_rhs(incidence_t: sp.spmatrix, signs: np.ndarray, out: np.ndarray) -> None:
+    """Write the right-hand sides ``Bᵀ W^{1/2} q_i`` of the packed probe rows
+    ``signs`` into the rows of ``out``, ``_PROBE_CHUNK`` rows at a time."""
+    m = incidence_t.shape[1]
+    for start in range(0, signs.shape[0], _PROBE_CHUNK):
+        bits = np.unpackbits(signs[start:start + _PROBE_CHUNK], axis=1, count=m)
+        q = np.ascontiguousarray(bits.T, dtype=np.float64)
+        q *= 2
+        q -= 1
+        out[start:start + _PROBE_CHUNK] = incidence_t.dot(q).T
 
 
 def approx_reff_from_source(g: WeightedGraph, u: int,
@@ -176,16 +228,27 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
 
     On the probe path the sketch draws k = min(⌈C·ln n/β²⌉, m) probes (or
     ``probe_count`` capped at m) and runs every solve, the k probe solves
-    and the patch solves alike, at the accuracy ζ of :func:`_probe_zeta`.
-    Why that ζ moves sqrt of each estimate by at most
+    and the patch solves alike, at the accuracy ζ of :func:`_probe_zeta`,
+    except that on PCG with ζ ≥ 2⁻²³ the probe solves ask ζ_s = ζ − 2⁻²⁴
+    and their rows are stored as float32 (elsewhere ζ_s = ζ and the rows
+    stay float64). Why that moves sqrt of each estimate by at most
     γ·β·sqrt(Reff(u, v)):
 
     - row i solves L x_i = Bᵀ W^{1/2} q_i for the probe q_i ∈ {±1}^m;
     - ‖x_i‖²_L = q_iᵀ Π q_i ≤ ‖q_i‖² = m, where Π = W^{1/2} B L† Bᵀ W^{1/2}
       is a projection;
-    - so the contract ‖x̂_i − x_i‖_L ≤ ζ·‖x_i‖_L moves each coordinate
-      y_i = x_i(u) − x_i(v) by at most ζ·sqrt(m·Reff(u, v)), since
+    - so the contract ‖x̂_i − x_i‖_L ≤ ζ_s·‖x_i‖_L moves each coordinate
+      y_i = x_i(u) − x_i(v) by at most ζ_s·sqrt(m·Reff(u, v)), since
       |(e_u − e_v)ᵀ e| ≤ ‖e‖_L·sqrt(Reff(u, v));
+    - a float32 row rounds each coordinate by at most 2⁻²⁴·|ŷ_i(v)| ≤
+      2⁻²⁴·sqrt(m·Reff(u, v)): PCG's iterate is the L-orthogonal projection
+      of x_i onto a Krylov space, so ‖x̂_i‖_L ≤ ‖x_i‖_L ≤ sqrt(m). The row
+      is stored times 2^−e, e the binary exponent of its largest entry, so
+      the largest stored entry lies in [1/2, 1) and every entry down to
+      2⁻¹²⁶ of it is a normal float32, where rounding is relative. The
+      scale is exact and is undone before the correction, so the bound
+      holds at any weight scale, where an unscaled cast would underflow or
+      overflow. Each coordinate moves by at most ζ·sqrt(m·Reff) in all;
     - the k-vector y of column v then moves by at most ζ·sqrt(k·m·Reff);
     - the estimate is yᵀ M y with M = (m/rank)·G⁺ positive semidefinite, so
       sqrt of it moves by at most sqrt(‖M‖₂)·ζ·sqrt(k·m·Reff) ≤
@@ -221,27 +284,41 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
         return estimates
     # m probes already give the quadratic form exactly
     k = min(k, m)
-    rhs, gram = _probe_system(g, k, cfg.seed)
-    # one pivoted Cholesky gives the rank and the pseudo-inverse: every
-    # column of Z lies in the Gram's range, where the inverse of its
-    # rank×rank block on the accepted pivots J, scattered into rows and
-    # columns J of a zero k×k matrix, acts as the pseudo-inverse. The
-    # transpose of the symmetric Gram is the same matrix in the Fortran order
-    # LAPACK factors in place; dpotri writes only the upper triangle. It
-    # comes before the solves, which take their accuracy from it.
-    factor, piv, rank, _ = dpstrf(gram.T, overwrite_a=True)
-    lead, _ = dpotri(factor[:rank, :rank], overwrite_c=True)
-    pivots = piv[:rank] - 1
-    inv = np.zeros((k, k))
-    inv[np.ix_(pivots, pivots)] = np.triu(lead) + np.triu(lead, 1).T
+    signs, gram = _probe_system(g, k, cfg.seed)
+    # before the solves, which take their accuracy from it
+    inv, rank = _gram_pinv(gram)
+    del gram  # factored in place
     zeta = _probe_zeta(inv, rank, m, cfg.beta)
-    # the right-hand sides become the solutions: the sketch's one k×n array
-    Z = rhs
-    _solve_in_place(solver, Z, zeta)
-    Z -= Z[:, [u]]  # column v holds Q·W^{1/2}B·L†(e_u − e_v)
+
+    eu, ev, ew = g.edges()
+    sqrt_w = np.sqrt(ew)
+    incidence_t = sp.csr_matrix((np.concatenate([sqrt_w, -sqrt_w]),
+                                 (np.tile(np.arange(m), 2), np.concatenate([eu, ev]))),
+                                shape=(m, g.n)).T
+    # the sketch's one k×n array: row i becomes y_i, whose column v holds
+    # Q·W^{1/2}B·L†(e_v − e_u), as float32 times 2^−e_i or as float64
+    dtype, solve_zeta = _row_storage(solver, zeta)
+    store32 = dtype == np.float32
+    Y = np.empty((k, g.n), dtype=dtype)
+    if store32:
+        buffer = np.empty((min(k, _ROW_CHUNK), g.n))
+        exponents = np.empty(k, dtype=np.int32)
+    ratio = _PCG_FIRST_RATIO  # carried from chunk to chunk, as within one batch
+    for start in range(0, k, _ROW_CHUNK):
+        stop = min(start + _ROW_CHUNK, k)
+        rows = buffer[:stop - start] if store32 else Y[start:stop]
+        _probe_rhs(incidence_t, signs[start:stop], rows)
+        ratio = _solve_in_place(solver, rows, solve_zeta, ratio)
+        rows -= rows[:, [u]]
+        if store32:
+            _, e = np.frexp(np.maximum(rows.max(axis=1), -rows.min(axis=1)))
+            exponents[start:stop] = e
+            Y[start:stop] = np.ldexp(rows, -e[:, None], out=rows)
     estimates = np.empty(g.n)
     for start in range(0, g.n, _CORRECTION_BLOCK):
-        block = Z[:, start:start + _CORRECTION_BLOCK]
+        block = Y[:, start:start + _CORRECTION_BLOCK]
+        if store32:
+            block = np.ldexp(block, exponents[:, None], dtype=np.float64)
         estimates[start:start + _CORRECTION_BLOCK] = np.einsum("iv,iv->v", block, inv @ block)
     estimates *= m / rank
     estimates[u] = 0.0

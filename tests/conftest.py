@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import resdecomp as rd
 
@@ -62,6 +63,21 @@ def jacobi_pcg(g, b):
         r_new = r - alpha * q
         d = inv_diag * r_new + (r_new @ (inv_diag * r_new)) / (r @ (inv_diag * r)) * d
         r = r_new
+
+
+def one_shot_probe_system(g, k, seed):
+    """The probe right-hand sides and Gram with the k probes drawn as one
+    k×m float64 matrix: what the streamed draw must reproduce bit for bit."""
+    m = g.m
+    rng = np.random.default_rng(seed)
+    probes = (rng.integers(0, 2, size=(k, m)) * 2 - 1).astype(np.float64)
+    eu, ev, ew = g.edges()
+    sqrt_w = np.sqrt(ew)
+    rows = np.concatenate([np.arange(m), np.arange(m)])
+    cols = np.concatenate([eu, ev])
+    vals = np.concatenate([sqrt_w, -sqrt_w])
+    incidence = sp.csr_matrix((vals, (rows, cols)), shape=(m, g.n))
+    return incidence.T.dot(probes.T).T, probes @ probes.T
 
 
 @pytest.fixture(scope="session")

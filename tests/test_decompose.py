@@ -112,6 +112,12 @@ class TestDecompositionConfig:
         rec = rd.verify_partition(g, part, 1e200)
         assert rec.rdiam_bound == math.inf and rec.resistance_target == math.inf
         assert rec.passed
+        # Python ints too: converted to float before any product, beyond the
+        # float range to inf
+        assert math.isinf(rd.DecompositionConfig.for_graph(g, 10 ** 400).resistance_target)
+        rec = rd.verify_partition(rd.grid2d(3), [range(9)], 10 ** 200)
+        assert rec.rdiam_bound == math.inf and rec.resistance_target == math.inf
+        assert rec.passed
 
 
 class TestPartition:

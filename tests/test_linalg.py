@@ -8,10 +8,11 @@ import pytest
 import scipy.sparse.csgraph as csgraph
 
 import resdecomp as rd
-from resdecomp import linalg, sketch
+from resdecomp import linalg
 from resdecomp.linalg import ZETA_CAP, ZETA_FLOOR
 
-from conftest import jacobi_pcg, log_uniform_mesh, path_graph, random_connected_graph, skewed
+from conftest import (jacobi_pcg, log_uniform_mesh, one_shot_probe_system, path_graph,
+                      random_connected_graph, skewed)
 
 
 # iterations within which every PCG solve of these tests stops
@@ -244,7 +245,7 @@ class TestSolveLaplacian:
         # from the row before, and the scaling by D^{-1/2} rounds under skew
         g = skewed(rd.random_regular(3000, 4, 0), 1e2)
         assert g.n > linalg.DENSE_SOLVE_LIMIT
-        B, _ = sketch._probe_system(g, 12, 0)
+        B, _ = one_shot_probe_system(g, 12, 0)
         exact = rd.solve_laplacian_many(rd.LaplacianSolver(g, "dense"), B, 1e-8)
         L = rd.assemble_laplacian(g)
         solver = rd.LaplacianSolver(g, "iterative")
@@ -254,6 +255,29 @@ class TestSolveLaplacian:
                 e = x - x_ref
                 assert np.sqrt(e @ (L @ e)) <= zeta * np.sqrt(x_ref @ (L @ x_ref))
             assert X[0].tobytes() == rd.solve_laplacian_many(solver, B[:1], zeta)[0].tobytes()
+
+    def test_split_batch_carries_the_ratio(self, monkeypatch):
+        # a batch solved in two calls, the second taking the energy ratio the
+        # first returns, checks its residuals as often as one call and
+        # returns its bits; a second call started afresh checks more often
+        g = rd.random_regular(3000, 4, 0)
+        B, _ = one_shot_probe_system(g, 12, 0)
+        solver = rd.LaplacianSolver(g, "iterative")
+        checks = []
+        real = linalg._tree_energy
+        monkeypatch.setattr(linalg, "_tree_energy",
+                            lambda solver, r: checks.append(1) or real(solver, r))
+        whole = B.copy()
+        assert linalg._solve_in_place(solver, whole, 1e-6) > linalg._PCG_FIRST_RATIO
+        once = len(checks)
+        for carry in (True, False):
+            checks.clear()
+            split = B.copy()
+            ratio = linalg._solve_in_place(solver, split[:5], 1e-6)
+            linalg._solve_in_place(solver, split[5:], 1e-6,
+                                   ratio if carry else linalg._PCG_FIRST_RATIO)
+            assert (len(checks) == once) == carry
+            assert np.array_equal(split, whole) or not carry
 
     def test_energy_norm_contract_dense(self, corpus):
         for g in corpus[:20]:

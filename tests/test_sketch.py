@@ -3,14 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.linalg import lapack
 
 import resdecomp as rd
 from resdecomp import linalg, sketch
 from resdecomp.sketch import PROBE_COUNT_CONSTANT, _num_probes
 
-from conftest import log_uniform_mesh, path_graph
+from conftest import log_uniform_mesh, one_shot_probe_system, path_graph
 
 
 BETA = math.log(1.5)
@@ -79,7 +78,7 @@ class TestApproxReffFromSource:
 
         def recording(solver, B, *args):
             batches.append(np.array(B))
-            real(solver, B, *args)
+            return real(solver, B, *args)
 
         monkeypatch.setattr(sketch, "_solve_in_place", recording)
         A = rd.approx_reff_from_source(g, 0, rd.SketchConfig(probe_count=1, seed=seed))
@@ -97,16 +96,19 @@ class TestApproxReffFromSource:
         batches = []
         real = sketch._solve_in_place
 
-        def recording(solver, B, zeta):
+        def recording(solver, B, zeta, *args):
             batches.append((np.array(B), zeta))
-            real(solver, B, zeta)
+            return real(solver, B, zeta, *args)
 
         monkeypatch.setattr(sketch, "_solve_in_place", recording)
         cfg = rd.SketchConfig(probe_count=1, seed=seed)
         A = rd.approx_reff_from_source(g, 0, cfg, rd.LaplacianSolver(g, "iterative"))
         inv, rank = cholesky_pinv(one_shot_probe_system(g, 1, seed)[1])
         zeta = sketch._probe_zeta(inv, rank, g.m, cfg.beta)
-        assert [z for _, z in batches] == [zeta, zeta]
+        # the probe rows are stored as float32, which takes 2^-24 of the
+        # probe solves' ζ; the patch rows stay float64 and take all of it
+        assert zeta >= 2.0 ** -23
+        assert [z for _, z in batches] == [zeta - 2.0 ** -24, zeta]
         for v in batches[1][0].argmin(axis=1):
             R = rd.exact_reff(g, 0, int(v))
             assert (1 - zeta) * R <= A[v] <= (1 + zeta) * R
@@ -215,21 +217,6 @@ class TestExactRegime:
         assert rd.LaplacianSolver(rd.build_graph(1, [])).reff_matrix().tolist() == [[0.0]]
 
 
-def one_shot_probe_system(g, k, seed):
-    """The probe right-hand sides and Gram with the k probes drawn as one
-    k×m float64 matrix: what the streamed draw must reproduce bit for bit."""
-    m = g.m
-    rng = np.random.default_rng(seed)
-    probes = (rng.integers(0, 2, size=(k, m)) * 2 - 1).astype(np.float64)
-    eu, ev, ew = g.edges()
-    sqrt_w = np.sqrt(ew)
-    rows = np.concatenate([np.arange(m), np.arange(m)])
-    cols = np.concatenate([eu, ev])
-    vals = np.concatenate([sqrt_w, -sqrt_w])
-    incidence = sp.csr_matrix((vals, (rows, cols)), shape=(m, g.n))
-    return incidence.T.dot(probes.T).T, probes @ probes.T
-
-
 def cholesky_pinv(gram):
     """The Gram's inverse on its range, and its rank, from one pivoted
     Cholesky: the inverse of the block on the accepted pivots, scattered
@@ -251,19 +238,27 @@ def svd_pinv(gram):
     return (Vt[:rank].T / sv[:rank]) @ U_[:, :rank].T, rank
 
 
-def one_shot_estimates(g, u, cfg, solver, pinv=cholesky_pinv, zeta=None):
+def one_shot_estimates(g, u, cfg, solver, pinv=cholesky_pinv, zeta=None, store32=None):
     """The sketch with its probes drawn as one k×m float64 matrix: with the
-    default ``pinv`` and ``zeta``, the formula the streamed sketch must
-    reproduce bit for bit. The probes and the patch rows are solved to
-    ``zeta``, by default the sketch's own accuracy for them."""
+    default ``pinv``, ``zeta`` and ``store32``, the formula the streamed
+    sketch must reproduce bit for bit. The patch rows are solved to
+    ``zeta``, by default the sketch's own accuracy for them. With
+    ``store32``, by default on PCG at ζ ≥ 2^-23, the probes are solved to
+    ζ − 2^-24 and each row y_i is rounded to float32 times 2^-e_i, e_i the
+    binary exponent of max |y_i|; otherwise they are solved to ζ."""
     m = g.m
     k = _num_probes(cfg, g.n)
     rhs, gram = one_shot_probe_system(g, k, cfg.seed)
     inv, rank = pinv(gram)
     if zeta is None:
         zeta = sketch._probe_zeta(inv, rank, m, cfg.beta)
-    Z = rd.solve_laplacian_many(solver, rhs, zeta)
+    if store32 is None:
+        store32 = solver.method == "iterative" and zeta >= 2.0 ** -23
+    Z = rd.solve_laplacian_many(solver, rhs, zeta - 2.0 ** -24 if store32 else zeta)
     diffs = Z - Z[:, [u]]
+    if store32:
+        e = np.frexp(np.abs(diffs).max(axis=1))[1][:, None]
+        diffs = np.ldexp(np.ldexp(diffs, -e).astype(np.float32).astype(np.float64), e)
     # the correction in the sketch's column blocks: the product's last bits
     # can depend on the block width
     step = sketch._CORRECTION_BLOCK
@@ -316,12 +311,17 @@ class TestStreamedSketch:
 
     @pytest.mark.parametrize("make, probe_count", PROBE_SYSTEM_CASES)
     def test_probe_system_matches_one_shot_draw_bit_for_bit(self, make, probe_count):
+        # the packed signs unpack to the generator's one-shot 0/1 draw, down
+        # to the last sign of an odd k·m, which takes half a 64-bit word
         g = make()
         k = _num_probes(rd.SketchConfig(probe_count=probe_count), g.n)
         assert k >= g.m
-        rhs, gram = sketch._probe_system(g, k, 3)
-        want_rhs, want_gram = one_shot_probe_system(g, k, 3)
-        assert np.array_equal(rhs, want_rhs) and np.array_equal(gram, want_gram)
+        signs, gram = sketch._probe_system(g, k, 3)
+        assert signs.dtype == np.uint8 and signs.shape == (k, (g.m + 7) // 8)
+        want = np.random.default_rng(3).integers(0, 2, size=(k, g.m))
+        assert np.array_equal(np.unpackbits(signs, axis=1, count=g.m), want)
+        assert not np.unpackbits(signs, axis=1)[:, g.m:].any()
+        assert np.array_equal(gram, one_shot_probe_system(g, k, 3)[1])
 
     def test_cases_reach_chunk_edges(self):
         # the sketch of grid12 ends on a partial chunk with k < m; its probe
@@ -333,16 +333,18 @@ class TestStreamedSketch:
         g = rd.barbell(8)
         k = _num_probes(rd.SketchConfig(), g.n)
         assert k >= g.m and g.m % 2 == 1 and (k % sketch._PROBE_CHUNK) % 2 == 1
+        assert sketch._PROBE_CHUNK % 2 == 0 and sketch._GRAM_BLOCK % 8 == 0
         m = rd.complete(70).m  # more than two Gram blocks and an odd tail
         assert m > 2 * sketch._GRAM_BLOCK and (m % sketch._GRAM_BLOCK) % 2 == 1
 
     @pytest.mark.parametrize("method", ["iterative", "dense"])
     def test_peak_memory_without_dense_probe_matrix(self, method):
-        # one k×n float64 array (9.4 MB here; the solves write into the
-        # right-hand sides, a row chunk at a time on the dense backend), the
-        # int8 probes (k·m bytes, 2.3 MB) and k×k Gram-sized temporaries stay
-        # below two k×n arrays; the one-shot draw holds k×m float64 and int64
-        # matrices. "auto" takes PCG here.
+        # one k×n array (9.4 MB here as float64, half that as PCG's float32),
+        # the packed probe signs (k·m/8 bytes, 0.3 MB), one row chunk of
+        # right-hand sides and the k×k pseudo-inverse: 1.24 k×n float64
+        # arrays on PCG, gated at 1.5, and 1.36 on the dense backend, held
+        # below 2; the one-shot draw holds k×m float64 and int64 matrices.
+        # "auto" takes PCG here.
         g = rd.random_regular(3000, 4, 1)
         k = _num_probes(rd.SketchConfig(), g.n)
         assert k == 390 and rd.LaplacianSolver(g).method == "iterative"
@@ -353,7 +355,33 @@ class TestStreamedSketch:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 8 * k * g.n
+        assert peak < (1.5 if method == "iterative" else 2) * 8 * k * g.n
+
+    @pytest.mark.parametrize("e", [-260, 260, 600])
+    def test_pcg_estimates_equivariant_under_power_of_two_weights(self, e):
+        # weights times 2^e scale every solution by an exact power of two,
+        # which the per-row scale of the float32 rows absorbs: the estimates
+        # scale by 2^-e bit for bit. An unscaled float32 cast would underflow
+        # at 2^600 and overflow at 2^-260.
+        g = rd.random_regular(3000, 4, 1)
+        h = rd.scale_weights(g, 2.0 ** e)
+        A = rd.approx_reff_from_source(g, 0, solver=rd.LaplacianSolver(g, "iterative"))
+        B = rd.approx_reff_from_source(h, 0, solver=rd.LaplacianSolver(h, "iterative"))
+        assert np.array_equal(2.0 ** e * B, A)
+
+    def test_pcg_rows_stay_float64_below_twice_the_rounding(self, monkeypatch):
+        # at ζ < 2^-23 a float32 row's rounding would take more than half of
+        # ζ: the probe solves take all of ζ and the rows stay float64, as the
+        # one-shot formula without rounding has them
+        g = rd.random_regular(3000, 4, 1)
+        cfg = rd.SketchConfig(beta=1e-4, probe_count=50)
+        solver = rd.LaplacianSolver(g, "iterative")
+        zetas = TestProbeAccuracy.recorded_zetas(monkeypatch)
+        A = rd.approx_reff_from_source(g, 0, cfg, solver)
+        inv, rank = cholesky_pinv(one_shot_probe_system(g, 50, 0)[1])
+        zeta = sketch._probe_zeta(inv, rank, g.m, cfg.beta)
+        assert linalg.ZETA_FLOOR < zeta < 2.0 ** -23 and zetas == [zeta]
+        assert np.array_equal(A, one_shot_estimates(g, 0, cfg, solver, store32=False))
 
 
 class TestGramInverse:
@@ -399,9 +427,9 @@ class TestProbeAccuracy:
         zetas = []
         real = sketch._solve_in_place
 
-        def recording(solver, B, zeta):
+        def recording(solver, B, zeta, *args):
             zetas.append(zeta)
-            real(solver, B, zeta)
+            return real(solver, B, zeta, *args)
 
         monkeypatch.setattr(sketch, "_solve_in_place", recording)
         return zetas
@@ -430,8 +458,11 @@ class TestProbeAccuracy:
         inv, rank = cholesky_pinv(one_shot_probe_system(g, k, 5)[1])
         rho = (g.m / rank) * np.abs(inv).sum(axis=1).max()
         want = sketch.SOLVE_ERROR_SHARE * cfg.beta / math.sqrt(rho * k * g.m)
-        assert linalg.ZETA_FLOOR < want < linalg.ZETA_CAP
-        assert zetas == [pytest.approx(want, rel=1e-12)]
+        assert 2.0 ** -23 <= want < linalg.ZETA_CAP
+        # one call per row chunk, each at ζ less the float32 rows' rounding
+        chunks = math.ceil(k / linalg._ROW_CHUNK)
+        assert chunks > 1
+        assert zetas == [pytest.approx(want - 2.0 ** -24, rel=1e-12)] * chunks
 
     @pytest.mark.parametrize("beta, want", [(1e-30, linalg.ZETA_FLOOR),
                                             (1e6, linalg.ZETA_CAP)],
