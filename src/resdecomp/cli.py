@@ -23,12 +23,12 @@ from .decompose import (C_LOSS, C_RES, DecompositionConfig, _verification_record
 from .edgelist import format_edgelist, read_edgelist
 from .generators import _FAMILIES, generate
 from .graph import WeightedGraph
-from .linalg import (METHODS, LaplacianSolver, _pair_component, implied_potential_accuracy,
-                     st_potential)
+from .linalg import (DENSE_SOLVE_LIMIT, METHODS, LaplacianSolver, _pair_component,
+                     implied_potential_accuracy, st_potential)
 from .sketch import DEFAULT_BETA, SketchConfig
 from .sweep import DEFAULT_EPSILON, find_sparse_cut
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 class _UsageError(Exception):
@@ -100,8 +100,8 @@ def _add_sketch_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_method_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=METHODS, default="auto",
-                   help="linear solver selection; auto: dense ≤ 2048 vertices, "
-                        "else sparse LU when the fill probe allows, else PCG")
+                   help=f"linear solver selection; auto: dense ≤ {DENSE_SOLVE_LIMIT} "
+                        "vertices, else sparse LU when the fill probe allows, else PCG")
 
 
 def _build_parser() -> _Parser:
@@ -160,7 +160,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--graph", required=True)
     p.add_argument("--partition", required=True, help="JSON file {\"blocks\": [[ids...], ...]}")
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--c-r", type=float, dest="c_r", default=1.0)
     p.add_argument("--out", default=None)
     p.add_argument("--timing", action="store_true")
     _add_sketch_flags(p)
@@ -274,8 +273,7 @@ def _cmd_decompose(args) -> dict:
     if args.exact_verify:
         # the run certified these blocks with the verifier's settings; the
         # cover, cut weight and loss are rechecked from the input graph
-        rec = _verification_record(g, part.blocks, args.delta, report.per_block_rdiam,
-                                   args.c_r)
+        rec = _verification_record(g, part.blocks, args.delta, report.per_block_rdiam)
         results["verification"] = _verification_payload(rec)
     return {
         "input": _digest(g, args.graph),
@@ -290,11 +288,10 @@ def _cmd_decompose(args) -> dict:
 def _cmd_verify(args) -> dict:
     g = _load_graph(args.graph)
     blocks = _load_partition(args.partition)
-    rec = verify_partition(g, blocks, args.delta, c_r=args.c_r,
-                           cfg=_sketch_config(args), method=args.method)
+    rec = verify_partition(g, blocks, args.delta, cfg=_sketch_config(args), method=args.method)
     return {
         "input": _digest(g, args.graph),
-        "config": {"delta": args.delta, "c_r": args.c_r, "partition": args.partition,
+        "config": {"delta": args.delta, "partition": args.partition,
                    **_settings_payload(args)},
         "results": _verification_payload(rec),
     }

@@ -129,7 +129,6 @@ class VerificationRecord:
     block_rdiams: list[BlockResistance]
     rdiam_bound: float
     rdiam_ok: bool
-    resistance_target: float
 
     @property
     def passed(self) -> bool:
@@ -188,21 +187,18 @@ class _Accounting:
         self.num_cuts = 0
         self.num_pruned = 0
 
-    def charge_cut(self, sub: WeightedGraph, root_ids: np.ndarray,
-                   subset: np.ndarray, boundary_weight: float, side_volume: float) -> None:
+    def charge_cut(self, side: WeightedGraph, side_ids: np.ndarray,
+                   boundary_weight: float, side_volume: float) -> None:
         self.num_cuts += 1
         self.type_ii += boundary_weight
-        mask = np.zeros(sub.n, dtype=bool)
-        mask[subset] = True
-        eu, ev, ew = sub.edges()
-        internal = mask[eu] & mask[ev]
-        internal_weight = float(ew[internal].sum())
-        if internal_weight <= 0:
+        if side.total_weight <= 0:
             self.uncharged += boundary_weight
             return
-        charge = boundary_weight / internal_weight
-        a, b = root_ids[eu[internal]], root_ids[ev[internal]]
-        idx = np.searchsorted(self.edge_keys, np.minimum(a, b) * self.n + np.maximum(a, b))
+        charge = boundary_weight / side.total_weight
+        # side_ids ascend (see partition_with_config) and side's edges have
+        # u < v, so its root edges have u < v too
+        idx = np.searchsorted(self.edge_keys, side_ids[side.edge_u] * self.n
+                              + side_ids[side.edge_v])
         self.psi[idx] += charge
         for i in idx.tolist():
             self.charge_volumes.setdefault(i, []).append(side_volume)
@@ -240,6 +236,8 @@ def partition_with_config(g: WeightedGraph, config: DecompositionConfig,
     # vertices it isolates, so an accepted component's subgraph equals the
     # root's induced subgraph on its ids and is certified where it is emitted.
     blocks: list[tuple[np.ndarray, BlockResistance]] = []
+    # Components, cut sides and the rests keep their vertices ascending, so
+    # root ids ascend within every work item.
     work: list[tuple[WeightedGraph, np.ndarray, int]] = [(g, np.arange(g.n), 0)]
     while work:
         h, ids, depth = work.pop()
@@ -266,14 +264,15 @@ def partition_with_config(g: WeightedGraph, config: DecompositionConfig,
                 continue
             cut = _far_pair_cut(solver, DEFAULT_EPSILON, u, v, estimate)
             del solver
-            acct.charge_cut(sub, root_ids, cut.subset,
-                            cut.stats.boundary_weight, cut.stats.volume)
             small_graph, _ = induced_subgraph(sub, cut.subset)
+            small_ids = root_ids[cut.subset]
+            acct.charge_cut(small_graph, small_ids,
+                            cut.stats.boundary_weight, cut.stats.volume)
             rest = np.delete(np.arange(sub.n), cut.subset)
             rest_graph, _ = induced_subgraph(sub, rest)
             # smaller-volume side is processed first (LIFO)
             work.append((rest_graph, root_ids[rest], depth + 1))
-            work.append((small_graph, root_ids[cut.subset], depth + 1))
+            work.append((small_graph, small_ids, depth + 1))
 
     blocks.sort(key=lambda b: int(b[0][0]))
     cut_weight = acct.type_i + acct.type_ii
@@ -321,18 +320,16 @@ def _as_blocks(p) -> list[np.ndarray]:
     return blocks
 
 
-def verify_partition(g: WeightedGraph, p, delta: float, c_r: float = 1.0,
+def verify_partition(g: WeightedGraph, p, delta: float,
                      cfg: SketchConfig | None = None,
                      method: str = "auto") -> VerificationRecord:
     """Independently recheck a partition against the loss and resistance
     bounds (:data:`C_LOSS`/delta and :data:`C_RES`·delta³·n/w(E)), certifying
     every block afresh from one solver per block; a disconnected block has
     infinite diameter. Rejects inputs that are not a partition of V, a
-    ``delta`` or ``c_r`` that is not a positive number, and an unknown
-    ``method``."""
-    for name, value in (("delta", delta), ("c_r", c_r)):
-        if not value > 0:  # NaN fails too
-            raise ValueError(f"{name} must be positive, got {value}")
+    ``delta`` that is not a positive number, and an unknown ``method``."""
+    if not delta > 0:  # NaN fails too
+        raise ValueError(f"delta must be positive, got {delta}")
     _check_method(method)  # also where no solver is built
     cfg = cfg or SketchConfig()
     blocks = _as_blocks(p)
@@ -347,16 +344,16 @@ def verify_partition(g: WeightedGraph, p, delta: float, c_r: float = 1.0,
         return _certify_block(solver, cfg)
 
     # a generator: blocks are certified only once the cover has been checked
-    return _verification_record(g, blocks, delta, (certify(b) for b in blocks), c_r)
+    return _verification_record(g, blocks, delta, (certify(b) for b in blocks))
 
 
 def _verification_record(g: WeightedGraph, blocks: list[np.ndarray], delta: float,
-                         rdiams: Iterable[BlockResistance], c_r: float) -> VerificationRecord:
+                         rdiams: Iterable[BlockResistance]) -> VerificationRecord:
     """The verification record of ``blocks`` given their certificates.
 
     The cover, cut weight and loss come from ``g``; ``rdiams`` is consumed
     only after the cover is checked."""
-    delta, c_r = _as_float(delta), _as_float(c_r)
+    delta = _as_float(delta)
     label = np.full(g.n, -1, dtype=np.int64)
     total = 0
     for i, b in enumerate(blocks):
@@ -375,13 +372,9 @@ def _verification_record(g: WeightedGraph, blocks: list[np.ndarray], delta: floa
     loss_bound = C_LOSS / delta
 
     rdiams = list(rdiams)
-    if g.total_weight > 0:
-        cube = delta * delta * delta  # saturates to inf where ** would overflow
-        rdiam_bound = C_RES * cube * g.n / g.total_weight
-        resistance_target = c_r * cube * g.n / g.total_weight
-    else:
-        rdiam_bound = math.inf
-        resistance_target = math.inf
+    # delta·delta·delta saturates to inf where ** would overflow
+    rdiam_bound = (C_RES * (delta * delta * delta) * g.n / g.total_weight
+                   if g.total_weight > 0 else math.inf)
     max_rdiam = max((r.value for r in rdiams), default=0.0)
     return VerificationRecord(
         cut_weight=cut_weight,
@@ -391,5 +384,4 @@ def _verification_record(g: WeightedGraph, blocks: list[np.ndarray], delta: floa
         block_rdiams=rdiams,
         rdiam_bound=rdiam_bound,
         rdiam_ok=max_rdiam <= rdiam_bound,
-        resistance_target=resistance_target,
     )

@@ -48,13 +48,12 @@ from scipy.linalg.blas import daxpy, ddot, dscal
 from .errors import ConvergenceError, DisconnectedGraphError, InfiniteResistanceError
 from .graph import WeightedGraph, connected_components, induced_subgraph
 
-# Up to this order the auto method takes dense Cholesky; above it, the fill
-# probe chooses between sparse LU and PCG.
+# The one order up to which the solver forms an n×n array: the auto method
+# takes dense Cholesky, and LaplacianSolver.reff_matrix forms the all-pairs
+# resistance matrix that the sketch's exact regime and the block certificate
+# read. Above it, the fill probe chooses between sparse LU and PCG, and a
+# block is certified by 2·e^beta ≈ 3 times its sketch estimate.
 DENSE_SOLVE_LIMIT = 2048
-# Up to this order LaplacianSolver.reff_matrix forms the all-pairs resistance
-# matrix that the sketch's exact regime and the block certificate read. A
-# larger block is certified by 2·e^beta ≈ 3 times its sketch estimate.
-ORACLE_BLOCK_LIMIT = 2048
 # The fill probe admits sparse LU when the RCM envelope of L is at most this
 # factor times n^{3/2}. Measured envelope/n^{3/2}: 2-d grids 0.67 from 46 to
 # 316 per side; hypercube(12) 10.8, random_regular(3000, 4) 11.4.
@@ -122,7 +121,7 @@ class LaplacianSolver:
     usually checks once. Its dot products are summed in fixed blocks of
     10⁴ entries, so PCG's bits do not depend on the BLAS thread count.
     :meth:`reff_matrix` inverts the grounded factor once, on first use, and
-    keeps the result; above ``ORACLE_BLOCK_LIMIT`` vertices it forms no
+    keeps the result; above ``DENSE_SOLVE_LIMIT`` vertices it forms no
     matrix and returns ``None``. Build one solver per graph and hand it to
     every solve on that graph: the sketch (or, in its exact regime, a row of
     the resistance matrix), the patch solves, the cut's potential and the
@@ -186,10 +185,10 @@ class LaplacianSolver:
     def reff_matrix(self) -> np.ndarray | None:
         """All-pairs effective resistances of the solver's graph (read-only),
         computed on the first call and kept, or ``None`` above
-        ``ORACLE_BLOCK_LIMIT`` vertices: the solver owns that limit and reads
+        ``DENSE_SOLVE_LIMIT`` vertices: the solver owns that limit and reads
         it at each call. It inverts the dense backend's own grounded factor;
         any other backend's Laplacian is factored here."""
-        if self.graph.n > ORACLE_BLOCK_LIMIT:
+        if self.graph.n > DENSE_SOLVE_LIMIT:
             return None
         if self._reff is None:
             n = self.graph.n

@@ -30,13 +30,14 @@ it replaces, as k ≥ m ≥ n − 1. Otherwise the sketch draws min(k, m) probes
 
 Memory on the probe path: with k probes, a sketch holds the k×m probe
 signs bit-packed (k·m/8 bytes), drawn a few rows at a time, and one k×n
-array of probe solutions y_i = x_i − x_i(u). Each ``_ROW_CHUNK`` of
-right-hand sides is built just before it is solved. The dense and sparse-LU
-backends, and PCG when ζ < 2⁻²³, solve straight into the array's float64
-rows. Otherwise PCG solves each chunk in one float64 buffer and stores its
-rows as float32, each scaled by the power of two that puts its largest
-entry in [1/2, 1): half the bytes, at a rounding the solves leave room for
-(see :func:`approx_reff_from_source`). The Gram correction then takes
+array of probe solutions y_i = x_i − x_i(u). Each chunk of right-hand
+sides is built just before it is solved. The dense and sparse-LU backends,
+and PCG when ζ < 2⁻²³, solve ``_ROW_CHUNK`` rows at a time straight into
+the array's float64 rows. Otherwise PCG solves ``_PROBE_CHUNK`` rows at a
+time in one float64 buffer and stores its rows as float32, each scaled by
+the power of two that puts its largest entry in [1/2, 1): half the bytes,
+at a rounding the solves leave room for (see
+:func:`approx_reff_from_source`). The Gram correction then takes
 ``_CORRECTION_BLOCK`` vertex columns at a time, float32 ones widened and
 unscaled. Every backend's solves add only per-chunk temporaries.
 """
@@ -271,7 +272,9 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
     if not (0 <= u < g.n):
         raise ValueError(f"source {u} out of range [0, {g.n})")
     if g.n == 1:
-        return np.zeros(1)
+        estimates = np.zeros(1)
+        estimates.flags.writeable = False
+        return estimates
     solver = solver or LaplacianSolver(g)
     if solver.graph is not g:
         raise ValueError("solver was built for a different graph")
@@ -300,12 +303,14 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
     dtype, solve_zeta = _row_storage(solver, zeta)
     store32 = dtype == np.float32
     Y = np.empty((k, g.n), dtype=dtype)
-    if store32:
-        buffer = np.empty((min(k, _ROW_CHUNK), g.n))
+    chunk = _ROW_CHUNK
+    if store32:  # PCG solves row by row, so a probe chunk's buffer suffices
+        chunk = _PROBE_CHUNK
+        buffer = np.empty((min(k, chunk), g.n))
         exponents = np.empty(k, dtype=np.int32)
     ratio = _PCG_FIRST_RATIO  # carried from chunk to chunk, as within one batch
-    for start in range(0, k, _ROW_CHUNK):
-        stop = min(start + _ROW_CHUNK, k)
+    for start in range(0, k, chunk):
+        stop = min(start + chunk, k)
         rows = buffer[:stop - start] if store32 else Y[start:stop]
         _probe_rhs(incidence_t, signs[start:stop], rows)
         ratio = _solve_in_place(solver, rows, solve_zeta, ratio)

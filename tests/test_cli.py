@@ -9,7 +9,7 @@ import pytest
 import resdecomp as rd
 from resdecomp import cli, decompose, linalg, sweep
 from resdecomp.cli import execute
-from resdecomp.linalg import ORACLE_BLOCK_LIMIT
+from resdecomp.linalg import DENSE_SOLVE_LIMIT
 
 from conftest import skewed
 
@@ -44,7 +44,7 @@ def bridged_meshes(tmp_path_factory):
     """Two grid2d(46) joined corner to corner by an edge of weight 0.01: one
     cut at the bridge leaves two blocks above the oracle limit."""
     grid = rd.grid2d(46)
-    assert grid.n > ORACLE_BLOCK_LIMIT
+    assert grid.n > DENSE_SOLVE_LIMIT
     edges = [(int(u) + off, int(v) + off, 1.0)
              for off in (0, grid.n) for u, v in zip(grid.edge_u, grid.edge_v)]
     edges.append((grid.n - 1, grid.n, 0.01))
@@ -61,7 +61,7 @@ class TestGen:
         assert code == 0
         lines = out_file.read_text().strip().splitlines()
         assert len(lines) == 12
-        assert report["schema"] == 3
+        assert report["schema"] == 4
         assert report["results"] == {"written": str(out_file), "n": 8, "m": 12}
 
     def test_round_trip_digest(self, capsys, tmp_path):
@@ -277,10 +277,15 @@ class TestDecomposeVerify:
 
         code2, verify_report = run_json(capsys, "verify", "--graph", str(graph_file),
                                         "--partition", str(part_file),
-                                        "--delta", "2", "--c-r", "4")
+                                        "--delta", "2")
         assert code2 == 0
         assert verify_report["results"]["passed"] is True
         assert verify_report["results"]["cut_weight"] == pytest.approx(res["cut_weight"])
+        assert "resistance_target" not in verify_report["results"]
+        # the bounds do not read c_r, so verify takes no --c-r: a usage error
+        code3, _ = run(capsys, "verify", "--graph", str(graph_file),
+                       "--partition", str(part_file), "--delta", "2", "--c-r", "4")
+        assert code3 == 1
 
     def test_exact_verify_embedded(self, capsys, barbell4):
         code, report = run_json(capsys, "decompose", "--graph", barbell4,
@@ -350,9 +355,8 @@ class TestDecomposeVerify:
         assert report["error"]["type"] == "ValueError"
         assert "results" not in report
 
-    @pytest.mark.parametrize("flags", [("--delta", "0"), ("--delta", "-1"), ("--delta", "nan"),
-                                       ("--delta", "8", "--c-r", "nan")],
-                             ids=["zero", "negative", "nan", "c_r-nan"])
+    @pytest.mark.parametrize("flags", [("--delta", "0"), ("--delta", "-1"), ("--delta", "nan")],
+                             ids=["zero", "negative", "nan"])
     def test_verify_rejects_non_positive_setting(self, capsys, tmp_path, flags):
         graph, part_file = tmp_path / "g6.txt", tmp_path / "part.json"
         rd.write_edgelist(rd.grid2d(6), graph)

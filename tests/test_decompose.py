@@ -110,13 +110,13 @@ class TestDecompositionConfig:
         assert [b.tolist() for b in part.blocks] == [list(range(g.n))]
         assert math.isinf(report.config.resistance_target)
         rec = rd.verify_partition(g, part, 1e200)
-        assert rec.rdiam_bound == math.inf and rec.resistance_target == math.inf
+        assert rec.rdiam_bound == math.inf
         assert rec.passed
         # Python ints too: converted to float before any product, beyond the
         # float range to inf
         assert math.isinf(rd.DecompositionConfig.for_graph(g, 10 ** 400).resistance_target)
         rec = rd.verify_partition(rd.grid2d(3), [range(9)], 10 ** 200)
-        assert rec.rdiam_bound == math.inf and rec.resistance_target == math.inf
+        assert rec.rdiam_bound == math.inf
         assert rec.passed
 
 
@@ -403,7 +403,7 @@ class TestPartition:
     def test_block_certificates_match_verifier(self, monkeypatch, probes):
         # oracle-certified and sketch-certified blocks both occur below the
         # lowered limit; probes=10 runs the sketch with fewer probes than edges
-        monkeypatch.setattr(linalg, "ORACLE_BLOCK_LIMIT", 8)
+        monkeypatch.setattr(linalg, "DENSE_SOLVE_LIMIT", 8)
         g = rd.grid2d(10)
         cfg = rd.SketchConfig(probe_count=probes)
         config = rd.DecompositionConfig(delta=4.0, n_original=g.n,
@@ -428,7 +428,7 @@ class TestPartition:
         def no_matrix(factor):
             raise AssertionError("resistance matrix formed above the limit")
 
-        monkeypatch.setattr(linalg, "ORACLE_BLOCK_LIMIT", 8)
+        monkeypatch.setattr(linalg, "DENSE_SOLVE_LIMIT", 8)
         monkeypatch.setattr(linalg, "_grounded_reff_matrix", no_matrix)
         solver = rd.LaplacianSolver(g)
         assert solver.reff_matrix() is None
@@ -442,27 +442,32 @@ class TestPartition:
         g = rd.grid2d(6)
         blocks = [np.arange(g.n)]
         assert rd.verify_partition(g, blocks, 4.0).block_rdiams[0].certified_exact
-        monkeypatch.setattr(linalg, "ORACLE_BLOCK_LIMIT", 8)
+        monkeypatch.setattr(linalg, "DENSE_SOLVE_LIMIT", 8)
         assert not rd.verify_partition(g, blocks, 4.0).block_rdiams[0].certified_exact
 
 
 class TestAccounting:
     def test_charges_match_edge_loop_reference(self):
-        # root ids in descending order: the reversed grid is the same grid
-        g = rd.grid2d(4)
-        root_ids = np.arange(g.n)[::-1]
+        # a cut side inside a work item: both hold ascending root ids
+        g = rd.grid2d(5)
+        root_ids = np.array([1, 2, 3, 6, 7, 8, 11, 12, 13, 16, 17, 18])
+        sub, _ = rd.induced_subgraph(g, root_ids)
+        subset = np.array([0, 1, 3, 4, 5, 8])
+        side, _ = rd.induced_subgraph(sub, subset)
         acct = decompose._Accounting(g)
-        acct.charge_cut(g, root_ids, np.arange(8), 2.0, 5.0)
+        acct.charge_cut(side, root_ids[subset], 2.0, 5.0)
         eu, ev, ew = g.edges()
         index = {(int(a), int(b)): i for i, (a, b) in enumerate(zip(eu, ev))}
-        internal = (eu < 8) & (ev < 8)
-        charge = 2.0 / float(ew[internal].sum())
+        su, sv, sw = sub.edges()
+        internal = np.isin(su, subset) & np.isin(sv, subset)
+        charge = 2.0 / float(sw[internal].sum())
         expected = np.zeros(g.m)
         volumes = {}
-        for a, b in zip(root_ids[eu[internal]], root_ids[ev[internal]]):
+        for a, b in zip(root_ids[su[internal]], root_ids[sv[internal]]):
             i = index[(int(min(a, b)), int(max(a, b)))]
             expected[i] += charge
             volumes.setdefault(i, []).append(5.0)
+        assert len(volumes) == 6
         assert acct.psi.tobytes() == expected.tobytes()
         assert list(acct.charge_volumes.items()) == list(volumes.items())
 
@@ -508,17 +513,15 @@ class TestVerifyPartition:
         with pytest.raises(ValueError, match="outside"):
             rd.verify_partition(rd.complete(3), [[0, 1], [2, 7]], 4.0)
 
-    @pytest.mark.parametrize("delta, c_r", [(0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0),
-                                            (8.0, 0.0), (8.0, -1.0), (8.0, math.nan)])
-    def test_delta_and_c_r_must_be_positive(self, monkeypatch, delta, c_r):
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan])
+    def test_delta_must_be_positive(self, monkeypatch, delta):
         def certify(*args, **kwargs):
             raise AssertionError("a block was certified")
 
         monkeypatch.setattr(decompose, "_certify_block", certify)
         g = rd.grid2d(6)
-        name = "delta" if not delta > 0 else "c_r"
-        with pytest.raises(ValueError, match=f"{name} must be positive"):
-            rd.verify_partition(g, [list(range(g.n))], delta, c_r=c_r)
+        with pytest.raises(ValueError, match="delta must be positive"):
+            rd.verify_partition(g, [list(range(g.n))], delta)
 
     def test_iterative_method_certifies_small_blocks_exactly(self):
         # the solver's Laplacian is factored for the certificate, bit for
@@ -528,7 +531,7 @@ class TestVerifyPartition:
                                         cut_budget=g.total_weight / 4,
                                         resistance_target=2.0)
         part, _ = rd.partition_with_config(g, config)
-        assert max(b.size for b in part.blocks) <= linalg.ORACLE_BLOCK_LIMIT
+        assert max(b.size for b in part.blocks) <= linalg.DENSE_SOLVE_LIMIT
         default = rd.verify_partition(g, part, 4.0)
         forced = rd.verify_partition(g, part, 4.0, method="iterative")
         assert all(r.certified_exact for r in forced.block_rdiams)
@@ -537,7 +540,7 @@ class TestVerifyPartition:
         assert forced == default
 
     def test_iterative_certificate_builds_no_pcg_tree(self, monkeypatch):
-        # a block of at most ORACLE_BLOCK_LIMIT vertices is certified from a
+        # a block of at most DENSE_SOLVE_LIMIT vertices is certified from a
         # factor; PCG's spanning tree waits for the first PCG solve
         built = []
         real = linalg._spanning_tree
@@ -582,8 +585,8 @@ class TestVerifyPartition:
     def test_disconnected_block_infinite_diameter(self, monkeypatch):
         g = path_graph(4)
         # the block's solver rejects it below and above the oracle limit
-        for oracle_limit in (linalg.ORACLE_BLOCK_LIMIT, 1):
-            monkeypatch.setattr(linalg, "ORACLE_BLOCK_LIMIT", oracle_limit)
+        for limit in (linalg.DENSE_SOLVE_LIMIT, 1):
+            monkeypatch.setattr(linalg, "DENSE_SOLVE_LIMIT", limit)
             rec = rd.verify_partition(g, [[0, 3], [1, 2]], 4.0)
             assert math.isinf(rec.block_rdiams[0].value)
             assert rec.block_rdiams[0].certified_exact

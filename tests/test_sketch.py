@@ -123,7 +123,7 @@ class TestApproxReffFromSource:
             drawn.append(k)
             return real(g, k, seed)
 
-        monkeypatch.setattr(linalg, "ORACLE_BLOCK_LIMIT", 1)
+        monkeypatch.setattr(linalg, "DENSE_SOLVE_LIMIT", 1)
         monkeypatch.setattr(sketch, "_probe_system", recording)
         A = rd.approx_reff_from_source(g, 0, rd.SketchConfig(probe_count=10 * g.m))
         assert drawn == [g.m]
@@ -215,6 +215,8 @@ class TestExactRegime:
         assert np.array_equal(A, R[3])
         assert not R.flags.writeable and not A.flags.writeable
         assert rd.LaplacianSolver(rd.build_graph(1, [])).reff_matrix().tolist() == [[0.0]]
+        single = rd.approx_reff_from_source(rd.build_graph(1, []), 0)
+        assert single.tolist() == [0.0] and not single.flags.writeable
 
 
 def cholesky_pinv(gram):
@@ -459,8 +461,8 @@ class TestProbeAccuracy:
         rho = (g.m / rank) * np.abs(inv).sum(axis=1).max()
         want = sketch.SOLVE_ERROR_SHARE * cfg.beta / math.sqrt(rho * k * g.m)
         assert 2.0 ** -23 <= want < linalg.ZETA_CAP
-        # one call per row chunk, each at ζ less the float32 rows' rounding
-        chunks = math.ceil(k / linalg._ROW_CHUNK)
+        # one call per probe chunk, each at ζ less the float32 rows' rounding
+        chunks = math.ceil(k / sketch._PROBE_CHUNK)
         assert chunks > 1
         assert zetas == [pytest.approx(want - 2.0 ** -24, rel=1e-12)] * chunks
 
