@@ -28,7 +28,7 @@ from .linalg import (DENSE_SOLVE_LIMIT, METHODS, LaplacianSolver, _pair_componen
 from .sketch import DEFAULT_BETA, SketchConfig
 from .sweep import DEFAULT_EPSILON, find_sparse_cut
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 class _UsageError(Exception):
@@ -87,15 +87,13 @@ def _emit(report: dict, out_path: str | None) -> None:
 
 
 def _sketch_config(args) -> SketchConfig:
-    return SketchConfig(beta=args.beta, seed=args.seed, probe_count=args.probes)
+    return SketchConfig(beta=args.beta, seed=args.seed)
 
 
 def _add_sketch_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="seed for randomized internals")
     p.add_argument("--beta", type=float, default=DEFAULT_BETA,
-                   help="multiplicative sketch tolerance (default ln(3/2))")
-    p.add_argument("--probes", type=int, default=None,
-                   help="override the automatic probe count")
+                   help="multiplicative sketch tolerance in (0, 1] (default ln(3/2))")
 
 
 def _add_method_flag(p: argparse.ArgumentParser) -> None:
@@ -143,8 +141,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("decompose", help="partition into bounded-resistance blocks")
     p.add_argument("--graph", required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--c-r", type=float, dest="c_r", default=1.0,
-                   help="resistance-target constant")
     p.add_argument("--exact-verify", action="store_true", dest="exact_verify",
                    help="append a verification record of the loss and resistance "
                         "bounds; it reuses this run's block certificates "
@@ -189,8 +185,8 @@ def _load_partition(path: str) -> list[list[int]]:
 
 def _settings_payload(args) -> dict:
     """The sketch, solver and verifier settings decompose and verify echo."""
-    return {"beta": args.beta, "seed": args.seed, "probes": args.probes,
-            "method": args.method, "c_loss": C_LOSS, "c_res": C_RES}
+    return {"beta": args.beta, "seed": args.seed, "method": args.method,
+            "c_loss": C_LOSS, "c_res": C_RES}
 
 
 def _verification_payload(rec) -> dict:
@@ -234,8 +230,7 @@ def _cmd_cut(args) -> dict:
     return {
         "input": _digest(g, args.graph),
         "config": {"epsilon": args.epsilon, "beta": args.beta, "seed": args.seed,
-                   "probes": args.probes, "zeta_used": res.zeta, "eta": res.eta,
-                   "method": args.method},
+                   "zeta_used": res.zeta, "eta": res.eta, "method": args.method},
         "results": {
             "cut": {**dataclasses.asdict(res.stats), "size": res.stats.subset.size},
             "certificate_c": res.certificate_c,
@@ -250,7 +245,7 @@ def _cmd_cut(args) -> dict:
 
 def _cmd_decompose(args) -> dict:
     g = _load_graph(args.graph)
-    config = DecompositionConfig.for_graph(g, args.delta, args.c_r)
+    config = DecompositionConfig.for_graph(g, args.delta)
     part, report = partition_with_config(g, config, _sketch_config(args), args.method)
     blocks = [b.tolist() for b in part.blocks]
     if args.partition_out:
@@ -277,7 +272,7 @@ def _cmd_decompose(args) -> dict:
         results["verification"] = _verification_payload(rec)
     return {
         "input": _digest(g, args.graph),
-        "config": {"delta": args.delta, "epsilon": DEFAULT_EPSILON, "c_r": args.c_r,
+        "config": {"delta": args.delta, "epsilon": DEFAULT_EPSILON,
                    "cut_budget": config.cut_budget,
                    "resistance_target": config.resistance_target,
                    "prune_threshold": config.prune_threshold, **_settings_payload(args)},

@@ -63,22 +63,24 @@ class DecompositionConfig:
         return self.cut_budget / (2.0 * self.n_original)
 
     @classmethod
-    def for_graph(cls, g: WeightedGraph, delta: float, c_r: float = 1.0) -> "DecompositionConfig":
+    def for_graph(cls, g: WeightedGraph, delta: float) -> "DecompositionConfig":
+        """The paper's parameters for ``g``: the cut budget w(E)/delta and
+        the resistance target delta³·n/w(E). ``delta`` must meet the
+        charge-amortization floor delta² >= 4/epsilon at the sweep's
+        ``DEFAULT_EPSILON``, that is delta >= 4. A block accepted at the
+        target certifies at most 2·e^beta·target <= 2e·target (beta <= 1),
+        inside the verifier's bound of ``C_RES`` times the target."""
         if g.n == 0:
             raise ValueError("graph must be non-empty")
-        delta, c_r = _as_float(delta), _as_float(c_r)
-        # negated so that NaN fails each check
-        if not delta >= 2:
-            raise ValueError(f"delta must be at least 2, got {delta}")
-        floor = 4.0 / DEFAULT_EPSILON
-        scale = c_r * delta * delta  # saturates to inf where ** would overflow
-        if not scale >= floor:
+        delta = _as_float(delta)
+        least = math.sqrt(4.0 / DEFAULT_EPSILON)
+        if not delta >= least:  # NaN fails too
             raise ValueError(
-                f"c_r * delta^2 = {scale:g} is below the charge-amortization "
-                f"floor {floor:g}; raise delta (or c_r) so the per-edge charge "
-                f"bound applies")
+                f"delta must be at least {least:g}, the charge-amortization floor "
+                f"delta^2 >= 4/epsilon at epsilon = {DEFAULT_EPSILON:g}; got {delta:g}")
         budget = g.total_weight / delta
-        target = scale * g.n / budget if budget > 0 else math.inf
+        # delta·delta saturates to inf where ** would overflow
+        target = delta * delta * g.n / budget if budget > 0 else math.inf
         return cls(delta=delta, n_original=g.n, cut_budget=budget, resistance_target=target)
 
 
@@ -295,8 +297,7 @@ def partition_with_config(g: WeightedGraph, config: DecompositionConfig,
 
 def partition(g: WeightedGraph, delta: float,
               cfg: SketchConfig | None = None,
-              method: str = "auto",
-              c_r: float = 1.0) -> tuple[Partition, DecompositionReport]:
+              method: str = "auto") -> tuple[Partition, DecompositionReport]:
     """Partition ``g`` so that only about a 1/delta weight fraction of edges
     crosses blocks while every block keeps a bounded resistance diameter.
 
@@ -304,7 +305,7 @@ def partition(g: WeightedGraph, delta: float,
     :meth:`DecompositionConfig.for_graph`; see
     :func:`partition_with_config` to run off the validated regime.
     """
-    return partition_with_config(g, DecompositionConfig.for_graph(g, delta, c_r), cfg, method)
+    return partition_with_config(g, DecompositionConfig.for_graph(g, delta), cfg, method)
 
 
 def _as_blocks(p) -> list[np.ndarray]:

@@ -139,11 +139,13 @@ def build_graph(n: int, edges) -> WeightedGraph:
     lo = np.minimum(eu, ev)
     hi = np.maximum(eu, ev)
 
-    pairs = np.stack([lo, hi], axis=1)
-    uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
-    w = np.zeros(len(uniq))
-    np.add.at(w, inverse.ravel(), ew)
-    return WeightedGraph(n, uniq[:, 0].copy(), uniq[:, 1].copy(), w)
+    # one int64 key per pair, ascending in (lo, hi) order. bincount sums each
+    # pair's weights in input order; with no pairs left it returns int64.
+    if int(n) ** 2 > np.iinfo(np.int64).max:
+        raise ValueError(f"vertex count {n} is too large: n^2 must fit in int64")
+    keys, inverse = np.unique(lo * n + hi, return_inverse=True)
+    w = np.bincount(inverse, weights=ew).astype(np.float64, copy=False)
+    return WeightedGraph(n, keys // n, keys % n, w)
 
 
 def _subset_mask(g: WeightedGraph, s) -> np.ndarray:

@@ -13,12 +13,12 @@ The bracket's width β is split between two errors. The probe solves get
 the share γ = ``SOLVE_ERROR_SHARE``: each sketch asks them for the
 accuracy ζ at which the solve error moves the square root of every
 estimate by at most γ·β·sqrt(Reff), derived from the probe Gram (see
-:func:`approx_reff_from_source`), never for a fixed ζ. For β ≤ 1 that is a
-factor within e^{±4γβ} on the estimate, and the probes' own
-(Johnson-Lindenstrauss) error keeps the rest, e^{±(1−4γ)β}. The probe
-budget C·ln n/β² is not resized for that smaller rest: C is already a
-conservative constant. The rare patch solves, for entries the probes
-missed, run at the same ζ.
+:func:`approx_reff_from_source`), never for a fixed ζ. At β ≤ 1, the only
+β :class:`SketchConfig` admits, that is a factor within e^{±4γβ} on the
+estimate, and the probes' own (Johnson-Lindenstrauss) error keeps the
+rest, e^{±(1−4γ)β}. The probe budget C·ln n/β² is not resized for that
+smaller rest: C is already a conservative constant. The rare patch solves,
+for entries the probes missed, run at the same ζ.
 
 Once the probe count k reaches the edge count m no compression is needed:
 the corrected estimate would only reproduce the quadratic form exactly. In
@@ -51,7 +51,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpotri, dpstrf
 
 from .graph import WeightedGraph, _is_int
-from .linalg import (_PCG_FIRST_RATIO, _ROW_CHUNK, LaplacianSolver, _clamp_zeta,
+from .linalg import (ZETA_FLOOR, _PCG_FIRST_RATIO, _ROW_CHUNK, LaplacianSolver,
                      _solve_in_place)
 
 # Probe budget ceil(C * ln n / beta^2). C = 8 is a conservative
@@ -91,47 +91,40 @@ class SketchConfig:
     """Accuracy/seed knobs for resistance sketching.
 
     ``beta`` is the multiplicative tolerance: estimates aim for the
-    two-sided bracket e^{-beta}·Reff <= A <= e^{beta}·Reff, and must satisfy
-    0 < beta < ∞. ``probe_count`` overrides the automatic
-    ceil(C·ln n / beta²) budget when set; without it, a beta so small that
-    the budget is not finite raises ``ValueError`` when the budget is
-    computed. ``seed`` must be an integer >= 0 and ``probe_count`` one >= 1
-    (bools are not integers here), checked at construction even where no
-    probe is drawn.
+    two-sided bracket e^{-beta}·Reff <= A <= e^{beta}·Reff, with
+    0 < beta <= 1, the range the probe budget ceil(C·ln n / beta²) and the
+    solves' share of the bracket are stated for. A beta so small that the
+    budget is not finite raises ``ValueError`` when the budget is computed.
+    ``seed`` must be an integer >= 0 (bools are not integers here), checked
+    at construction even where no probe is drawn.
     """
     beta: float = DEFAULT_BETA
     seed: int = 0
-    probe_count: int | None = None
 
     def __post_init__(self):
-        if not (0 < self.beta < math.inf):
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if not (0 < self.beta <= 1):  # NaN fails too
+            raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.probe_count is not None and not (_is_int(self.probe_count)
-                                                 and self.probe_count >= 1):
-            raise ValueError(f"probe_count must be a positive integer, got {self.probe_count!r}")
 
 
 def _num_probes(cfg: SketchConfig, n: int) -> int:
-    if cfg.probe_count is not None:
-        return cfg.probe_count
-    # divided by beta twice: beta² overflows for a large finite beta
+    # divided by beta twice: beta² underflows to 0 for a tiny positive beta
     budget = PROBE_COUNT_CONSTANT * math.log(max(n, 2)) / cfg.beta / cfg.beta
     if not math.isfinite(budget):
         raise ValueError(f"beta {cfg.beta} asks for an unbounded number of probes")
-    return max(1, math.ceil(budget))
+    return math.ceil(budget)
 
 
 def _probe_zeta(inv: np.ndarray, rank: int, m: int, beta: float) -> float:
     """Solve accuracy for the k probe solves of a sketch whose estimator
     matrix is M = (m/rank)·``inv``: ζ = γ·β / sqrt(ρ·k·m) with
-    ρ = (m/rank)·max_i Σ_j |inv_ij| ≥ ‖M‖₂, clamped to
-    [``ZETA_FLOOR``, ``ZETA_CAP``]. :func:`approx_reff_from_source` says
-    why it moves sqrt of each estimate by at most γ·β·sqrt(Reff)."""
+    ρ = (m/rank)·max_i Σ_j |inv_ij| ≥ ‖M‖₂, raised to ``ZETA_FLOOR``; it
+    never exceeds γ·β ≤ γ. :func:`approx_reff_from_source` says why it
+    moves sqrt of each estimate by at most γ·β·sqrt(Reff)."""
     k = inv.shape[0]
     rho = (m / rank) * float(np.abs(inv).sum(axis=1).max())
-    return _clamp_zeta(SOLVE_ERROR_SHARE * beta / math.sqrt(rho * k * m))
+    return max(SOLVE_ERROR_SHARE * beta / math.sqrt(rho * k * m), ZETA_FLOOR)
 
 
 def _probe_system(g: WeightedGraph, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -217,23 +210,21 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
     """Estimates ``A[v] ≈ Reff(u, v)`` for every vertex.
 
     With probability at least 1 − 1/n over the probe randomness every
-    entry satisfies the two-sided e^{±beta} bracket; for beta ≤ 1 the
-    probe solves' error takes at most e^{±4γ·beta} of it, with
-    γ = ``SOLVE_ERROR_SHARE``. When the probe count is
-    at least m and ``solver.reff_matrix()`` forms the resistance matrix, no
-    probes are drawn: the result is row u of that matrix, exact up to
-    rounding. Deterministic for fixed (graph, cfg, solver method).
-    ``solver`` must be built for ``g``; by default an "auto" solver is
-    built, and a disconnected graph raises :class:`DisconnectedGraphError`
-    there.
+    entry satisfies the two-sided e^{±beta} bracket, of which the probe
+    solves' error takes at most e^{±4γ·beta}, with γ = ``SOLVE_ERROR_SHARE``.
+    When the probe count is at least m and ``solver.reff_matrix()`` forms
+    the resistance matrix, no probes are drawn: the result is row u of that
+    matrix, exact up to rounding. Deterministic for fixed (graph, cfg,
+    solver method). ``solver`` must be built for ``g``, on one vertex too;
+    by default an "auto" solver is built, and a disconnected graph raises
+    :class:`DisconnectedGraphError` there.
 
-    On the probe path the sketch draws k = min(⌈C·ln n/β²⌉, m) probes (or
-    ``probe_count`` capped at m) and runs every solve, the k probe solves
-    and the patch solves alike, at the accuracy ζ of :func:`_probe_zeta`,
-    except that on PCG with ζ ≥ 2⁻²³ the probe solves ask ζ_s = ζ − 2⁻²⁴
-    and their rows are stored as float32 (elsewhere ζ_s = ζ and the rows
-    stay float64). Why that moves sqrt of each estimate by at most
-    γ·β·sqrt(Reff(u, v)):
+    On the probe path the sketch draws k = min(⌈C·ln n/β²⌉, m) probes and
+    runs every solve, the k probe solves and the patch solves alike, at the
+    accuracy ζ of :func:`_probe_zeta`, except that on PCG with ζ ≥ 2⁻²³ the
+    probe solves ask ζ_s = ζ − 2⁻²⁴ and their rows are stored as float32
+    (elsewhere ζ_s = ζ and the rows stay float64). Why that moves sqrt of
+    each estimate by at most γ·β·sqrt(Reff(u, v)):
 
     - row i solves L x_i = Bᵀ W^{1/2} q_i for the probe q_i ∈ {±1}^m;
     - ‖x_i‖²_L = q_iᵀ Π q_i ≤ ‖q_i‖² = m, where Π = W^{1/2} B L† Bᵀ W^{1/2}
@@ -263,7 +254,7 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
       ‖e‖_L·sqrt(Reff) ≤ ζ·Reff;
     - ρ ≥ ‖M‖₂ ≥ (m/rank)/tr G = (m/rank)/(k·m), since every diagonal entry
       of G is ‖q_i‖² = m and rank ≤ m, so ρ·k·m ≥ 1 and γ·β/sqrt(ρ·k·m)
-      ≤ γ·β before the clamp.
+      ≤ γ·β before the floor.
 
     Only PCG takes ζ into account; the dense and sparse-LU backends solve to
     rounding whatever ζ is asked for.
@@ -271,13 +262,13 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
     cfg = cfg or SketchConfig()
     if not (0 <= u < g.n):
         raise ValueError(f"source {u} out of range [0, {g.n})")
+    if solver is not None and solver.graph is not g:
+        raise ValueError("solver was built for a different graph")
     if g.n == 1:
         estimates = np.zeros(1)
         estimates.flags.writeable = False
         return estimates
     solver = solver or LaplacianSolver(g)
-    if solver.graph is not g:
-        raise ValueError("solver was built for a different graph")
 
     m = g.m
     k = _num_probes(cfg, g.n)

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 import resdecomp as rd
+from resdecomp import sketch
 
 
 def random_connected_graph(rng, max_n=12, weight_range=(0.1, 10.0)):
@@ -63,6 +64,23 @@ def jacobi_pcg(g, b):
         r_new = r - alpha * q
         d = inv_diag * r_new + (r_new @ (inv_diag * r_new)) / (r @ (inv_diag * r)) * d
         r = r_new
+
+
+def fix_probe_count(monkeypatch, k):
+    """Make every sketch ask for k probes (it draws at most m) whatever its
+    graph and beta: the probe count is no setting, and on small graphs the
+    budget C·ln n/beta² at beta <= 1 exceeds m, so only this reaches their
+    probe path."""
+    monkeypatch.setattr(sketch, "_num_probes", lambda cfg, n: k)
+
+
+def target_scaled_config(g, delta, scale):
+    """The DecompositionConfig for_graph derives, with the resistance target
+    times ``scale``: budget w(E)/delta and target scale·delta²·n/budget. No
+    floor is checked, so delta may lie below the one for_graph enforces."""
+    budget = g.total_weight / delta
+    return rd.DecompositionConfig(delta=delta, n_original=g.n, cut_budget=budget,
+                                  resistance_target=scale * delta * delta * g.n / budget)
 
 
 def one_shot_probe_system(g, k, seed):

@@ -17,7 +17,7 @@ from resdecomp import decompose, linalg
 from resdecomp.cli import execute
 from resdecomp.sketch import _num_probes
 
-from conftest import path_graph, skewed, two_triangles_bridge
+from conftest import path_graph, skewed, target_scaled_config, two_triangles_bridge
 
 BETA = math.log(1.5)
 
@@ -146,7 +146,7 @@ def test_criterion_6_barbell_sparse_cuts():
 
 def test_criterion_7_hypercube_decomposition(hypercube10_run):
     g, part, report, record, elapsed = hypercube10_run
-    r_target = report.config.resistance_target  # c_r * delta^3 * n / w(E) = 102.4
+    r_target = report.config.resistance_target  # delta^3 * n / w(E) = 102.4
     exact_ok = all(br.value <= 3 * r_target + 1e-9
                    for br in report.per_block_rdiam if br.certified_exact)
     ok = (report.loss_fraction <= 1.0 and record.loss_ok and record.rdiam_ok
@@ -161,7 +161,7 @@ def test_criterion_8_token_accounting(hypercube10_run):
     runs = [(g10, rep10)]
 
     g_path = path_graph(40)
-    _, rep = rd.partition(g_path, 2.0, c_r=4.0)
+    _, rep = rd.partition_with_config(g_path, target_scaled_config(g_path, 2.0, 4.0))
     runs.append((g_path, rep))
 
     g_tri = two_triangles_bridge()
@@ -204,8 +204,9 @@ def test_criterion_9_scaling_invariances(corpus):
             worst_phi = max(worst_phi, abs(b.conductance - a.conductance))
 
     g = path_graph(40)
-    p1, _ = rd.partition(g, 2.0, c_r=4.0)
-    p2, _ = rd.partition(rd.scale_weights(g, alpha), 2.0, c_r=4.0)
+    h = rd.scale_weights(g, alpha)
+    p1, _ = rd.partition_with_config(g, target_scaled_config(g, 2.0, 4.0))
+    p2, _ = rd.partition_with_config(h, target_scaled_config(h, 2.0, 4.0))
     blocks_same = [x.tolist() for x in p1.blocks] == [y.tolist() for y in p2.blocks]
 
     ok = worst_reff <= 1e-9 and worst_phi <= 1e-12 and blocks_same

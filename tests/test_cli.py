@@ -61,7 +61,7 @@ class TestGen:
         assert code == 0
         lines = out_file.read_text().strip().splitlines()
         assert len(lines) == 12
-        assert report["schema"] == 4
+        assert report["schema"] == 5
         assert report["results"] == {"written": str(out_file), "n": 8, "m": 12}
 
     def test_round_trip_digest(self, capsys, tmp_path):
@@ -235,10 +235,10 @@ class TestCut:
         assert report["error"]["type"] == "ValueError"
         assert "seed" in report["error"]["message"]
 
-    @pytest.mark.parametrize("beta", ["inf", "nan", "1e-200"])
+    @pytest.mark.parametrize("beta", ["inf", "nan", "1e-200", "2", "1e308"])
     def test_unusable_beta_is_value_error(self, capsys, barbell4, beta):
-        # inf and nan fail the configuration check; 1e-200 asks for an
-        # infinite probe budget
+        # inf, nan and beta above 1 fail the configuration check; 1e-200
+        # asks for an infinite probe budget
         code, report = run_json(capsys, "cut", "--graph", barbell4, "--beta", beta)
         assert code == 2
         assert report["error"]["type"] == "ValueError"
@@ -255,36 +255,45 @@ class TestCut:
         assert code == 2
         assert report["error"] == {"type": "MemoryError", "message": "Unable to allocate 21.8 GiB"}
 
-    def test_huge_beta_runs_one_probe(self, capsys, barbell4):
-        code, report = run_json(capsys, "cut", "--graph", barbell4, "--beta", "1e308")
+    def test_beta_one_runs(self, capsys, barbell4):
+        code, report = run_json(capsys, "cut", "--graph", barbell4, "--beta", "1")
         assert code == 0
-        assert "error" not in report
+        assert report["config"]["beta"] == 1.0
+
+    @pytest.mark.parametrize("argv", [("cut", "--probes", "2"),
+                                      ("decompose", "--delta", "8", "--c-r", "4")],
+                             ids=["cut-probes", "decompose-c_r"])
+    def test_removed_flags_are_usage_errors(self, capsys, barbell4, argv):
+        # the probe count and the target constant are not settings
+        code, out = run(capsys, argv[0], "--graph", barbell4, *argv[1:])
+        assert code == 1 and out == ""
 
 
 class TestDecomposeVerify:
     def test_pipeline_and_partition_file(self, capsys, tmp_path):
-        graph_file = tmp_path / "p40.txt"
-        rd.write_edgelist(rd.build_graph(40, [(i, i + 1, 1.0) for i in range(39)]), graph_file)
+        # the path of 80 vertices: resistance diameter 79 above the target
+        # 4³·80/79 = 64.8 at delta 4, so one cut in the middle
+        graph_file = tmp_path / "p80.txt"
+        rd.write_edgelist(rd.build_graph(80, [(i, i + 1, 1.0) for i in range(79)]), graph_file)
         part_file = tmp_path / "part.json"
         code, report = run_json(capsys, "decompose", "--graph", str(graph_file),
-                                "--delta", "2", "--c-r", "4",
-                                "--partition-out", str(part_file))
+                                "--delta", "4", "--partition-out", str(part_file))
         assert code == 0
         res = report["results"]
         assert res["num_blocks"] == 2
-        assert res["loss_fraction"] == pytest.approx(1 / 39, rel=1e-9)
+        assert res["loss_fraction"] == pytest.approx(1 / 79, rel=1e-9)
         assert res["psi_weighted_sum"] == pytest.approx(res["type_ii_weight"], rel=1e-9)
 
         code2, verify_report = run_json(capsys, "verify", "--graph", str(graph_file),
                                         "--partition", str(part_file),
-                                        "--delta", "2")
+                                        "--delta", "4")
         assert code2 == 0
         assert verify_report["results"]["passed"] is True
         assert verify_report["results"]["cut_weight"] == pytest.approx(res["cut_weight"])
         assert "resistance_target" not in verify_report["results"]
-        # the bounds do not read c_r, so verify takes no --c-r: a usage error
+        # verify takes no --c-r: a usage error
         code3, _ = run(capsys, "verify", "--graph", str(graph_file),
-                       "--partition", str(part_file), "--delta", "2", "--c-r", "4")
+                       "--partition", str(part_file), "--delta", "4", "--c-r", "4")
         assert code3 == 1
 
     def test_exact_verify_embedded(self, capsys, barbell4):
@@ -341,12 +350,11 @@ class TestDecomposeVerify:
         assert report["results"]["verification"]["rdiam_bound"] == "inf"
 
     def test_delta_guard_reported(self, capsys, barbell4):
-        code, report = run_json(capsys, "decompose", "--graph", barbell4, "--delta", "2")
+        code, report = run_json(capsys, "decompose", "--graph", barbell4, "--delta", "3.9")
         assert code == 2
-        assert "raise delta" in report["error"]["message"]
+        assert "delta^2 >= 4/epsilon" in report["error"]["message"]
 
-    @pytest.mark.parametrize("flags", [("--delta", "nan"), ("--delta", "8", "--c-r", "nan")],
-                             ids=["delta", "c_r"])
+    @pytest.mark.parametrize("flags", [("--delta", "nan")], ids=["delta"])
     def test_nan_setting_reported(self, capsys, tmp_path, flags):
         graph = tmp_path / "g6.txt"
         rd.write_edgelist(rd.grid2d(6), graph)
@@ -371,18 +379,13 @@ class TestDecomposeVerify:
     def test_verify_reports_sketch_and_solver_settings(self, capsys, barbell4, tmp_path):
         part_file = tmp_path / "part.json"
         part_file.write_text(json.dumps({"blocks": [list(range(8))]}))
-        configs = []
-        for probes in ("5", "9"):
-            code, report = run_json(capsys, "verify", "--graph", barbell4,
-                                    "--partition", str(part_file), "--delta", "4",
-                                    "--probes", probes, "--method", "iterative",
-                                    "--beta", "0.5")
-            assert code == 0
-            configs.append(report["config"])
-        assert [c["probes"] for c in configs] == [5, 9]
-        for c in configs:
-            assert (c["beta"], c["method"]) == (0.5, "iterative")
-            assert "zeta" not in c
+        code, report = run_json(capsys, "verify", "--graph", barbell4,
+                                "--partition", str(part_file), "--delta", "4",
+                                "--seed", "9", "--method", "iterative", "--beta", "0.5")
+        assert code == 0
+        c = report["config"]
+        assert (c["beta"], c["seed"], c["method"]) == (0.5, 9, "iterative")
+        assert "zeta" not in c and "probes" not in c
 
     def test_invalid_partition_file(self, capsys, barbell4, tmp_path):
         bad = tmp_path / "bad.json"

@@ -8,7 +8,8 @@ import scipy.sparse.csgraph as csgraph
 import resdecomp as rd
 from resdecomp import decompose, linalg, sketch, sweep
 
-from conftest import path_graph, random_connected_graph, two_triangles_bridge
+from conftest import (fix_probe_count, path_graph, random_connected_graph, target_scaled_config,
+                      two_triangles_bridge)
 
 
 def recompute_cut_weight(g, blocks):
@@ -81,21 +82,33 @@ class TestDecompositionConfig:
         assert sweep.DEFAULT_EPSILON == 0.25  # the sweep epsilon the cuts use
 
     def test_delta_floor(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            rd.DecompositionConfig.for_graph(rd.complete(4), 1.5)
+        # -5 squares above the floor, but the floor is on delta itself
+        for delta in (1.5, -5.0):
+            with pytest.raises(ValueError, match="at least 4"):
+                rd.DecompositionConfig.for_graph(rd.complete(4), delta)
 
     def test_charge_floor_guides_to_raise_delta(self):
-        with pytest.raises(ValueError, match="raise delta"):
-            rd.DecompositionConfig.for_graph(rd.complete(4), 2.0)  # 1*4 < 16
+        # the message names the floor delta² >= 4/epsilon and the least delta
+        for delta in (2.0, 3.9):
+            with pytest.raises(ValueError, match=r"at least 4, the charge-amortization floor "
+                                                 r"delta\^2 >= 4/epsilon at epsilon = 0.25"):
+                rd.DecompositionConfig.for_graph(rd.complete(4), delta)
 
     def test_charge_floor_edge(self):
         rd.DecompositionConfig.for_graph(rd.complete(4), 4.0)  # 16 >= 16, ok
 
-    @pytest.mark.parametrize("delta, c_r", [(math.nan, 1.0), (8.0, math.nan)],
-                             ids=["delta", "c_r"])
-    def test_nan_rejected(self, delta, c_r):
-        with pytest.raises(ValueError, match="at least 2|raise delta"):
-            rd.DecompositionConfig.for_graph(rd.grid2d(6), delta, c_r)
+    @pytest.mark.parametrize("delta", [math.nan], ids=["delta"])
+    def test_nan_rejected(self, delta):
+        with pytest.raises(ValueError, match="at least 4"):
+            rd.DecompositionConfig.for_graph(rd.grid2d(6), delta)
+
+    def test_no_target_constant(self):
+        # the target is delta³·n/w(E); no constant scales it
+        g = rd.grid2d(6)
+        with pytest.raises(TypeError):
+            rd.DecompositionConfig.for_graph(g, 8.0, 4.0)
+        with pytest.raises(TypeError):
+            rd.partition(g, 8.0, c_r=4.0)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -154,7 +167,7 @@ class TestPartition:
 
     def test_path40_public_pipeline_cuts_middle(self):
         g = path_graph(40)
-        part, report = rd.partition(g, 2.0, c_r=4.0)
+        part, report = rd.partition_with_config(g, target_scaled_config(g, 2.0, 4.0))
         assert report.config.resistance_target == pytest.approx(4 * 4 * 40 / 19.5)
         assert len(part.blocks) == 2
         assert part.blocks[0].tolist() == list(range(20))
@@ -168,7 +181,7 @@ class TestPartition:
     def test_pendant_leaf_is_pruned(self):
         edges = [(i, i + 1, 1.0) for i in range(39)] + [(5, 40, 0.01)]
         g = rd.build_graph(41, edges)
-        part, report = rd.partition(g, 2.0, c_r=4.0)
+        part, report = rd.partition_with_config(g, target_scaled_config(g, 2.0, 4.0))
         assert report.type_i_weight == pytest.approx(0.01)
         assert [40] in [b.tolist() for b in part.blocks]
         assert report.num_pruned_vertices == 1
@@ -226,8 +239,8 @@ class TestPartition:
     def test_scaling_leaves_blocks_unchanged(self):
         g = path_graph(40)
         h = rd.scale_weights(g, 3.7)
-        p1, _ = rd.partition(g, 2.0, c_r=4.0)
-        p2, _ = rd.partition(h, 2.0, c_r=4.0)
+        p1, _ = rd.partition_with_config(g, target_scaled_config(g, 2.0, 4.0))
+        p2, _ = rd.partition_with_config(h, target_scaled_config(h, 2.0, 4.0))
         assert [a.tolist() for a in p1.blocks] == [b.tolist() for b in p2.blocks]
 
     def test_empty_graph_rejected(self):
@@ -404,8 +417,10 @@ class TestPartition:
         # oracle-certified and sketch-certified blocks both occur below the
         # lowered limit; probes=10 runs the sketch with fewer probes than edges
         monkeypatch.setattr(linalg, "DENSE_SOLVE_LIMIT", 8)
+        if probes is not None:
+            fix_probe_count(monkeypatch, probes)
         g = rd.grid2d(10)
-        cfg = rd.SketchConfig(probe_count=probes)
+        cfg = rd.SketchConfig()
         config = rd.DecompositionConfig(delta=4.0, n_original=g.n,
                                         cut_budget=g.total_weight / 4,
                                         resistance_target=2.0)

@@ -24,7 +24,30 @@ class TestBuildGraph:
         g = rd.build_graph(3, [(2, 2, 5.0)])
         assert g.m == 0
         assert g.total_weight == 0.0
+        assert g.edge_w.dtype == np.float64
         assert np.all(g.degrees == 0)
+
+    def test_merge_matches_sequential_sum(self):
+        # many parallel entries in both orientations: each pair's weight is
+        # the sum of its entries in input order, pairs in (u, v) order
+        rng = np.random.default_rng(3)
+        n = 40
+        edges = [(int(u), int(v), float(w)) for u, v, w in zip(
+            rng.integers(0, n, 3000), rng.integers(0, n, 3000), rng.uniform(0.1, 3.0, 3000))]
+        merged = {}
+        for u, v, w in edges:
+            if u != v:
+                key = (min(u, v), max(u, v))
+                merged[key] = merged.get(key, 0.0) + w
+        keys = sorted(merged)
+        g = rd.build_graph(n, edges)
+        assert g.edge_u.tolist() == [u for u, _ in keys]
+        assert g.edge_v.tolist() == [v for _, v in keys]
+        assert g.edge_w.tolist() == [merged[k] for k in keys]
+
+    def test_vertex_count_beyond_int64_pair_keys_rejected(self):
+        with pytest.raises(ValueError, match="too large"):
+            rd.build_graph(2 ** 32, [(0, 2 ** 32 - 1, 1.0)])
 
     def test_empty_edge_list(self):
         g = rd.build_graph(3, [])

@@ -9,7 +9,7 @@ import resdecomp as rd
 from resdecomp import linalg, sketch
 from resdecomp.sketch import PROBE_COUNT_CONSTANT, _num_probes
 
-from conftest import log_uniform_mesh, one_shot_probe_system, path_graph
+from conftest import fix_probe_count, log_uniform_mesh, one_shot_probe_system, path_graph
 
 
 BETA = math.log(1.5)
@@ -52,15 +52,17 @@ class TestApproxReffFromSource:
         b = rd.approx_reff_from_source(g, 0, cfg)
         assert np.array_equal(a, b)
 
-    def test_seed_changes_probes(self):
+    def test_seed_changes_probes(self, monkeypatch):
         g = rd.grid2d(5)
-        a = rd.approx_reff_from_source(g, 0, rd.SketchConfig(seed=1, probe_count=20))
-        b = rd.approx_reff_from_source(g, 0, rd.SketchConfig(seed=2, probe_count=20))
+        fix_probe_count(monkeypatch, 20)
+        a = rd.approx_reff_from_source(g, 0, rd.SketchConfig(seed=1))
+        b = rd.approx_reff_from_source(g, 0, rd.SketchConfig(seed=2))
         assert not np.array_equal(a, b)
 
-    def test_undersampled_regime_positive(self):
+    def test_undersampled_regime_positive(self, monkeypatch):
         g = rd.grid2d(8)  # m = 112
-        A = rd.approx_reff_from_source(g, 0, rd.SketchConfig(probe_count=30, seed=5))
+        fix_probe_count(monkeypatch, 30)
+        A = rd.approx_reff_from_source(g, 0, rd.SketchConfig(seed=5))
         assert (A[1:] > 0).all()
 
     def test_disconnected_rejected(self):
@@ -81,7 +83,8 @@ class TestApproxReffFromSource:
             return real(solver, B, *args)
 
         monkeypatch.setattr(sketch, "_solve_in_place", recording)
-        A = rd.approx_reff_from_source(g, 0, rd.SketchConfig(probe_count=1, seed=seed))
+        fix_probe_count(monkeypatch, 1)
+        A = rd.approx_reff_from_source(g, 0, rd.SketchConfig(seed=seed))
         assert len(batches) == 2
         pairs = batches[1]
         assert (pairs[:, 0] == 1.0).all() and (pairs.sum(axis=1) == 0.0).all()
@@ -101,7 +104,8 @@ class TestApproxReffFromSource:
             return real(solver, B, zeta, *args)
 
         monkeypatch.setattr(sketch, "_solve_in_place", recording)
-        cfg = rd.SketchConfig(probe_count=1, seed=seed)
+        fix_probe_count(monkeypatch, 1)
+        cfg = rd.SketchConfig(seed=seed)
         A = rd.approx_reff_from_source(g, 0, cfg, rd.LaplacianSolver(g, "iterative"))
         inv, rank = cholesky_pinv(one_shot_probe_system(g, 1, seed)[1])
         zeta = sketch._probe_zeta(inv, rank, g.m, cfg.beta)
@@ -125,7 +129,8 @@ class TestApproxReffFromSource:
 
         monkeypatch.setattr(linalg, "DENSE_SOLVE_LIMIT", 1)
         monkeypatch.setattr(sketch, "_probe_system", recording)
-        A = rd.approx_reff_from_source(g, 0, rd.SketchConfig(probe_count=10 * g.m))
+        fix_probe_count(monkeypatch, 10 * g.m)
+        A = rd.approx_reff_from_source(g, 0)
         assert drawn == [g.m]
         assert np.allclose(A, rd.exact_reff_matrix(g)[0], rtol=1e-9, atol=0.0)
 
@@ -133,11 +138,13 @@ class TestApproxReffFromSource:
         solver = rd.LaplacianSolver(path_graph(3))
         with pytest.raises(ValueError, match="different graph"):
             rd.approx_reff_from_source(path_graph(3), 0, solver=solver)
+        # on one vertex too, where nothing is solved
+        with pytest.raises(ValueError, match="different graph"):
+            rd.approx_reff_from_source(rd.build_graph(1, []), 0, solver=solver)
 
     def test_probe_budget_formula(self):
         cfg = rd.SketchConfig()
         assert _num_probes(cfg, 12) == math.ceil(PROBE_COUNT_CONSTANT * math.log(12) / BETA ** 2)
-        assert _num_probes(rd.SketchConfig(probe_count=17), 1000) == 17
 
     def test_beta_validation(self):
         with pytest.raises(ValueError):
@@ -155,25 +162,35 @@ class TestApproxReffFromSource:
             _num_probes(cfg, 12)
         with pytest.raises(ValueError, match="beta"):
             rd.approx_reff_from_source(rd.grid2d(3), 0, cfg)
-        # a set probe count needs no budget
-        assert _num_probes(rd.SketchConfig(beta=1e-200, probe_count=3), 12) == 3
 
-    def test_huge_beta_takes_one_probe(self):
-        # β² overflows; the budget divides by β twice instead
-        assert _num_probes(rd.SketchConfig(beta=1e308), 10 ** 6) == 1
+    def test_beta_one_accepted(self):
+        cfg = rd.SketchConfig(beta=1.0)
+        assert _num_probes(cfg, 12) == math.ceil(PROBE_COUNT_CONSTANT * math.log(12))
+
+    @pytest.mark.parametrize("beta", [1.0000001, 2.0, 1e308])
+    def test_beta_above_one_rejected(self, beta):
+        # the probe budget and the solves' share of the bracket are stated
+        # for beta <= 1
+        with pytest.raises(ValueError, match=r"beta must lie in \(0, 1\]"):
+            rd.SketchConfig(beta=beta)
+
+    def test_probe_count_is_no_setting(self):
+        # k is always min(⌈C·ln n/β²⌉, m)
+        with pytest.raises(TypeError):
+            rd.SketchConfig(probe_count=5)
 
     @pytest.mark.parametrize("kwargs", [
-        {"probe_count": 2.5}, {"probe_count": True}, {"probe_count": 0},
         {"seed": 1.5}, {"seed": True}, {"seed": -1},
-    ], ids=["probes-float", "probes-bool", "probes-zero", "seed-float", "seed-bool",
-            "seed-negative"])
+    ], ids=["seed-float", "seed-bool", "seed-negative"])
     def test_integer_settings_validated(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             rd.SketchConfig(**kwargs)
 
-    def test_numpy_integer_settings_accepted(self):
-        cfg = rd.SketchConfig(seed=np.int64(0), probe_count=np.int32(5))
-        assert _num_probes(cfg, 100) == 5
+    def test_numpy_integer_settings_accepted(self, monkeypatch):
+        fix_probe_count(monkeypatch, 5)  # the probe path, which reads the seed
+        g = rd.grid2d(5)
+        a = rd.approx_reff_from_source(g, 0, rd.SketchConfig(seed=np.int64(3)))
+        assert np.array_equal(a, rd.approx_reff_from_source(g, 0, rd.SketchConfig(seed=3)))
 
 
 class TestExactRegime:
@@ -202,9 +219,11 @@ class TestExactRegime:
         for g in (rd.grid2d(8), rd.barbell(8), rd.complete(5)):
             rd.approx_reff_from_source(g, 0)
         g = rd.grid2d(12)  # k = 242 < m = 264 without the override
-        rd.approx_reff_from_source(g, 0, rd.SketchConfig(probe_count=g.m))
+        fix_probe_count(monkeypatch, g.m)
+        rd.approx_reff_from_source(g, 0)
+        fix_probe_count(monkeypatch, g.m - 1)
         with pytest.raises(AssertionError, match="probe system"):
-            rd.approx_reff_from_source(g, 0, rd.SketchConfig(probe_count=g.m - 1))
+            rd.approx_reff_from_source(g, 0)
 
     def test_solver_matrix_computed_once_and_read_only(self):
         g = rd.grid2d(8)
@@ -249,7 +268,7 @@ def one_shot_estimates(g, u, cfg, solver, pinv=cholesky_pinv, zeta=None, store32
     ζ − 2^-24 and each row y_i is rounded to float32 times 2^-e_i, e_i the
     binary exponent of max |y_i|; otherwise they are solved to ζ."""
     m = g.m
-    k = _num_probes(cfg, g.n)
+    k = sketch._num_probes(cfg, g.n)  # through the module, so fix_probe_count applies
     rhs, gram = one_shot_probe_system(g, k, cfg.seed)
     inv, rank = pinv(gram)
     if zeta is None:
@@ -301,10 +320,12 @@ class TestStreamedSketch:
     ]
 
     @pytest.mark.parametrize("make, probe_count, backend", CASES)
-    def test_matches_one_shot_draw_bit_for_bit(self, make, probe_count, backend):
+    def test_matches_one_shot_draw_bit_for_bit(self, monkeypatch, make, probe_count, backend):
         g = make()
-        cfg = rd.SketchConfig(seed=3, probe_count=probe_count)
-        assert _num_probes(cfg, g.n) < g.m
+        if probe_count is not None:
+            fix_probe_count(monkeypatch, probe_count)
+        cfg = rd.SketchConfig(seed=3)
+        assert sketch._num_probes(cfg, g.n) < g.m
         method = "iterative" if backend == "iterative" else "auto"
         solver = rd.LaplacianSolver(g, method)
         assert solver.method == backend
@@ -316,7 +337,7 @@ class TestStreamedSketch:
         # the packed signs unpack to the generator's one-shot 0/1 draw, down
         # to the last sign of an odd k·m, which takes half a 64-bit word
         g = make()
-        k = _num_probes(rd.SketchConfig(probe_count=probe_count), g.n)
+        k = probe_count or _num_probes(rd.SketchConfig(), g.n)
         assert k >= g.m
         signs, gram = sketch._probe_system(g, k, 3)
         assert signs.dtype == np.uint8 and signs.shape == (k, (g.m + 7) // 8)
@@ -376,7 +397,8 @@ class TestStreamedSketch:
         # ζ: the probe solves take all of ζ and the rows stay float64, as the
         # one-shot formula without rounding has them
         g = rd.random_regular(3000, 4, 1)
-        cfg = rd.SketchConfig(beta=1e-4, probe_count=50)
+        fix_probe_count(monkeypatch, 50)
+        cfg = rd.SketchConfig(beta=1e-4)
         solver = rd.LaplacianSolver(g, "iterative")
         zetas = TestProbeAccuracy.recorded_zetas(monkeypatch)
         A = rd.approx_reff_from_source(g, 0, cfg, solver)
@@ -388,12 +410,13 @@ class TestStreamedSketch:
 
 class TestGramInverse:
     @pytest.mark.parametrize("seed", [0, 1, 4])
-    def test_rank_deficient_gram_matches_svd_pseudo_inverse(self, seed):
+    def test_rank_deficient_gram_matches_svd_pseudo_inverse(self, monkeypatch, seed):
         # two probes on the three edges of a 4-vertex path that agree up to
         # sign: a Gram of rank 1. Seed 1 also leaves vanished estimates to
         # the patch solves.
         g = path_graph(4)
-        cfg = rd.SketchConfig(probe_count=2, seed=seed)
+        fix_probe_count(monkeypatch, 2)
+        cfg = rd.SketchConfig(seed=seed)
         _, gram = sketch._probe_system(g, 2, seed)
         assert cholesky_pinv(gram)[1] == svd_pinv(gram)[1] == 1
         solver = rd.LaplacianSolver(g)
@@ -466,13 +489,13 @@ class TestProbeAccuracy:
         assert chunks > 1
         assert zetas == [pytest.approx(want - 2.0 ** -24, rel=1e-12)] * chunks
 
-    @pytest.mark.parametrize("beta, want", [(1e-30, linalg.ZETA_FLOOR),
-                                            (1e6, linalg.ZETA_CAP)],
-                             ids=["floor", "cap"])
+    # ζ ≤ γ·β ≤ γ never reaches ZETA_CAP at the β SketchConfig admits
+    @pytest.mark.parametrize("beta, want", [(1e-30, linalg.ZETA_FLOOR)], ids=["floor"])
     def test_requested_zeta_clamped(self, monkeypatch, beta, want):
         g = rd.grid2d(8)
         zetas = self.recorded_zetas(monkeypatch)
-        rd.approx_reff_from_source(g, 0, rd.SketchConfig(beta=beta, probe_count=20))
+        fix_probe_count(monkeypatch, 20)
+        rd.approx_reff_from_source(g, 0, rd.SketchConfig(beta=beta))
         assert zetas[0] == want
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])

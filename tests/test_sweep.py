@@ -8,7 +8,7 @@ import resdecomp as rd
 from resdecomp.linalg import DENSE_SOLVE_LIMIT
 from resdecomp.sweep import _level_profile
 
-from conftest import log_uniform_mesh, path_graph, skewed
+from conftest import fix_probe_count, log_uniform_mesh, path_graph, skewed
 
 # Gate constant for the certificate-soundness property: whenever the exact
 # resistance diameter exceeds CERTIFICATE_DIAMETER_FACTOR times the sketch
@@ -158,13 +158,14 @@ class TestFindSparseCut:
         expected_target = math.sqrt(2 * 7 ** -0.5 / (res.reff_estimate * 0.25))
         assert res.target_c == pytest.approx(expected_target, rel=1e-9)
 
-    def test_grid16_score_close_to_axis_split(self):
+    def test_grid16_score_close_to_axis_split(self, monkeypatch):
         # Exact-regime probes make the far pair the two opposite corners.
         # Their potential's level sets are diagonal bands, whose best score
         # is within a factor ~1.8 of the best axis-aligned half split (the
         # optimal level set of an adjacent-corner potential).
         g = rd.grid2d(16)
-        res = rd.find_sparse_cut(g, 0.25, rd.SketchConfig(probe_count=512, seed=0))
+        fix_probe_count(monkeypatch, 512)  # at least m = 480
+        res = rd.find_sparse_cut(g, 0.25, rd.SketchConfig(seed=0))
         assert (res.source, res.sink) == (0, 255)
         axis = rd.cut_stats(g, range(128))
         axis_score = axis.conductance * axis.volume ** 0.25
