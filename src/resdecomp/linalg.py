@@ -118,8 +118,11 @@ class LaplacianSolver:
     stop: PCG stops once the tree energy of the residual is at most
     ζ²‖b‖²/(2·max deg). Within a batch, each row after the first evaluates
     that energy at the threshold carried from the row before, so it
-    usually checks once. Its dot products are summed in fixed blocks of
-    10⁴ entries, so PCG's bits do not depend on the BLAS thread count.
+    usually checks once. The sketch's PCG probe chunks after its first
+    instead each start from the ratio the first chunk ended with, so they
+    can run on threads in any order with the same bits. Its dot products
+    are summed in fixed blocks of 10⁴ entries, so PCG's bits do not depend
+    on the BLAS thread count.
     :meth:`reff_matrix` inverts the grounded factor once, on first use, and
     keeps the result; above ``DENSE_SOLVE_LIMIT`` vertices it forms no
     matrix and returns ``None``. Build one solver per graph and hand it to
@@ -277,9 +280,14 @@ def _pcg(solver: LaplacianSolver, B: np.ndarray, zeta: float, ratio: float) -> f
     lower bound: the energy is at least r̃ᵀL̃†r̃ and L̃'s eigenvalues are at
     most 2, so it checks every iterate that could pass. Each later row
     takes the ratio measured at the previous row's stop, so it usually
-    checks once. Returns the ratio the next row would take. The iterate at
-    which the budget runs out is always checked, so a row raises
-    :class:`ConvergenceError` only on an iterate the tree does not certify.
+    checks once. Returns the ratio the next row would take. The ratio
+    decides which iterates are checked, and so where a row stops: a caller
+    that splits one batch passes the returned ratio on to get the bits of
+    one call, and the sketch starts every PCG probe chunk after its first
+    from the ratio its first chunk returned, so that no row depends on the
+    order in which the chunks run. The iterate at which the budget runs
+    out is always checked, so a row raises :class:`ConvergenceError` only
+    on an iterate the tree does not certify.
     """
     Lt, sqrt_deg, inv_sqrt = solver._scaled
     lam_max, maxiter = solver._lambda_max, PCG_MAX_ITERATIONS

@@ -30,20 +30,27 @@ it replaces, as k ≥ m ≥ n − 1. Otherwise the sketch draws min(k, m) probes
 
 Memory on the probe path: with k probes, a sketch holds the k×m probe
 signs bit-packed (k·m/8 bytes), drawn a few rows at a time, and one k×n
-array of probe solutions y_i = x_i − x_i(u). Each chunk of right-hand
-sides is built just before it is solved. The dense and sparse-LU backends,
-and PCG when ζ < 2⁻²³, solve ``_ROW_CHUNK`` rows at a time straight into
-the array's float64 rows. Otherwise PCG solves ``_PROBE_CHUNK`` rows at a
-time in one float64 buffer and stores its rows as float32, each scaled by
-the power of two that puts its largest entry in [1/2, 1): half the bytes,
-at a rounding the solves leave room for (see
-:func:`approx_reff_from_source`). The Gram correction then takes
+array of probe solutions y_i = x_i − x_i(u). The right-hand sides are
+built just before they are solved, ``_PROBE_CHUNK`` rows per sparse
+product, or one row at a time in the probe threads below. The dense and
+sparse-LU backends, and PCG when ζ < 2⁻²³, solve ``_ROW_CHUNK`` rows at a
+time straight into the array's float64 rows. Otherwise PCG solves
+``_PROBE_CHUNK`` rows at a time and stores its rows as float32, each scaled
+by the power of two that puts its largest entry in [1/2, 1): half the
+bytes, at a rounding the solves leave room for (see
+:func:`approx_reff_from_source`). From ``_POOL_MIN_VERTICES`` vertices on,
+those chunks run on up to ``_PROBE_THREADS`` threads (see
+:func:`_pcg_probe_rows`). The first chunk starts from ``_PCG_FIRST_RATIO``
+and every later chunk from the energy ratio the first one ended with, so
+the bits do not depend on the thread count, and the threads share
+``_PROBE_CHUNK`` float64 rows of buffer. The Gram correction then takes
 ``_CORRECTION_BLOCK`` vertex columns at a time, float32 ones widened and
 unscaled. Every backend's solves add only per-chunk temporaries.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,13 +78,22 @@ SOLVE_ERROR_SHARE = 0.01
 # not break those ties.
 TIE_TOLERANCE = 1e-9
 
-# Probe rows drawn and pushed through the incidence matrix at a time, and
-# probe columns per step of the Gram sum; both bound the sketch's
-# temporaries, neither changes a bit of its output. The chunk is even, so
-# each chunk but the last takes whole 64-bit words of the bit generator; the
-# block is a multiple of 8, so it takes whole bytes of the packed signs.
+# Probe rows drawn at a time, and probe columns per step of the Gram sum;
+# both bound the sketch's temporaries. The chunk is even, so each chunk but
+# the last takes whole 64-bit words of the bit generator; the block is a
+# multiple of 8, so it takes whole bytes of the packed signs. On PCG's
+# float32 path the chunk is also the unit of work of the probe threads, and
+# each chunk after the first restarts from the first chunk's energy ratio
+# (see _pcg_probe_rows).
 _PROBE_CHUNK = 16
 _GRAM_BLOCK = 1024
+# Threads that solve PCG probe chunks, at most; one per usable CPU.
+_PROBE_THREADS = 2
+# Below this many vertices the PCG probe chunks stay in the calling thread:
+# there a row's numpy calls are so short that the threads mostly wait on
+# the interpreter lock: two ran slower than one on random_regular(3000, 4)
+# and on grid2d(60), 3600 vertices.
+_POOL_MIN_VERTICES = 5000
 # float32's unit roundoff: the share of ζ a float32 row's rounding takes
 # (see _row_storage).
 _FLOAT32_ROUNDING = 2.0 ** -24
@@ -192,16 +208,107 @@ def _row_storage(solver: LaplacianSolver, zeta: float) -> tuple[type, float]:
     return np.float64, zeta
 
 
-def _probe_rhs(incidence_t: sp.spmatrix, signs: np.ndarray, out: np.ndarray) -> None:
+def _probe_rhs(incidence_t: sp.spmatrix, signs: np.ndarray, out: np.ndarray,
+               width: int) -> None:
     """Write the right-hand sides ``Bᵀ W^{1/2} q_i`` of the packed probe rows
-    ``signs`` into the rows of ``out``, ``_PROBE_CHUNK`` rows at a time."""
+    ``signs`` into the rows of ``out``, ``width`` rows per sparse product,
+    whose temporaries are m×width float64 arrays: m- and n-vectors at
+    width 1. Any width gives the same bits."""
     m = incidence_t.shape[1]
-    for start in range(0, signs.shape[0], _PROBE_CHUNK):
-        bits = np.unpackbits(signs[start:start + _PROBE_CHUNK], axis=1, count=m)
+    for start in range(0, len(signs), width):
+        bits = np.unpackbits(signs[start:start + width], axis=1, count=m)
         q = np.ascontiguousarray(bits.T, dtype=np.float64)
         q *= 2
         q -= 1
-        out[start:start + _PROBE_CHUNK] = incidence_t.dot(q).T
+        out[start:start + width] = incidence_t.dot(q).T
+
+
+def _probe_workers() -> int:
+    """Threads that solve the PCG probe chunks: ``_PROBE_THREADS``, or fewer
+    on fewer usable CPUs."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(_PROBE_THREADS, cpus)
+
+
+def _pcg_probe_rows(solver: LaplacianSolver, incidence_t: sp.spmatrix, signs: np.ndarray,
+                    u: int, zeta: float, Y: np.ndarray) -> np.ndarray:
+    """Solve the probes of the packed rows ``signs`` by PCG at ``zeta`` and
+    write each y_i = x_i − x_i(u), times 2^−e_i, into float32 row i of ``Y``;
+    returns the exponents e_i, those of each row's largest entry.
+
+    The probes are solved ``_PROBE_CHUNK`` rows at a time. The first chunk
+    starts from ``_PCG_FIRST_RATIO``, and every later chunk from the energy
+    ratio the first chunk ended with; within a chunk each row takes the ratio
+    of the row before (see :func:`_pcg`). So every row's iterates, and the
+    rows' bits, do not depend on how the later chunks are scheduled: the
+    caller solves the first chunk, then hands the others to
+    :func:`_probe_workers` threads when the graph has at least
+    ``_POOL_MIN_VERTICES`` vertices. Each worker solves in its own buffer of
+    ``_PROBE_CHUNK // workers`` float64 rows, carrying the ratio between
+    buffer loads, so at most ``_PROBE_CHUNK`` float64 rows are in flight. If
+    chunks fail, the error of the lowest failing chunk is raised once every
+    submitted chunk has ended: the error the sequential loop raises.
+    """
+    k, n = Y.shape
+    exponents = np.empty(k, dtype=np.int32)
+    workers = _probe_workers() if n >= _POOL_MIN_VERTICES else 1
+    buffers = np.empty((workers, _PROBE_CHUNK // workers, n))
+    # pooled workers build one right-hand side at a time, so each holds only
+    # m-vector temporaries
+    width = 1 if workers > 1 else _PROBE_CHUNK
+
+    def solve_chunk(start: int, buffer: np.ndarray, ratio: float) -> float:
+        stop = min(start + _PROBE_CHUNK, k)
+        for a in range(start, stop, len(buffer)):
+            b = min(a + len(buffer), stop)
+            rows = buffer[:b - a]
+            _probe_rhs(incidence_t, signs[a:b], rows, width)
+            ratio = _solve_in_place(solver, rows, zeta, ratio)
+            rows -= rows[:, [u]]
+            _, e = np.frexp(np.maximum(rows.max(axis=1), -rows.min(axis=1)))
+            exponents[a:b] = e
+            Y[a:b] = np.ldexp(rows, -e[:, None], out=rows)
+        return ratio
+
+    ratio = solve_chunk(0, buffers[0], _PCG_FIRST_RATIO)
+    starts = range(_PROBE_CHUNK, k, _PROBE_CHUNK)
+    if workers == 1:
+        for start in starts:
+            solve_chunk(start, buffers[0], ratio)
+        return exponents
+
+    from concurrent.futures import ThreadPoolExecutor
+    from queue import SimpleQueue
+
+    # At most `workers` chunks run at once, so a buffer is always free.
+    free = SimpleQueue()
+    for buffer in buffers:
+        free.put(buffer)
+    failed = []  # start rows of failed chunks; list.append is atomic
+
+    def pooled(start: int) -> None:
+        # a chunk is skipped only once a lower chunk has failed, so the
+        # lowest failing chunk always runs
+        if any(f < start for f in failed):
+            return
+        buffer = free.get()
+        try:
+            solve_chunk(start, buffer, ratio)
+        except BaseException:
+            failed.append(start)
+            raise
+        finally:
+            free.put(buffer)
+
+    solver._tree, solver._scaled  # built here, not raced for by the workers
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(pooled, start) for start in starts]
+    for future in futures:  # in chunk order: the lowest failure raises
+        future.result()
+    return exponents
 
 
 def approx_reff_from_source(g: WeightedGraph, u: int,
@@ -294,22 +401,15 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
     dtype, solve_zeta = _row_storage(solver, zeta)
     store32 = dtype == np.float32
     Y = np.empty((k, g.n), dtype=dtype)
-    chunk = _ROW_CHUNK
-    if store32:  # PCG solves row by row, so a probe chunk's buffer suffices
-        chunk = _PROBE_CHUNK
-        buffer = np.empty((min(k, chunk), g.n))
-        exponents = np.empty(k, dtype=np.int32)
-    ratio = _PCG_FIRST_RATIO  # carried from chunk to chunk, as within one batch
-    for start in range(0, k, chunk):
-        stop = min(start + chunk, k)
-        rows = buffer[:stop - start] if store32 else Y[start:stop]
-        _probe_rhs(incidence_t, signs[start:stop], rows)
-        ratio = _solve_in_place(solver, rows, solve_zeta, ratio)
-        rows -= rows[:, [u]]
-        if store32:
-            _, e = np.frexp(np.maximum(rows.max(axis=1), -rows.min(axis=1)))
-            exponents[start:stop] = e
-            Y[start:stop] = np.ldexp(rows, -e[:, None], out=rows)
+    if store32:
+        exponents = _pcg_probe_rows(solver, incidence_t, signs, u, solve_zeta, Y)
+    else:
+        ratio = _PCG_FIRST_RATIO  # carried from chunk to chunk, as within one batch
+        for start in range(0, k, _ROW_CHUNK):
+            rows = Y[start:start + _ROW_CHUNK]
+            _probe_rhs(incidence_t, signs[start:start + _ROW_CHUNK], rows, _PROBE_CHUNK)
+            ratio = _solve_in_place(solver, rows, solve_zeta, ratio)
+            rows -= rows[:, [u]]
     estimates = np.empty(g.n)
     for start in range(0, g.n, _CORRECTION_BLOCK):
         block = Y[:, start:start + _CORRECTION_BLOCK]

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,38 @@ from conftest import fix_probe_count, log_uniform_mesh, one_shot_probe_system, p
 
 
 BETA = math.log(1.5)
+
+
+def record_solves(monkeypatch, before=None):
+    """Record each call the sketch makes to ``_solve_in_place`` as
+    (start, batch, zeta): start is the first probe row of a probe batch,
+    read from the packed signs the same thread handed ``_probe_rhs`` just
+    before, and None for a patch batch. ``before(start)`` runs ahead of each
+    call. Probe threads run in any order, so read the calls through
+    :func:`by_start_row`."""
+    calls = []
+    local = threading.local()
+    real_rhs, real_solve = sketch._probe_rhs, sketch._solve_in_place
+
+    def rhs(incidence_t, signs, out, width):
+        local.start = (signs.ctypes.data - signs.base.ctypes.data) // signs.strides[0]
+        return real_rhs(incidence_t, signs, out, width)
+
+    def solve(solver, B, zeta, *args):
+        start, local.start = getattr(local, "start", None), None
+        if before is not None:
+            before(start)
+        calls.append((start, np.array(B), zeta))
+        return real_solve(solver, B, zeta, *args)
+
+    monkeypatch.setattr(sketch, "_probe_rhs", rhs)
+    monkeypatch.setattr(sketch, "_solve_in_place", solve)
+    return calls
+
+
+def by_start_row(calls):
+    """Recorded calls in start-row order, patch batches last in call order."""
+    return sorted(calls, key=lambda call: (call[0] is None, call[0] or 0))
 
 
 class TestApproxReffFromSource:
@@ -75,16 +109,10 @@ class TestApproxReffFromSource:
     def test_vanished_estimates_patched_by_exact_solves(self, monkeypatch, g, seed):
         # one probe misses some directions; those entries come from one
         # batch of pair solves with rows e_u - e_v
-        batches = []
-        real = sketch._solve_in_place
-
-        def recording(solver, B, *args):
-            batches.append(np.array(B))
-            return real(solver, B, *args)
-
-        monkeypatch.setattr(sketch, "_solve_in_place", recording)
+        calls = record_solves(monkeypatch)
         fix_probe_count(monkeypatch, 1)
         A = rd.approx_reff_from_source(g, 0, rd.SketchConfig(seed=seed))
+        batches = [B for _, B, _ in by_start_row(calls)]
         assert len(batches) == 2
         pairs = batches[1]
         assert (pairs[:, 0] == 1.0).all() and (pairs.sum(axis=1) == 0.0).all()
@@ -96,17 +124,11 @@ class TestApproxReffFromSource:
     def test_patch_solves_take_the_probe_zeta(self, monkeypatch, g, seed):
         # with PCG, ζ matters: the patch batch runs at the probes' ζ, and
         # each patched entry lies within (1 ± ζ) of the exact resistance
-        batches = []
-        real = sketch._solve_in_place
-
-        def recording(solver, B, zeta, *args):
-            batches.append((np.array(B), zeta))
-            return real(solver, B, zeta, *args)
-
-        monkeypatch.setattr(sketch, "_solve_in_place", recording)
+        calls = record_solves(monkeypatch)
         fix_probe_count(monkeypatch, 1)
         cfg = rd.SketchConfig(seed=seed)
         A = rd.approx_reff_from_source(g, 0, cfg, rd.LaplacianSolver(g, "iterative"))
+        batches = [(B, zeta) for _, B, zeta in by_start_row(calls)]
         inv, rank = cholesky_pinv(one_shot_probe_system(g, 1, seed)[1])
         zeta = sketch._probe_zeta(inv, rank, g.m, cfg.beta)
         # the probe rows are stored as float32, which takes 2^-24 of the
@@ -266,7 +288,9 @@ def one_shot_estimates(g, u, cfg, solver, pinv=cholesky_pinv, zeta=None, store32
     ``zeta``, by default the sketch's own accuracy for them. With
     ``store32``, by default on PCG at ζ ≥ 2^-23, the probes are solved to
     ζ − 2^-24 and each row y_i is rounded to float32 times 2^-e_i, e_i the
-    binary exponent of max |y_i|; otherwise they are solved to ζ."""
+    binary exponent of max |y_i|, and every probe chunk after the first
+    starts its solves from the energy ratio the first chunk ended with;
+    otherwise they are solved to ζ as one batch."""
     m = g.m
     k = sketch._num_probes(cfg, g.n)  # through the module, so fix_probe_count applies
     rhs, gram = one_shot_probe_system(g, k, cfg.seed)
@@ -275,7 +299,13 @@ def one_shot_estimates(g, u, cfg, solver, pinv=cholesky_pinv, zeta=None, store32
         zeta = sketch._probe_zeta(inv, rank, m, cfg.beta)
     if store32 is None:
         store32 = solver.method == "iterative" and zeta >= 2.0 ** -23
-    Z = rd.solve_laplacian_many(solver, rhs, zeta - 2.0 ** -24 if store32 else zeta)
+    if store32:
+        Z, chunk = np.array(rhs), sketch._PROBE_CHUNK
+        first = linalg._solve_in_place(solver, Z[:chunk], zeta - 2.0 ** -24)
+        for a in range(chunk, k, chunk):
+            linalg._solve_in_place(solver, Z[a:a + chunk], zeta - 2.0 ** -24, first)
+    else:
+        Z = rd.solve_laplacian_many(solver, rhs, zeta)
     diffs = Z - Z[:, [u]]
     if store32:
         e = np.frexp(np.abs(diffs).max(axis=1))[1][:, None]
@@ -400,12 +430,102 @@ class TestStreamedSketch:
         fix_probe_count(monkeypatch, 50)
         cfg = rd.SketchConfig(beta=1e-4)
         solver = rd.LaplacianSolver(g, "iterative")
-        zetas = TestProbeAccuracy.recorded_zetas(monkeypatch)
+        calls = record_solves(monkeypatch)
         A = rd.approx_reff_from_source(g, 0, cfg, solver)
         inv, rank = cholesky_pinv(one_shot_probe_system(g, 50, 0)[1])
         zeta = sketch._probe_zeta(inv, rank, g.m, cfg.beta)
-        assert linalg.ZETA_FLOOR < zeta < 2.0 ** -23 and zetas == [zeta]
+        assert linalg.ZETA_FLOOR < zeta < 2.0 ** -23
+        assert TestProbeAccuracy.recorded_zetas(calls) == [zeta]
         assert np.array_equal(A, one_shot_estimates(g, 0, cfg, solver, store32=False))
+
+
+class TestProbeWorkers:
+    """PCG's float32 probe chunks run on up to ``_PROBE_THREADS`` threads,
+    and the sketch's bits do not depend on how many."""
+
+    @pytest.fixture
+    def pooled(self, monkeypatch):
+        """Pools the probe chunks at any size; returns a setter for the
+        worker count."""
+        monkeypatch.setattr(sketch, "_POOL_MIN_VERTICES", 0)
+        return lambda workers: monkeypatch.setattr(sketch, "_probe_workers", lambda: workers)
+
+    @pytest.mark.parametrize("make", [lambda: rd.random_regular(3000, 4, 1),
+                                      lambda: rd.hypercube(10)],
+                             ids=["expander3000", "hypercube10"])
+    def test_bytes_independent_of_worker_count(self, monkeypatch, pooled, make):
+        # three workers on at most two CPUs, switching threads often: the
+        # bytes of one worker, and those of the one-shot formula. With seed
+        # 2 on the expander, pooled chunks that carried the ratio of the
+        # chunk their thread solved before would change bits.
+        g = make()
+        cfg = rd.SketchConfig(seed=2)
+        solver = rd.LaplacianSolver(g, "iterative")
+        threads = set()
+        record_solves(monkeypatch, before=lambda start: threads.add(threading.get_ident()))
+        out = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 3):
+                pooled(workers)
+                threads.clear()
+                out[workers] = rd.approx_reff_from_source(g, 0, cfg, solver).tobytes()
+                assert (len(threads) > 1) == (workers > 1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert out[1] == out[2] == out[3]
+        assert out[1] == one_shot_estimates(g, 0, cfg, solver).tobytes()
+
+    def test_pooled_failure_raises_the_sequential_error(self, monkeypatch, pooled):
+        # from the second probe chunk on PCG may take one iteration, so every
+        # pooled chunk fails; the error is that of the lowest one, as in the
+        # sequential loop, and it is raised once the workers are gone
+        g = rd.random_regular(3000, 4, 1)
+        main = threading.get_ident()
+        failing_threads = set()
+
+        def starve(start):
+            if start is not None and start >= sketch._PROBE_CHUNK:
+                failing_threads.add(threading.get_ident())
+                linalg.PCG_MAX_ITERATIONS = 1
+
+        record_solves(monkeypatch, before=starve)
+        budget = linalg.PCG_MAX_ITERATIONS
+        errors = {}
+        for workers in (1, 2):
+            pooled(workers)
+            monkeypatch.setattr(linalg, "PCG_MAX_ITERATIONS", budget)
+            failing_threads.clear()
+            solver = rd.LaplacianSolver(g, "iterative")
+            before = threading.active_count()
+            with pytest.raises(rd.ConvergenceError) as info:
+                rd.approx_reff_from_source(g, 0, solver=solver)
+            assert threading.active_count() == before
+            assert (main not in failing_threads) == (workers > 1)
+            errors[workers] = str(info.value), info.value.residual, info.value.attained_zeta
+        assert errors[1] == errors[2]
+        assert "within 1 iterations" in errors[1][0]
+
+    def test_spanning_tree_built_once_per_solver(self, monkeypatch, pooled):
+        built = []
+        real = linalg._spanning_tree
+        monkeypatch.setattr(linalg, "_spanning_tree", lambda g: built.append(g.n) or real(g))
+        pooled(2)
+        g = rd.hypercube(10)
+        solver = rd.LaplacianSolver(g, "iterative")
+        for _ in range(2):
+            rd.approx_reff_from_source(g, 0, solver=solver)
+        assert built == [g.n]
+
+    def test_small_graph_solves_in_calling_thread(self, monkeypatch):
+        g = rd.random_regular(3000, 4, 1)
+        assert g.n < sketch._POOL_MIN_VERTICES
+        monkeypatch.setattr(sketch, "_probe_workers", lambda: 2)
+        threads = set()
+        record_solves(monkeypatch, before=lambda start: threads.add(threading.get_ident()))
+        rd.approx_reff_from_source(g, 0, solver=rd.LaplacianSolver(g, "iterative"))
+        assert threads == {threading.get_ident()}
 
 
 class TestGramInverse:
@@ -448,16 +568,8 @@ class TestProbeAccuracy:
     """The probe solves run at the accuracy the e^beta bracket needs."""
 
     @staticmethod
-    def recorded_zetas(monkeypatch):
-        zetas = []
-        real = sketch._solve_in_place
-
-        def recording(solver, B, zeta, *args):
-            zetas.append(zeta)
-            return real(solver, B, zeta, *args)
-
-        monkeypatch.setattr(sketch, "_solve_in_place", recording)
-        return zetas
+    def recorded_zetas(calls):
+        return [zeta for _, _, zeta in by_start_row(calls)]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_solve_error_within_share_of_bracket(self, seed):
@@ -477,26 +589,33 @@ class TestProbeAccuracy:
         g = rd.random_regular(600, 4, 0)
         cfg = rd.SketchConfig(seed=5)
         k = _num_probes(cfg, g.n)
-        zetas = self.recorded_zetas(monkeypatch)
+        calls = record_solves(monkeypatch)
         solver = rd.LaplacianSolver(g, "iterative")
         rd.approx_reff_from_source(g, 0, cfg, solver)
         inv, rank = cholesky_pinv(one_shot_probe_system(g, k, 5)[1])
         rho = (g.m / rank) * np.abs(inv).sum(axis=1).max()
         want = sketch.SOLVE_ERROR_SHARE * cfg.beta / math.sqrt(rho * k * g.m)
         assert 2.0 ** -23 <= want < linalg.ZETA_CAP
-        # one call per probe chunk, each at ζ less the float32 rows' rounding
-        chunks = math.ceil(k / sketch._PROBE_CHUNK)
-        assert chunks > 1
-        assert zetas == [pytest.approx(want - 2.0 ** -24, rel=1e-12)] * chunks
+        # calls that tile the k probe rows, none across a probe chunk's end,
+        # each at ζ less the float32 rows' rounding
+        calls = by_start_row(calls)
+        assert math.ceil(k / sketch._PROBE_CHUNK) > 1
+        assert [start for start, _, _ in calls] == list(
+            np.cumsum([0] + [len(B) for _, B, _ in calls[:-1]]))
+        assert sum(len(B) for _, B, _ in calls) == k
+        assert all(start // sketch._PROBE_CHUNK == (start + len(B) - 1) // sketch._PROBE_CHUNK
+                   for start, B, _ in calls)
+        want_zeta = pytest.approx(want - 2.0 ** -24, rel=1e-12)
+        assert self.recorded_zetas(calls) == [want_zeta] * len(calls)
 
     # ζ ≤ γ·β ≤ γ never reaches ZETA_CAP at the β SketchConfig admits
     @pytest.mark.parametrize("beta, want", [(1e-30, linalg.ZETA_FLOOR)], ids=["floor"])
     def test_requested_zeta_clamped(self, monkeypatch, beta, want):
         g = rd.grid2d(8)
-        zetas = self.recorded_zetas(monkeypatch)
+        calls = record_solves(monkeypatch)
         fix_probe_count(monkeypatch, 20)
         rd.approx_reff_from_source(g, 0, rd.SketchConfig(beta=beta))
-        assert zetas[0] == want
+        assert self.recorded_zetas(calls)[0] == want
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_direct_backends_ignore_zeta(self, monkeypatch, backend):
