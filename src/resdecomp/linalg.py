@@ -46,7 +46,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.blas import daxpy, ddot, dscal
 
 from .errors import ConvergenceError, DisconnectedGraphError, InfiniteResistanceError
-from .graph import WeightedGraph, connected_components, induced_subgraph
+from .graph import WeightedGraph, _is_int, connected_components, induced_subgraph
 
 # The one order up to which the solver forms an n×n array: the auto method
 # takes dense Cholesky, and LaplacianSolver.reff_matrix forms the all-pairs
@@ -69,7 +69,8 @@ ZETA_CAP = 0.5
 # PCG sums its dot products over blocks of at most this many entries:
 # OpenBLAS splits longer ones across its threads.
 _DOT_BLOCK = 10000
-# The energy ratio PCG's first row takes (see _pcg): a lower bound.
+# The energy ratio the first row of every PCG call takes (see _pcg): a
+# lower bound.
 _PCG_FIRST_RATIO = 0.5
 # Iterations one PCG solve may take before ConvergenceError; read per solve.
 PCG_MAX_ITERATIONS = 20000
@@ -116,13 +117,13 @@ class LaplacianSolver:
     builds on its first solve beside its shortest-path spanning tree from
     vertex 0 (edge lengths 1/w); the tree's flow energy certifies each
     stop: PCG stops once the tree energy of the residual is at most
-    ζ²‖b‖²/(2·max deg). Within a batch, each row after the first evaluates
-    that energy at the threshold carried from the row before, so it
-    usually checks once. The sketch's PCG probe chunks after its first
-    instead each start from the ratio the first chunk ended with, so they
-    can run on threads in any order with the same bits. Its dot products
-    are summed in fixed blocks of 10⁴ entries, so PCG's bits do not depend
-    on the BLAS thread count.
+    ζ²‖b‖²/(2·max deg), evaluated where an energy ratio predicts a pass.
+    Every solve call starts from the lower bound 1/2 on that ratio, and
+    each later row of the call from the ratio measured at the row before,
+    so it usually checks once. A call's bits depend on nothing outside it,
+    so the sketch's probe chunks, one call each, can run on threads in any
+    order. Its dot products are summed in fixed blocks of 10⁴ entries, so
+    PCG's bits do not depend on the BLAS thread count.
     :meth:`reff_matrix` inverts the grounded factor once, on first use, and
     keeps the result; above ``DENSE_SOLVE_LIMIT`` vertices it forms no
     matrix and returns ``None``. Build one solver per graph and hand it to
@@ -267,7 +268,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return total
 
 
-def _pcg(solver: LaplacianSolver, B: np.ndarray, zeta: float, ratio: float) -> float:
+def _pcg(solver: LaplacianSolver, B: np.ndarray, zeta: float) -> None:
     """Overwrite each nonzero row b of ``B`` with its certified solution.
 
     Conjugate gradient on L̃ = D^{-1/2} L D^{-1/2}, which is Jacobi PCG on L
@@ -276,23 +277,21 @@ def _pcg(solver: LaplacianSolver, B: np.ndarray, zeta: float, ratio: float) -> f
     feeds both the stop test and the next direction. A row stops once the
     tree energy of its residual D^{1/2} r̃ is at most ζ²‖b‖²/λmax. That
     energy is evaluated at each iterate where r̃ᵀr̃ times a ratio
-    energy/r̃ᵀr̃ reaches the goal. The first row takes ``ratio``; 1/2 is a
-    lower bound: the energy is at least r̃ᵀL̃†r̃ and L̃'s eigenvalues are at
-    most 2, so it checks every iterate that could pass. Each later row
-    takes the ratio measured at the previous row's stop, so it usually
-    checks once. Returns the ratio the next row would take. The ratio
-    decides which iterates are checked, and so where a row stops: a caller
-    that splits one batch passes the returned ratio on to get the bits of
-    one call, and the sketch starts every PCG probe chunk after its first
-    from the ratio its first chunk returned, so that no row depends on the
-    order in which the chunks run. The iterate at which the budget runs
-    out is always checked, so a row raises :class:`ConvergenceError` only
-    on an iterate the tree does not certify.
+    energy/r̃ᵀr̃ reaches the goal. The first row of every call takes
+    ``_PCG_FIRST_RATIO`` = 1/2, a lower bound: the energy is at least
+    r̃ᵀL̃†r̃ and L̃'s eigenvalues are at most 2, so it checks every iterate
+    that could pass. Each later row takes the ratio measured at the
+    previous row's stop, so it usually checks once. The ratio decides which
+    iterates are checked, and so where a row stops: the rows' bits depend
+    on the call's batch, and on nothing outside the call. The iterate at
+    which the budget runs out is always checked, so a row raises
+    :class:`ConvergenceError` only on an iterate the tree does not certify.
     """
     Lt, sqrt_deg, inv_sqrt = solver._scaled
     lam_max, maxiter = solver._lambda_max, PCG_MAX_ITERATIONS
     n = B.shape[1]
     x, r, d = np.empty(n), np.empty(n), np.empty(n)
+    ratio = _PCG_FIRST_RATIO
     for b in B:
         if not b.any():
             continue
@@ -334,7 +333,6 @@ def _pcg(solver: LaplacianSolver, B: np.ndarray, zeta: float, ratio: float) -> f
             ratio = energy / delta
         np.multiply(x, inv_sqrt, out=b)
         b -= b.mean()
-    return ratio
 
 
 def solve_laplacian_many(solver: LaplacianSolver, B: np.ndarray, zeta: float) -> np.ndarray:
@@ -350,17 +348,14 @@ def solve_laplacian_many(solver: LaplacianSolver, B: np.ndarray, zeta: float) ->
     return X
 
 
-def _solve_in_place(solver: LaplacianSolver, B: np.ndarray, zeta: float,
-                    ratio: float = _PCG_FIRST_RATIO) -> float:
+def _solve_in_place(solver: LaplacianSolver, B: np.ndarray, zeta: float) -> None:
     """:func:`solve_laplacian_many` on a writable float64 batch whose rows it
     overwrites with their solutions, so the batch is the only k×n array the
-    solve holds: PCG writes each row after its own solve; the direct
-    backends take ``_ROW_CHUNK`` rows at a time, write their grounded
-    solutions into the chunk's first n − 1 columns, zero its last column and
-    subtract its row means. Returns PCG's energy ratio for the next row
-    (see :func:`_pcg`; ``ratio`` unchanged on the direct backends): a caller
-    that solves one batch in several calls passes it on, and gets the bits
-    of one call."""
+    solve holds: PCG writes each row after its own solve, with bits that
+    depend on this batch alone (see :func:`_pcg`); the direct backends
+    take ``_ROW_CHUNK`` rows at a time, write their grounded solutions into
+    the chunk's first n − 1 columns, zero its last column and subtract its
+    row means."""
     if not (0 < zeta < 1):
         raise ValueError(f"zeta must lie in (0, 1), got {zeta}")
     n = solver.graph.n
@@ -374,9 +369,10 @@ def _solve_in_place(solver: LaplacianSolver, B: np.ndarray, zeta: float,
         if (np.abs(rows.sum(axis=1)) > 1e-12 * np.maximum(1.0, np.abs(rows).sum(axis=1))).any():
             raise ValueError("every right-hand side row must sum to zero")
     if not B.any():  # every row is its own solution; includes n = 1
-        return ratio
+        return
     if solver.method == "iterative":
-        return _pcg(solver, B, zeta, ratio)
+        _pcg(solver, B, zeta)
+        return
     # direct backends: solve the grounded system, pad the grounded vertex
     # with zero, then remove the mean
     for i in range(0, B.shape[0], _ROW_CHUNK):
@@ -386,7 +382,6 @@ def _solve_in_place(solver: LaplacianSolver, B: np.ndarray, zeta: float,
                         if solver.method == "dense" else solver._factor.solve(rhs)).T
         rows[:, -1] = 0.0
         rows -= rows.mean(axis=1, keepdims=True)
-    return ratio
 
 
 def required_solver_accuracy(g: WeightedGraph, eta: float) -> float:
@@ -421,8 +416,8 @@ def st_potential(solver: LaplacianSolver, s: int, t: int, zeta: float) -> np.nda
     potential is exactly zero, as a read-only float64 array. Each entry is
     within ``implied_potential_accuracy(graph, zeta)`` of the exact one."""
     g = solver.graph
-    if not (0 <= s < g.n and 0 <= t < g.n):
-        raise ValueError(f"vertices ({s}, {t}) out of range [0, {g.n})")
+    if not (_is_int(s) and _is_int(t) and 0 <= s < g.n and 0 <= t < g.n):
+        raise ValueError(f"vertices ({s!r}, {t!r}) must be integers in range [0, {g.n})")
     if s == t:
         raise ValueError("source and sink must differ")
     b = np.zeros((1, g.n))
@@ -458,8 +453,8 @@ def _grounded_cholesky(g: WeightedGraph, ground: int) -> tuple:
 def _pair_component(g: WeightedGraph, s: int, t: int) -> tuple[WeightedGraph, int, int]:
     """The component of g holding s and t as an induced subgraph, with s and t
     renumbered into it; InfiniteResistanceError if they lie apart."""
-    if not (0 <= s < g.n and 0 <= t < g.n):
-        raise ValueError(f"vertices ({s}, {t}) out of range [0, {g.n})")
+    if not (_is_int(s) and _is_int(t) and 0 <= s < g.n and 0 <= t < g.n):
+        raise ValueError(f"vertices ({s!r}, {t!r}) must be integers in range [0, {g.n})")
     comp = next(c for c in connected_components(g) if s in c)
     if t not in comp:
         raise InfiniteResistanceError(

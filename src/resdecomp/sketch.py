@@ -31,21 +31,22 @@ it replaces, as k ≥ m ≥ n − 1. Otherwise the sketch draws min(k, m) probes
 Memory on the probe path: with k probes, a sketch holds the k×m probe
 signs bit-packed (k·m/8 bytes), drawn a few rows at a time, and one k×n
 array of probe solutions y_i = x_i − x_i(u). The right-hand sides are
-built just before they are solved, ``_PROBE_CHUNK`` rows per sparse
-product, or one row at a time in the probe threads below. The dense and
-sparse-LU backends, and PCG when ζ < 2⁻²³, solve ``_ROW_CHUNK`` rows at a
-time straight into the array's float64 rows. Otherwise PCG solves
-``_PROBE_CHUNK`` rows at a time and stores its rows as float32, each scaled
-by the power of two that puts its largest entry in [1/2, 1): half the
-bytes, at a rounding the solves leave room for (see
-:func:`approx_reff_from_source`). From ``_POOL_MIN_VERTICES`` vertices on,
-those chunks run on up to ``_PROBE_THREADS`` threads (see
-:func:`_pcg_probe_rows`). The first chunk starts from ``_PCG_FIRST_RATIO``
-and every later chunk from the energy ratio the first one ended with, so
-the bits do not depend on the thread count, and the threads share
-``_PROBE_CHUNK`` float64 rows of buffer. The Gram correction then takes
-``_CORRECTION_BLOCK`` vertex columns at a time, float32 ones widened and
-unscaled. Every backend's solves add only per-chunk temporaries.
+built ``_PROBE_CHUNK`` rows per sparse product, or one row at a time in the
+probe threads below. The dense and sparse-LU backends, and PCG when
+ζ < 2⁻²³, build all k right-hand sides in the array's float64 rows and
+solve them there in one call, which the direct backends take
+``_ROW_CHUNK`` rows at a time. Otherwise PCG solves ``_PROBE_CHUNK`` rows
+per call, each chunk in its own float64 array, and stores its rows as
+float32, each scaled by the power of two that puts its largest entry in
+[1/2, 1): half the bytes, at a rounding the solves leave room for (see
+:func:`approx_reff_from_source`). Every PCG call starts from the same
+energy ratio, 1/2, so the chunks are independent: from
+``_POOL_MIN_VERTICES`` vertices on they run on up to ``_PROBE_THREADS``
+threads, with as many float64 chunks in flight, and the bits do not
+depend on the thread count (see :func:`_pcg_probe_rows`). The Gram
+correction then takes ``_CORRECTION_BLOCK`` vertex columns at a time,
+float32 ones widened and unscaled. Every backend's solves add only
+per-chunk temporaries.
 """
 from __future__ import annotations
 
@@ -58,8 +59,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpotri, dpstrf
 
 from .graph import WeightedGraph, _is_int
-from .linalg import (ZETA_FLOOR, _PCG_FIRST_RATIO, _ROW_CHUNK, LaplacianSolver,
-                     _solve_in_place)
+from .linalg import ZETA_FLOOR, LaplacianSolver, _solve_in_place
 
 # Probe budget ceil(C * ln n / beta^2). C = 8 is a conservative
 # Johnson-Lindenstrauss constant folding in a per-graph failure
@@ -82,9 +82,8 @@ TIE_TOLERANCE = 1e-9
 # both bound the sketch's temporaries. The chunk is even, so each chunk but
 # the last takes whole 64-bit words of the bit generator; the block is a
 # multiple of 8, so it takes whole bytes of the packed signs. On PCG's
-# float32 path the chunk is also the unit of work of the probe threads, and
-# each chunk after the first restarts from the first chunk's energy ratio
-# (see _pcg_probe_rows).
+# float32 path the chunk is also one solve call, the unit of work of the
+# probe threads (see _pcg_probe_rows).
 _PROBE_CHUNK = 16
 _GRAM_BLOCK = 1024
 # Threads that solve PCG probe chunks, at most; one per usable CPU.
@@ -239,75 +238,44 @@ def _pcg_probe_rows(solver: LaplacianSolver, incidence_t: sp.spmatrix, signs: np
     write each y_i = x_i − x_i(u), times 2^−e_i, into float32 row i of ``Y``;
     returns the exponents e_i, those of each row's largest entry.
 
-    The probes are solved ``_PROBE_CHUNK`` rows at a time. The first chunk
-    starts from ``_PCG_FIRST_RATIO``, and every later chunk from the energy
-    ratio the first chunk ended with; within a chunk each row takes the ratio
-    of the row before (see :func:`_pcg`). So every row's iterates, and the
-    rows' bits, do not depend on how the later chunks are scheduled: the
-    caller solves the first chunk, then hands the others to
-    :func:`_probe_workers` threads when the graph has at least
-    ``_POOL_MIN_VERTICES`` vertices. Each worker solves in its own buffer of
-    ``_PROBE_CHUNK // workers`` float64 rows, carrying the ratio between
-    buffer loads, so at most ``_PROBE_CHUNK`` float64 rows are in flight. If
-    chunks fail, the error of the lowest failing chunk is raised once every
-    submitted chunk has ended: the error the sequential loop raises.
+    Each ``_PROBE_CHUNK`` rows are one solve call on their own float64
+    array. Every call starts from the same energy ratio (see :func:`_pcg`),
+    so a chunk's bits do not depend on the other chunks, nor on the order
+    they run in: from ``_POOL_MIN_VERTICES`` vertices on, the chunks run on
+    :func:`_probe_workers` threads, one chunk per thread at a time. Their
+    results are read in chunk order, so if chunks fail, the error of the
+    lowest failing chunk is raised once the running chunks have ended: the
+    error the sequential loop raises.
     """
     k, n = Y.shape
     exponents = np.empty(k, dtype=np.int32)
     workers = _probe_workers() if n >= _POOL_MIN_VERTICES else 1
-    buffers = np.empty((workers, _PROBE_CHUNK // workers, n))
     # pooled workers build one right-hand side at a time, so each holds only
     # m-vector temporaries
     width = 1 if workers > 1 else _PROBE_CHUNK
 
-    def solve_chunk(start: int, buffer: np.ndarray, ratio: float) -> float:
+    def solve_chunk(start: int) -> None:
         stop = min(start + _PROBE_CHUNK, k)
-        for a in range(start, stop, len(buffer)):
-            b = min(a + len(buffer), stop)
-            rows = buffer[:b - a]
-            _probe_rhs(incidence_t, signs[a:b], rows, width)
-            ratio = _solve_in_place(solver, rows, zeta, ratio)
-            rows -= rows[:, [u]]
-            _, e = np.frexp(np.maximum(rows.max(axis=1), -rows.min(axis=1)))
-            exponents[a:b] = e
-            Y[a:b] = np.ldexp(rows, -e[:, None], out=rows)
-        return ratio
+        rows = np.empty((stop - start, n))
+        _probe_rhs(incidence_t, signs[start:stop], rows, width)
+        _solve_in_place(solver, rows, zeta)
+        rows -= rows[:, [u]]
+        _, e = np.frexp(np.maximum(rows.max(axis=1), -rows.min(axis=1)))
+        exponents[start:stop] = e
+        Y[start:stop] = np.ldexp(rows, -e[:, None], out=rows)
 
-    ratio = solve_chunk(0, buffers[0], _PCG_FIRST_RATIO)
-    starts = range(_PROBE_CHUNK, k, _PROBE_CHUNK)
+    starts = range(0, k, _PROBE_CHUNK)
     if workers == 1:
         for start in starts:
-            solve_chunk(start, buffers[0], ratio)
+            solve_chunk(start)
         return exponents
 
     from concurrent.futures import ThreadPoolExecutor
-    from queue import SimpleQueue
-
-    # At most `workers` chunks run at once, so a buffer is always free.
-    free = SimpleQueue()
-    for buffer in buffers:
-        free.put(buffer)
-    failed = []  # start rows of failed chunks; list.append is atomic
-
-    def pooled(start: int) -> None:
-        # a chunk is skipped only once a lower chunk has failed, so the
-        # lowest failing chunk always runs
-        if any(f < start for f in failed):
-            return
-        buffer = free.get()
-        try:
-            solve_chunk(start, buffer, ratio)
-        except BaseException:
-            failed.append(start)
-            raise
-        finally:
-            free.put(buffer)
 
     solver._tree, solver._scaled  # built here, not raced for by the workers
     with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(pooled, start) for start in starts]
-    for future in futures:  # in chunk order: the lowest failure raises
-        future.result()
+        # read in chunk order; a failed chunk cancels those not yet started
+        list(pool.map(solve_chunk, starts))
     return exponents
 
 
@@ -367,8 +335,8 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
     rounding whatever ζ is asked for.
     """
     cfg = cfg or SketchConfig()
-    if not (0 <= u < g.n):
-        raise ValueError(f"source {u} out of range [0, {g.n})")
+    if not (_is_int(u) and 0 <= u < g.n):
+        raise ValueError(f"source {u!r} must be an integer in range [0, {g.n})")
     if solver is not None and solver.graph is not g:
         raise ValueError("solver was built for a different graph")
     if g.n == 1:
@@ -404,12 +372,9 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
     if store32:
         exponents = _pcg_probe_rows(solver, incidence_t, signs, u, solve_zeta, Y)
     else:
-        ratio = _PCG_FIRST_RATIO  # carried from chunk to chunk, as within one batch
-        for start in range(0, k, _ROW_CHUNK):
-            rows = Y[start:start + _ROW_CHUNK]
-            _probe_rhs(incidence_t, signs[start:start + _ROW_CHUNK], rows, _PROBE_CHUNK)
-            ratio = _solve_in_place(solver, rows, solve_zeta, ratio)
-            rows -= rows[:, [u]]
+        _probe_rhs(incidence_t, signs, Y, _PROBE_CHUNK)
+        _solve_in_place(solver, Y, solve_zeta)
+        Y -= Y[:, [u]]
     estimates = np.empty(g.n)
     for start in range(0, g.n, _CORRECTION_BLOCK):
         block = Y[:, start:start + _CORRECTION_BLOCK]

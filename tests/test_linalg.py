@@ -256,29 +256,6 @@ class TestSolveLaplacian:
                 assert np.sqrt(e @ (L @ e)) <= zeta * np.sqrt(x_ref @ (L @ x_ref))
             assert X[0].tobytes() == rd.solve_laplacian_many(solver, B[:1], zeta)[0].tobytes()
 
-    def test_split_batch_carries_the_ratio(self, monkeypatch):
-        # a batch solved in two calls, the second taking the energy ratio the
-        # first returns, checks its residuals as often as one call and
-        # returns its bits; a second call started afresh checks more often
-        g = rd.random_regular(3000, 4, 0)
-        B, _ = one_shot_probe_system(g, 12, 0)
-        solver = rd.LaplacianSolver(g, "iterative")
-        checks = []
-        real = linalg._tree_energy
-        monkeypatch.setattr(linalg, "_tree_energy",
-                            lambda solver, r: checks.append(1) or real(solver, r))
-        whole = B.copy()
-        assert linalg._solve_in_place(solver, whole, 1e-6) > linalg._PCG_FIRST_RATIO
-        once = len(checks)
-        for carry in (True, False):
-            checks.clear()
-            split = B.copy()
-            ratio = linalg._solve_in_place(solver, split[:5], 1e-6)
-            linalg._solve_in_place(solver, split[5:], 1e-6,
-                                   ratio if carry else linalg._PCG_FIRST_RATIO)
-            assert (len(checks) == once) == carry
-            assert np.array_equal(split, whole) or not carry
-
     def test_energy_norm_contract_dense(self, corpus):
         for g in corpus[:20]:
             b = _unit_pair_rhs(g.n, 0, 1)
@@ -519,6 +496,15 @@ class TestStPotential:
             assert p.max() <= p[0] + slack
             assert p.min() >= p[g.n - 1] - slack
 
+    @pytest.mark.parametrize("s, t", [(True, 2), (0, 2.0), (0, np.float32(2)), (-1, 2), (0, 3)])
+    def test_vertices_must_be_vertex_ids(self, s, t):
+        # a bool or float id once answered for the vertex it indexes as
+        solver = rd.LaplacianSolver(path_graph(3))
+        with pytest.raises(ValueError, match="vertices"):
+            rd.st_potential(solver, s, t, 1e-8)
+        assert np.array_equal(rd.st_potential(solver, np.int64(0), np.uint8(2), 1e-8),
+                              rd.st_potential(solver, 0, 2, 1e-8))
+
     def test_same_vertex_rejected(self):
         with pytest.raises(ValueError, match="differ"):
             rd.st_potential(rd.LaplacianSolver(path_graph(3)), 1, 1, 1e-8)
@@ -550,6 +536,14 @@ class TestStPotential:
 
 
 class TestExactReff:
+    @pytest.mark.parametrize("s, t", [(0.0, 2), (0, True), (np.float64(1), 2), (0, -1), (3, 0)])
+    def test_vertices_must_be_vertex_ids(self, s, t):
+        # exact_reff(g, 0.0, 2) once answered for vertex 0
+        g = path_graph(3)
+        with pytest.raises(ValueError, match="vertices"):
+            rd.exact_reff(g, s, t)
+        assert rd.exact_reff(g, np.int32(0), np.int64(2)) == rd.exact_reff(g, 0, 2)
+
     def test_one_resistor(self):
         g = rd.build_graph(2, [(0, 1, 4.0)])
         assert rd.exact_reff(g, 0, 1) == pytest.approx(0.25, rel=1e-12)

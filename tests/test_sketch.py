@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ import resdecomp as rd
 from resdecomp import linalg, sketch
 from resdecomp.sketch import PROBE_COUNT_CONSTANT, _num_probes
 
-from conftest import fix_probe_count, log_uniform_mesh, one_shot_probe_system, path_graph
+from conftest import (fix_probe_count, log_uniform_mesh, one_shot_probe_system, path_graph,
+                      skewed)
 
 
 BETA = math.log(1.5)
@@ -21,23 +23,24 @@ def record_solves(monkeypatch, before=None):
     """Record each call the sketch makes to ``_solve_in_place`` as
     (start, batch, zeta): start is the first probe row of a probe batch,
     read from the packed signs the same thread handed ``_probe_rhs`` just
-    before, and None for a patch batch. ``before(start)`` runs ahead of each
-    call. Probe threads run in any order, so read the calls through
-    :func:`by_start_row`."""
+    before (0 when it handed all of them), and None for a patch batch.
+    ``before(start)`` runs ahead of each call. Probe threads run in any
+    order, so read the calls through :func:`by_start_row`."""
     calls = []
     local = threading.local()
     real_rhs, real_solve = sketch._probe_rhs, sketch._solve_in_place
 
     def rhs(incidence_t, signs, out, width):
-        local.start = (signs.ctypes.data - signs.base.ctypes.data) // signs.strides[0]
+        local.start = (0 if signs.base is None else
+                       (signs.ctypes.data - signs.base.ctypes.data) // signs.strides[0])
         return real_rhs(incidence_t, signs, out, width)
 
-    def solve(solver, B, zeta, *args):
+    def solve(solver, B, zeta):
         start, local.start = getattr(local, "start", None), None
         if before is not None:
             before(start)
         calls.append((start, np.array(B), zeta))
-        return real_solve(solver, B, zeta, *args)
+        return real_solve(solver, B, zeta)
 
     monkeypatch.setattr(sketch, "_probe_rhs", rhs)
     monkeypatch.setattr(sketch, "_solve_in_place", solve)
@@ -168,6 +171,15 @@ class TestApproxReffFromSource:
         cfg = rd.SketchConfig()
         assert _num_probes(cfg, 12) == math.ceil(PROBE_COUNT_CONSTANT * math.log(12) / BETA ** 2)
 
+    @pytest.mark.parametrize("u", [True, 1.0, np.float64(2), -1, 16])
+    def test_source_must_be_a_vertex_id(self, u):
+        # True and 1.0 once answered for vertex 1, True as a (1, 16, 16) array
+        g = rd.grid2d(4)
+        with pytest.raises(ValueError, match="source"):
+            rd.approx_reff_from_source(g, u)
+        assert np.array_equal(rd.approx_reff_from_source(g, np.int32(3)),
+                              rd.approx_reff_from_source(g, 3))
+
     def test_beta_validation(self):
         with pytest.raises(ValueError):
             rd.SketchConfig(beta=0.0)
@@ -288,9 +300,8 @@ def one_shot_estimates(g, u, cfg, solver, pinv=cholesky_pinv, zeta=None, store32
     ``zeta``, by default the sketch's own accuracy for them. With
     ``store32``, by default on PCG at ζ ≥ 2^-23, the probes are solved to
     ζ − 2^-24 and each row y_i is rounded to float32 times 2^-e_i, e_i the
-    binary exponent of max |y_i|, and every probe chunk after the first
-    starts its solves from the energy ratio the first chunk ended with;
-    otherwise they are solved to ζ as one batch."""
+    binary exponent of max |y_i|, each ``_PROBE_CHUNK`` rows solved in
+    their own call; otherwise they are solved to ζ as one batch."""
     m = g.m
     k = sketch._num_probes(cfg, g.n)  # through the module, so fix_probe_count applies
     rhs, gram = one_shot_probe_system(g, k, cfg.seed)
@@ -300,10 +311,9 @@ def one_shot_estimates(g, u, cfg, solver, pinv=cholesky_pinv, zeta=None, store32
     if store32 is None:
         store32 = solver.method == "iterative" and zeta >= 2.0 ** -23
     if store32:
-        Z, chunk = np.array(rhs), sketch._PROBE_CHUNK
-        first = linalg._solve_in_place(solver, Z[:chunk], zeta - 2.0 ** -24)
-        for a in range(chunk, k, chunk):
-            linalg._solve_in_place(solver, Z[a:a + chunk], zeta - 2.0 ** -24, first)
+        chunk = sketch._PROBE_CHUNK
+        Z = np.concatenate([rd.solve_laplacian_many(solver, rhs[a:a + chunk], zeta - 2.0 ** -24)
+                            for a in range(0, k, chunk)])
     else:
         Z = rd.solve_laplacian_many(solver, rhs, zeta)
     diffs = Z - Z[:, [u]]
@@ -451,13 +461,15 @@ class TestProbeWorkers:
         return lambda workers: monkeypatch.setattr(sketch, "_probe_workers", lambda: workers)
 
     @pytest.mark.parametrize("make", [lambda: rd.random_regular(3000, 4, 1),
-                                      lambda: rd.hypercube(10)],
-                             ids=["expander3000", "hypercube10"])
+                                      lambda: rd.hypercube(10),
+                                      lambda: skewed(rd.hypercube(7), 1e2)],
+                             ids=["expander3000", "hypercube10", "skewed_hypercube7"])
     def test_bytes_independent_of_worker_count(self, monkeypatch, pooled, make):
         # three workers on at most two CPUs, switching threads often: the
-        # bytes of one worker, and those of the one-shot formula. With seed
-        # 2 on the expander, pooled chunks that carried the ratio of the
-        # chunk their thread solved before would change bits.
+        # bytes of one worker, and those of the one-shot formula. On the
+        # skewed hypercube a chunk's bits depend on the energy ratio its
+        # first row starts from, so chunks that carried the ratio of the
+        # chunk their thread solved before would change them.
         g = make()
         cfg = rd.SketchConfig(seed=2)
         solver = rd.LaplacianSolver(g, "iterative")
@@ -478,24 +490,31 @@ class TestProbeWorkers:
         assert out[1] == one_shot_estimates(g, 0, cfg, solver).tobytes()
 
     def test_pooled_failure_raises_the_sequential_error(self, monkeypatch, pooled):
-        # from the second probe chunk on PCG may take one iteration, so every
-        # pooled chunk fails; the error is that of the lowest one, as in the
-        # sequential loop, and it is raised once the workers are gone
+        # every probe chunk from the second on, told by its start row, may
+        # take one PCG iteration and fails, while the first chunk, running
+        # beside them, keeps the module's budget; the error is that of the
+        # lowest failing chunk, as in the sequential loop, and it is raised
+        # once the workers are gone
         g = rd.random_regular(3000, 4, 1)
         main = threading.get_ident()
         failing_threads = set()
+        local = threading.local()
+        real = linalg._pcg
+        # _pcg reading a budget of 1 from its own globals: setting the
+        # module's budget would starve the chunks already running too
+        starved = types.FunctionType(real.__code__, {**vars(linalg), "PCG_MAX_ITERATIONS": 1})
 
         def starve(start):
-            if start is not None and start >= sketch._PROBE_CHUNK:
+            local.starved = start is not None and start >= sketch._PROBE_CHUNK
+            if local.starved:
                 failing_threads.add(threading.get_ident())
-                linalg.PCG_MAX_ITERATIONS = 1
 
         record_solves(monkeypatch, before=starve)
-        budget = linalg.PCG_MAX_ITERATIONS
+        monkeypatch.setattr(linalg, "_pcg",
+                            lambda *args: (starved if local.starved else real)(*args))
         errors = {}
         for workers in (1, 2):
             pooled(workers)
-            monkeypatch.setattr(linalg, "PCG_MAX_ITERATIONS", budget)
             failing_threads.clear()
             solver = rd.LaplacianSolver(g, "iterative")
             before = threading.active_count()
