@@ -12,8 +12,7 @@ from .generators import (barbell, complete, generate, grid2d, hypercube,
                          random_regular)
 from .edgelist import (EdgeListFormatError, format_edgelist, parse_edgelist,
                        read_edgelist, write_edgelist)
-from .linalg import (LaplacianSolver, assemble_laplacian, exact_reff,
-                     exact_reff_matrix, implied_potential_accuracy,
+from .linalg import (LaplacianSolver, assemble_laplacian, implied_potential_accuracy,
                      required_solver_accuracy, solve_laplacian_many, st_potential)
 from .sketch import SketchConfig, approx_reff_from_source, furthest_pair
 from .sweep import CutResult, find_sparse_cut
@@ -30,7 +29,7 @@ __all__ = [
     "barbell", "complete", "generate", "grid2d", "hypercube", "random_regular",
     "EdgeListFormatError", "format_edgelist", "parse_edgelist",
     "read_edgelist", "write_edgelist",
-    "LaplacianSolver", "assemble_laplacian", "exact_reff", "exact_reff_matrix",
+    "LaplacianSolver", "assemble_laplacian",
     "implied_potential_accuracy", "required_solver_accuracy",
     "solve_laplacian_many", "st_potential",
     "SketchConfig", "approx_reff_from_source", "furthest_pair",

@@ -4,7 +4,7 @@ Vertices are dense 0-based integers. Graphs are immutable after
 construction; every operation here is a pure function of its inputs.
 :func:`connected_components` is the package's one connectivity labelling:
 it labels a graph on the first ask and keeps the answer on the graph, so
-the recursion, the solver and the resistance oracle share it.
+the recursion, the solver and the pair lookup of ``reff`` share it.
 """
 from __future__ import annotations
 
@@ -111,10 +111,6 @@ def build_graph(n: int, edges) -> WeightedGraph:
     if not (_is_int(n) and n >= 0):
         raise ValueError(f"vertex count must be a non-negative integer, got {n!r}")
     edges = list(edges)
-    if not edges:
-        empty = np.array([], dtype=np.int64)
-        return WeightedGraph(n, empty, empty.copy(), np.array([], dtype=np.float64))
-
     # _is_int's test once per distinct id type; the scan only names the first bad edge
     id_types = {*map(type, map(itemgetter(0), edges)), *map(type, map(itemgetter(1), edges))}
     if not all(np.dtype(t).kind in "iu" for t in id_types):
@@ -133,7 +129,16 @@ def build_graph(n: int, edges) -> WeightedGraph:
     if out.any():
         i = int(np.argmax(out))
         raise ValueError(f"edge {i}: vertex id out of range [0, {n}): ({eu[i]}, {ev[i]})")
+    return _merge_edges(int(n), eu, ev, ew)
 
+
+def _merge_edges(n: int, eu: np.ndarray, ev: np.ndarray, ew: np.ndarray) -> WeightedGraph:
+    """The graph of the validated edge columns ``(eu, ev, ew)``: ids in
+    [0, n) as int64, weights positive and finite as float64. Self-loops
+    are dropped and parallel entries merged by weight sum, in input order.
+    :func:`build_graph` and the edge-list reader both end here."""
+    if eu.size and n ** 2 > np.iinfo(np.int64).max:
+        raise ValueError(f"vertex count {n} is too large: n^2 must fit in int64")
     keep = eu != ev  # drop self-loops
     eu, ev, ew = eu[keep], ev[keep], ew[keep]
     lo = np.minimum(eu, ev)
@@ -141,8 +146,6 @@ def build_graph(n: int, edges) -> WeightedGraph:
 
     # one int64 key per pair, ascending in (lo, hi) order. bincount sums each
     # pair's weights in input order; with no pairs left it returns int64.
-    if int(n) ** 2 > np.iinfo(np.int64).max:
-        raise ValueError(f"vertex count {n} is too large: n^2 must fit in int64")
     keys, inverse = np.unique(lo * n + hi, return_inverse=True)
     w = np.bincount(inverse, weights=ew).astype(np.float64, copy=False)
     return WeightedGraph(n, keys // n, keys % n, w)

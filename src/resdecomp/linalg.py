@@ -1,5 +1,5 @@
-"""Laplacian assembly, accuracy-controlled linear solves, electric potentials,
-and the dense effective-resistance oracle.
+"""Laplacian assembly, accuracy-controlled linear solves, electric potentials
+and effective resistances.
 
 The solver contract is relative accuracy in the energy norm:
 ``‖x̂ − L†b‖_L ≤ ζ·‖L†b‖_L``. A :class:`LaplacianSolver` prepares one graph
@@ -464,24 +464,6 @@ def _pair_component(g: WeightedGraph, s: int, t: int) -> tuple[WeightedGraph, in
     return sub, a, b
 
 
-def exact_reff(g: WeightedGraph, s: int, t: int) -> float:
-    """Effective resistance between s and t by dense factorization.
-
-    The brute-force oracle: intended for tests and verification at a few
-    thousand vertices. Symmetric in (s, t) by construction.
-    """
-    sub, a, b = _pair_component(g, s, t)
-    if a == b:
-        return 0.0
-    # canonical orientation keeps the result bit-identical under (s, t) swap:
-    # ground the larger index, so the smaller keeps its place
-    a, b = sorted((a, b))
-    factor = _grounded_cholesky(sub, b)
-    rhs = np.zeros(sub.n - 1)
-    rhs[a] = 1.0
-    return float(sla.cho_solve(factor, rhs, check_finite=False)[a])
-
-
 def _grounded_reff_matrix(factor: tuple) -> np.ndarray:
     """All-pairs effective resistances from the Cholesky factor of a
     Laplacian grounded at its last vertex: with G the inverse of the
@@ -494,13 +476,3 @@ def _grounded_reff_matrix(factor: tuple) -> np.ndarray:
     R = 0.5 * (R + R.T)
     np.fill_diagonal(R, 0.0)
     return np.maximum(R, 0.0)
-
-
-def exact_reff_matrix(g: WeightedGraph) -> np.ndarray:
-    """All-pairs effective resistances via the inverse of the grounded
-    Laplacian (dense oracle)."""
-    if g.n <= 1:
-        return np.zeros((g.n, g.n))
-    if len(connected_components(g)) > 1:
-        raise DisconnectedGraphError("resistance matrix requires a connected graph")
-    return _grounded_reff_matrix(_grounded_cholesky(g, g.n - 1))

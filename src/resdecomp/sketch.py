@@ -40,12 +40,12 @@ per call, each chunk in its own float64 array, and stores its rows as
 float32, each scaled by the power of two that puts its largest entry in
 [1/2, 1): half the bytes, at a rounding the solves leave room for (see
 :func:`approx_reff_from_source`). Every PCG call starts from the same
-energy ratio, 1/2, so the chunks are independent: from
-``_POOL_MIN_VERTICES`` vertices on they run on up to ``_PROBE_THREADS``
-threads, with as many float64 chunks in flight, and the bits do not
-depend on the thread count (see :func:`_pcg_probe_rows`). The Gram
-correction then takes ``_CORRECTION_BLOCK`` vertex columns at a time,
-float32 ones widened and unscaled. Every backend's solves add only
+energy ratio, 1/2, so the chunks are independent: when the Laplacian
+has at least ``_POOL_MIN_NONZEROS`` nonzeros, n + 2m, they run on up to
+``_PROBE_THREADS`` threads, with as many float64 chunks in flight, and
+the bits do not depend on the thread count (see :func:`_pcg_probe_rows`).
+The Gram correction then takes ``_CORRECTION_BLOCK`` vertex columns at a
+time, float32 ones widened and unscaled. Every backend's solves add only
 per-chunk temporaries.
 """
 from __future__ import annotations
@@ -88,11 +88,12 @@ _PROBE_CHUNK = 16
 _GRAM_BLOCK = 1024
 # Threads that solve PCG probe chunks, at most; one per usable CPU.
 _PROBE_THREADS = 2
-# Below this many vertices the PCG probe chunks stay in the calling thread:
-# there a row's numpy calls are so short that the threads mostly wait on
-# the interpreter lock: two ran slower than one on random_regular(3000, 4)
-# and on grid2d(60), 3600 vertices.
-_POOL_MIN_VERTICES = 5000
+# Below this many Laplacian nonzeros, n + 2m, the PCG probe chunks stay in
+# the calling thread: a matvec there is so short that the threads mostly
+# wait on the interpreter lock. Two threads against one, one sketch: rr(3000)
+# (15.0k nonzeros) +42%, grid2d(60) (17.8k) +21%, rr(5000) (25.0k) 0%,
+# rr(6000) (30.0k) -7%, hypercube(12) (53.2k) -20 to -25%.
+_POOL_MIN_NONZEROS = 30_000
 # float32's unit roundoff: the share of ζ a float32 row's rounding takes
 # (see _row_storage).
 _FLOAT32_ROUNDING = 2.0 ** -24
@@ -241,15 +242,17 @@ def _pcg_probe_rows(solver: LaplacianSolver, incidence_t: sp.spmatrix, signs: np
     Each ``_PROBE_CHUNK`` rows are one solve call on their own float64
     array. Every call starts from the same energy ratio (see :func:`_pcg`),
     so a chunk's bits do not depend on the other chunks, nor on the order
-    they run in: from ``_POOL_MIN_VERTICES`` vertices on, the chunks run on
-    :func:`_probe_workers` threads, one chunk per thread at a time. Their
-    results are read in chunk order, so if chunks fail, the error of the
+    they run in. When the Laplacian has at least ``_POOL_MIN_NONZEROS``
+    nonzeros, n + 2m (the work of one matvec), the chunks run on
+    :func:`_probe_workers` threads, one chunk per thread at a time; on
+    smaller graphs the threads would mostly wait on the interpreter lock.
+    Results are read in chunk order, so if chunks fail, the error of the
     lowest failing chunk is raised once the running chunks have ended: the
     error the sequential loop raises.
     """
     k, n = Y.shape
     exponents = np.empty(k, dtype=np.int32)
-    workers = _probe_workers() if n >= _POOL_MIN_VERTICES else 1
+    workers = _probe_workers() if n + 2 * solver.graph.m >= _POOL_MIN_NONZEROS else 1
     # pooled workers build one right-hand side at a time, so each holds only
     # m-vector temporaries
     width = 1 if workers > 1 else _PROBE_CHUNK

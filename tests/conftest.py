@@ -1,9 +1,36 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 import resdecomp as rd
-from resdecomp import sketch
+from resdecomp import linalg, sketch
+
+
+def exact_reff(g, s, t):
+    """Effective resistance between s and t by a dense Cholesky factor of the
+    Laplacian of their component, grounded at one of them: the tests'
+    reference. Symmetric in (s, t), bit for bit."""
+    sub, a, b = linalg._pair_component(g, s, t)
+    if a == b:
+        return 0.0
+    # ground the larger index, so the smaller keeps its place whichever
+    # orientation was asked
+    a, b = sorted((a, b))
+    factor = linalg._grounded_cholesky(sub, b)
+    rhs = np.zeros(sub.n - 1)
+    rhs[a] = 1.0
+    return float(sla.cho_solve(factor, rhs, check_finite=False)[a])
+
+
+def exact_reff_matrix(g):
+    """All-pairs effective resistances via the inverse of the Laplacian
+    grounded at the last vertex: the tests' reference."""
+    if g.n <= 1:
+        return np.zeros((g.n, g.n))
+    if len(rd.connected_components(g)) > 1:
+        raise rd.DisconnectedGraphError("resistance matrix requires a connected graph")
+    return linalg._grounded_reff_matrix(linalg._grounded_cholesky(g, g.n - 1))
 
 
 def random_connected_graph(rng, max_n=12, weight_range=(0.1, 10.0)):

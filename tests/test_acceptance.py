@@ -17,7 +17,8 @@ from resdecomp import decompose, linalg
 from resdecomp.cli import execute
 from resdecomp.sketch import _num_probes
 
-from conftest import path_graph, skewed, target_scaled_config, two_triangles_bridge
+from conftest import (exact_reff, exact_reff_matrix, path_graph, skewed, target_scaled_config,
+                      two_triangles_bridge)
 
 BETA = math.log(1.5)
 
@@ -43,7 +44,7 @@ def test_criterion_1_oracle_equivalence(corpus):
     for g in corpus:
         zeta = rd.required_solver_accuracy(g, 1e-8)
         solver = rd.LaplacianSolver(g)
-        R = rd.exact_reff_matrix(g)
+        R = exact_reff_matrix(g)
         for s in range(g.n):
             for t in range(s + 1, g.n):
                 p = rd.st_potential(solver, s, t, zeta)
@@ -57,7 +58,7 @@ def test_criterion_1_oracle_equivalence(corpus):
 def test_criterion_2_metric_domination_foster(corpus):
     worst_sym = worst_tri = worst_dom = worst_foster = 0.0
     for g in corpus:
-        R = rd.exact_reff_matrix(g)
+        R = exact_reff_matrix(g)
         worst_sym = max(worst_sym, float(np.abs(R - R.T).max()))
         triple = R[:, :, None] + R[None, :, :]
         worst_tri = max(worst_tri, float((R[:, None, :] - triple).max()))
@@ -86,7 +87,7 @@ def test_criterion_3_sketch_guarantee(corpus):
         for seed in (1, 49):
             again = rd.approx_reff_from_source(g, 0, rd.SketchConfig(seed=seed))
             assert again.tobytes() == A.tobytes()
-        ratios = A[1:] / rd.exact_reff_matrix(g)[0, 1:]
+        ratios = A[1:] / exact_reff_matrix(g)[0, 1:]
         worst = max(worst, ratios.max(), 1.0 / ratios.min())
     ok = worst <= bound
     _verdict(3, ok, f"two-sided e^beta sketch bracket held on all {len(corpus)} corpus graphs "
@@ -101,7 +102,7 @@ def test_criterion_3_sketch_guarantee_below_edge_count():
     worst = 1.0
     for g in (rd.grid2d(30), rd.random_regular(800, 6, 0), rd.hypercube(9)):
         assert _num_probes(rd.SketchConfig(), g.n) < g.m
-        R = rd.exact_reff_matrix(g)
+        R = exact_reff_matrix(g)
         solver = rd.LaplacianSolver(g)
         for seed in range(10):
             A = rd.approx_reff_from_source(g, 0, rd.SketchConfig(seed=seed), solver)
@@ -116,7 +117,7 @@ def test_criterion_4_furthest_pair_factor(corpus100):
     worst = math.inf
     for g in corpus100:
         u, v, _ = rd.furthest_pair(g)
-        R = rd.exact_reff_matrix(g)
+        R = exact_reff_matrix(g)
         worst = min(worst, R[u, v] / R.max())
     ok = worst >= 1 / 3
     _verdict(4, ok, f"furthest-pair factor on 100 graphs: min Reff(u,v*)/Rdiam = "
@@ -125,8 +126,8 @@ def test_criterion_4_furthest_pair_factor(corpus100):
 
 def test_criterion_5_grid_growth():
     started = time.monotonic()
-    r16 = rd.exact_reff_matrix(rd.grid2d(16)).max()
-    r32 = rd.exact_reff_matrix(rd.grid2d(32)).max()
+    r16 = exact_reff_matrix(rd.grid2d(16)).max()
+    r32 = exact_reff_matrix(rd.grid2d(32)).max()
     elapsed = time.monotonic() - started
     ratio = r32 / r16
     ok = ratio >= 1.1 and elapsed < 120.0
@@ -196,8 +197,8 @@ def test_criterion_9_scaling_invariances(corpus):
     rng = np.random.default_rng(99)
     for g in corpus[:15]:
         h = rd.scale_weights(g, alpha)
-        r = rd.exact_reff(g, 0, g.n - 1)
-        worst_reff = max(worst_reff, abs(rd.exact_reff(h, 0, g.n - 1) - r / alpha) / (r / alpha))
+        r = exact_reff(g, 0, g.n - 1)
+        worst_reff = max(worst_reff, abs(exact_reff(h, 0, g.n - 1) - r / alpha) / (r / alpha))
         s = rng.permutation(g.n)[: max(1, g.n // 2)]
         a, b = rd.cut_stats(g, s), rd.cut_stats(h, s)
         if a.conductance is not None:

@@ -11,7 +11,7 @@ from resdecomp import cli, decompose, linalg, sweep
 from resdecomp.cli import execute
 from resdecomp.linalg import DENSE_SOLVE_LIMIT
 
-from conftest import skewed
+from conftest import exact_reff, skewed
 
 
 def run(capsys, *argv):
@@ -184,7 +184,7 @@ class TestReff:
         g = rd.read_edgelist(barbell4)
         want = rd.implied_potential_accuracy(g, 1e-6)
         assert report["results"]["eta"] == pytest.approx(want, rel=1e-11)
-        assert report["results"]["reff"] == pytest.approx(rd.exact_reff(g, 0, 7), abs=want)
+        assert report["results"]["reff"] == pytest.approx(exact_reff(g, 0, 7), abs=want)
 
     @pytest.mark.parametrize("zeta", ["0", "1", "nan"])
     def test_unusable_zeta_is_value_error(self, capsys, path3, zeta):

@@ -8,8 +8,8 @@ import scipy.sparse.csgraph as csgraph
 import resdecomp as rd
 from resdecomp import decompose, linalg, sketch, sweep
 
-from conftest import (fix_probe_count, path_graph, random_connected_graph, target_scaled_config,
-                      two_triangles_bridge)
+from conftest import (exact_reff_matrix, fix_probe_count, path_graph, random_connected_graph,
+                      target_scaled_config, two_triangles_bridge)
 
 
 def recompute_cut_weight(g, blocks):
@@ -139,7 +139,7 @@ class TestPartition:
         assert len(part.blocks) == 1
         assert part.blocks[0].tolist() == list(range(8))
         assert report.loss_fraction == 0.0
-        assert report.config.resistance_target >= rd.exact_reff_matrix(rd.complete(8)).max()
+        assert report.config.resistance_target >= exact_reff_matrix(rd.complete(8)).max()
 
     def test_two_triangles_bridge_splits(self):
         g = two_triangles_bridge()
@@ -438,7 +438,7 @@ class TestPartition:
         g = rd.grid2d(8)
         cfg = rd.SketchConfig()
         assert sketch._num_probes(cfg, g.n) == 203 and g.m == 112
-        want = rd.exact_reff_matrix(g)[0]
+        want = exact_reff_matrix(g)[0]
 
         def no_matrix(factor):
             raise AssertionError("resistance matrix formed above the limit")
@@ -495,7 +495,7 @@ class TestVerifyPartition:
         assert rec.loss_ok
         assert len(rec.block_rdiams) == 1
         assert rec.block_rdiams[0].value == pytest.approx(
-            rd.exact_reff_matrix(g).max(), rel=1e-9)
+            exact_reff_matrix(g).max(), rel=1e-9)
 
     def test_singletons_on_k3(self):
         g = rd.complete(3)

@@ -4,12 +4,14 @@ import scipy.sparse.csgraph as csgraph
 
 import resdecomp as rd
 
-from conftest import random_connected_graph
+from conftest import exact_reff, exact_reff_matrix, random_connected_graph
 
 
 def test_public_api_resolves():
     assert [name for name in rd.__all__ if not hasattr(rd, name)] == []
     assert len(rd.__all__) == len(set(rd.__all__))
+    # the dense resistance oracles are test helpers, not library names
+    assert not {"exact_reff", "exact_reff_matrix"} & set(dir(rd))
 
 
 class TestBuildGraph:
@@ -271,9 +273,9 @@ class TestConnectedComponents:
         with pytest.raises(rd.DisconnectedGraphError):
             rd.LaplacianSolver(g)
         with pytest.raises(rd.DisconnectedGraphError):
-            rd.exact_reff_matrix(g)
+            exact_reff_matrix(g)
         with pytest.raises(rd.InfiniteResistanceError):
-            rd.exact_reff(g, 0, 3)
+            exact_reff(g, 0, 3)
         assert len(calls) == 1
 
 
@@ -365,3 +367,101 @@ class TestEdgeList:
     def test_header_after_edge_rejected(self):
         with pytest.raises(rd.EdgeListFormatError, match="line 2"):
             rd.parse_edgelist("0 1 1.0\nn 4\n")
+
+    # The grammar: blank lines and lines whose first non-blank character is
+    # `#` are skipped; the first other line may be the header `n <count>`;
+    # every other line is `u v w`. Each malformed line is named.
+    @pytest.mark.parametrize("text, line", [
+        ("0 1 1.0\n1 2 1.0 # a note\n", 2),
+        ("0 1 1.0\n1 2 1.0#note\n", 2),
+        ("# ids\n0 1 1.0\n\n1.5 2 1.0\n", 4),
+        ("0 1 1.0 7\n", 1),
+        ("n 3\nn 3\n0 1 1.0\n", 2),
+        ("# count\nn -1\n", 2),
+        ("n 2.0\n0 1 1.0\n", 1),
+        ("n\n", 1),
+        ("n 4 5\n", 1),
+        ("0 -1 1.0\n", 1),
+        ("0 1 x\n", 1),
+        ("0 1 1E2\n1E2 1 1.0\n", 2),
+    ], ids=["inline-comment", "inline-comment-unspaced", "float-id", "fourth-token",
+            "header-twice", "negative-count", "float-count", "count-missing",
+            "count-extra", "negative-id", "word-weight", "exponent-id"])
+    def test_malformed_line_named(self, text, line):
+        with pytest.raises(rd.EdgeListFormatError, match=f"^line {line}: ") as info:
+            rd.parse_edgelist(text)
+        assert info.value.line_number == line
+
+    @pytest.mark.parametrize("bad", [(3, "-4 1 1.0"), (3, "0 1 0.0"), (5, "0 1")],
+                             ids=["negative-id", "zero-weight", "two-tokens"])
+    def test_first_malformed_line_named(self, bad):
+        # an earlier line that fails a value check wins over a later one that
+        # does not parse, and the other way round
+        lines = ["0 1 1.0", "# note", "1 2 1.0", "", "2 3 1.0", "x y z", "0 3 -1.0"]
+        lineno, text = bad
+        lines[lineno - 1] = text
+        with pytest.raises(rd.EdgeListFormatError, match=f"^line {lineno}: "):
+            rd.parse_edgelist("\n".join(lines))
+
+    @pytest.mark.parametrize("where", [0, 1, 517, 1998, 1999])
+    def test_malformed_line_named_among_many(self, where):
+        lines = [f"{i} {i + 1} 1.0" for i in range(2000)]
+        lines[where] = f"{where} {where + 1} nan"
+        with pytest.raises(rd.EdgeListFormatError, match=f"^line {where + 1}: weight"):
+            rd.parse_edgelist("\n".join(lines) + "\n")
+
+    def test_crlf_and_surrounding_whitespace_accepted(self):
+        g = rd.parse_edgelist("# note\r\nn 4\r\n  0 1 1.5\t\r\n\r\n\t1 2 2.0  \r\n   # note\r\n")
+        assert (g.n, g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist()) == (
+            4, [0, 1], [1, 2], [1.5, 2.0])
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# only\n  # comments\n\n"],
+                             ids=["empty", "blank", "comments"])
+    def test_no_edges_no_vertices(self, text):
+        g = rd.parse_edgelist(text)
+        assert (g.n, g.m) == (0, 0)
+
+    def test_header_only_gives_isolated_vertices(self):
+        g = rd.parse_edgelist("n 5\n")
+        assert (g.n, g.m) == (5, 0)
+        assert g.edge_u.dtype == g.edge_v.dtype == np.int64 and g.edge_w.dtype == np.float64
+
+    def test_signed_and_exponent_spellings(self):
+        # a leading + on an id or the count, and an exponent on a weight
+        g = rd.parse_edgelist("n +4\n+0 +3 1E2\n1 2 +2.5e-1\n")
+        assert (g.n, g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist()) == (
+            4, [0, 1], [3, 2], [100.0, 0.25])
+
+    @pytest.mark.parametrize("text, line", [
+        ("1_0 1 1.0\n", 1), ("0 1 1_0.5\n", 1), ("n 1_0\n", 1), ("0 1 1.0\n\u0663 1 1.0\n", 2),
+        ("0 1 1.0\x0c1 2 1.0\n", 1), ("0 1 1.0\n1 9223372036854775808 1.0\n", 2),
+    ], ids=["underscore-id", "underscore-weight", "underscore-count", "non-ascii-digit",
+            "form-feed-inside-line", "id-beyond-int64"])
+    def test_spellings_outside_the_grammar_named(self, text, line):
+        # Python's int and float take these; the grammar does not
+        with pytest.raises(rd.EdgeListFormatError, match=f"^line {line}: "):
+            rd.parse_edgelist(text)
+
+    def test_vertex_beyond_header_count_named(self):
+        with pytest.raises(rd.EdgeListFormatError,
+                           match="^line 3: edge references vertex 5 but header declares n=3$"):
+            rd.parse_edgelist("n 3\n0 1 1.0\n5 1 1.0\n2 7 1.0\n")
+
+    def test_matches_per_line_reference(self):
+        # parallel edges in both orientations, self-loops, skewed weights,
+        # comments and blank lines: the graph of a per-line read through
+        # Python's int and float and build_graph, bit for bit
+        rng = np.random.default_rng(11)
+        n = 300
+        pairs = rng.integers(0, n, size=(2000, 2))
+        weights = np.exp(rng.uniform(-20, 20, size=2000))
+        lines = [f"{u} {v} {float(w)!r}" for (u, v), w in zip(pairs.tolist(), weights)]
+        for i in sorted(rng.choice(2000, 40, replace=False).tolist(), reverse=True):
+            lines.insert(i, "  # note" if i % 2 else " \t")
+        g = rd.parse_edgelist(f"n {n}\n" + "\n".join(lines))
+        edges = [line.split() for line in lines if line.strip() and not line.lstrip().startswith("#")]
+        h = rd.build_graph(n, [(int(u), int(v), float(w)) for u, v, w in edges])
+        assert h.m > 1000
+        assert g.n == h.n
+        for a, b in zip(g.edges(), h.edges()):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

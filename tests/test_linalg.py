@@ -11,8 +11,8 @@ import resdecomp as rd
 from resdecomp import linalg
 from resdecomp.linalg import ZETA_CAP, ZETA_FLOOR
 
-from conftest import (jacobi_pcg, log_uniform_mesh, one_shot_probe_system, path_graph,
-                      random_connected_graph, skewed)
+from conftest import (exact_reff, exact_reff_matrix, jacobi_pcg, log_uniform_mesh,
+                      one_shot_probe_system, path_graph, random_connected_graph, skewed)
 
 
 # iterations within which every PCG solve of these tests stops
@@ -94,8 +94,8 @@ class TestGroundedCholesky:
         assert solver.method == "dense"
         rd.solve_laplacian_many(solver, _unit_pair_rhs(g.n, 0, g.n - 1)[None], 1e-8)
         solver.reff_matrix()
-        rd.exact_reff(g, 3, 17)
-        rd.exact_reff_matrix(g)
+        exact_reff(g, 3, 17)
+        exact_reff_matrix(g)
         monkeypatch.undo()
         # the public attribute is still there, built on first use
         assert (solver.laplacian != rd.assemble_laplacian(g)).nnz == 0
@@ -104,7 +104,7 @@ class TestGroundedCholesky:
         g = skewed(rd.grid2d(6), np.exp(5.0), seed=2)
         solver = rd.LaplacianSolver(g, "iterative")
         assert solver.method == "iterative"
-        assert solver.reff_matrix().tobytes() == rd.exact_reff_matrix(g).tobytes()
+        assert solver.reff_matrix().tobytes() == exact_reff_matrix(g).tobytes()
 
 
 class TestSolveLaplacian:
@@ -520,7 +520,7 @@ class TestStPotential:
         assert np.abs(loose - exact).max() <= rd.implied_potential_accuracy(g, 0.5)
         p = rd.st_potential(solver, 0, g.n - 1, 1e-10)
         assert np.abs(p - exact).max() <= rd.implied_potential_accuracy(g, 1e-10)
-        assert p[0] == pytest.approx(rd.exact_reff(g, 0, g.n - 1), abs=1e-8)
+        assert p[0] == pytest.approx(exact_reff(g, 0, g.n - 1), abs=1e-8)
 
     @pytest.mark.parametrize("zeta", [np.nan, 0.0, 1.0])
     def test_zeta_validated(self, zeta):
@@ -541,45 +541,45 @@ class TestExactReff:
         # exact_reff(g, 0.0, 2) once answered for vertex 0
         g = path_graph(3)
         with pytest.raises(ValueError, match="vertices"):
-            rd.exact_reff(g, s, t)
-        assert rd.exact_reff(g, np.int32(0), np.int64(2)) == rd.exact_reff(g, 0, 2)
+            exact_reff(g, s, t)
+        assert exact_reff(g, np.int32(0), np.int64(2)) == exact_reff(g, 0, 2)
 
     def test_one_resistor(self):
         g = rd.build_graph(2, [(0, 1, 4.0)])
-        assert rd.exact_reff(g, 0, 1) == pytest.approx(0.25, rel=1e-12)
+        assert exact_reff(g, 0, 1) == pytest.approx(0.25, rel=1e-12)
 
     def test_series(self):
-        assert rd.exact_reff(path_graph(3), 0, 2) == pytest.approx(2.0, rel=1e-12)
+        assert exact_reff(path_graph(3), 0, 2) == pytest.approx(2.0, rel=1e-12)
 
     def test_triangle_parallel(self):
-        assert rd.exact_reff(rd.complete(3), 0, 1) == pytest.approx(2 / 3, rel=1e-12)
+        assert exact_reff(rd.complete(3), 0, 1) == pytest.approx(2 / 3, rel=1e-12)
 
     def test_complete_graph_formula(self):
         # Reff on K_n is 2/n for every pair; cross-check the pinv oracle too
         for n in (4, 6, 9):
             g = rd.complete(n)
-            R = rd.exact_reff_matrix(g)
+            R = exact_reff_matrix(g)
             off = R[~np.eye(n, dtype=bool)]
             assert np.allclose(off, 2 / n, rtol=1e-9)
-            assert rd.exact_reff(g, 0, n - 1) == pytest.approx(2 / n, rel=1e-9)
+            assert exact_reff(g, 0, n - 1) == pytest.approx(2 / n, rel=1e-9)
 
     def test_symmetry_exact(self, corpus):
         for g in corpus[:10]:
-            assert rd.exact_reff(g, 0, g.n - 1) == rd.exact_reff(g, g.n - 1, 0)
+            assert exact_reff(g, 0, g.n - 1) == exact_reff(g, g.n - 1, 0)
 
     def test_cross_component_infinite(self):
         g = rd.build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(rd.InfiniteResistanceError):
-            rd.exact_reff(g, 0, 3)
+            exact_reff(g, 0, 3)
         # within one component of a disconnected graph is fine
-        assert rd.exact_reff(g, 0, 1) == pytest.approx(1.0, rel=1e-12)
+        assert exact_reff(g, 0, 1) == pytest.approx(1.0, rel=1e-12)
 
     def test_matrix_matches_pairwise(self, corpus):
         g = corpus[0]
-        R = rd.exact_reff_matrix(g)
+        R = exact_reff_matrix(g)
         for s in range(g.n):
             for t in range(s + 1, g.n):
-                assert R[s, t] == pytest.approx(rd.exact_reff(g, s, t), abs=1e-9)
+                assert R[s, t] == pytest.approx(exact_reff(g, s, t), abs=1e-9)
 
     def test_matrix_matches_pinv_reference(self, corpus):
         base = rd.grid2d(10)
@@ -590,13 +590,13 @@ class TestExactReff:
             d = np.diag(P)
             reference = d[:, None] + d[None, :] - 2 * P
             np.fill_diagonal(reference, 0.0)
-            assert np.allclose(rd.exact_reff_matrix(g), reference, rtol=1e-10, atol=0.0)
+            assert np.allclose(exact_reff_matrix(g), reference, rtol=1e-10, atol=0.0)
 
     def test_matrix_single_vertex(self):
-        assert rd.exact_reff_matrix(rd.build_graph(1, [])).tolist() == [[0.0]]
+        assert exact_reff_matrix(rd.build_graph(1, [])).tolist() == [[0.0]]
 
     def test_resistance_diameter(self):
-        assert rd.exact_reff_matrix(path_graph(5)).max() == pytest.approx(4.0, rel=1e-9)
+        assert exact_reff_matrix(path_graph(5)).max() == pytest.approx(4.0, rel=1e-9)
 
 
 class TestResistanceProperties:
@@ -605,11 +605,11 @@ class TestResistanceProperties:
             zeta = rd.required_solver_accuracy(g, 1e-8)
             p = rd.st_potential(rd.LaplacianSolver(g), 0, g.n - 1, zeta)
             drop = p[0] - p[g.n - 1]
-            assert abs(drop - rd.exact_reff(g, 0, g.n - 1)) <= 1e-6
+            assert abs(drop - exact_reff(g, 0, g.n - 1)) <= 1e-6
 
     def test_metric_axioms(self, corpus):
         for g in corpus[:15]:
-            R = rd.exact_reff_matrix(g)
+            R = exact_reff_matrix(g)
             assert np.allclose(R, R.T, atol=1e-9)
             assert np.all(np.diag(R) == 0)
             triple = R[:, :, None] + R[None, :, :]   # [i,j,k] = R(i,j) + R(j,k)
@@ -620,12 +620,12 @@ class TestResistanceProperties:
             A = g.adjacency_matrix().astype(float)
             A.data = 1.0 / A.data
             dist = csgraph.dijkstra(A, directed=False)
-            R = rd.exact_reff_matrix(g)
+            R = exact_reff_matrix(g)
             assert (R <= dist + 1e-9).all()
 
     def test_foster_sum(self, corpus):
         for g in corpus[:15]:
-            R = rd.exact_reff_matrix(g)
+            R = exact_reff_matrix(g)
             eu, ev, ew = g.edges()
             total = float((ew * R[eu, ev]).sum())
             assert total == pytest.approx(g.n - 1, abs=1e-6)
@@ -634,8 +634,8 @@ class TestResistanceProperties:
         alpha = 3.7
         for g in corpus[:10]:
             h = rd.scale_weights(g, alpha)
-            r_g = rd.exact_reff(g, 0, g.n - 1)
-            r_h = rd.exact_reff(h, 0, g.n - 1)
+            r_g = exact_reff(g, 0, g.n - 1)
+            r_h = exact_reff(h, 0, g.n - 1)
             assert r_h == pytest.approx(r_g / alpha, rel=1e-9)
 
 

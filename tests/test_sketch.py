@@ -12,8 +12,8 @@ import resdecomp as rd
 from resdecomp import linalg, sketch
 from resdecomp.sketch import PROBE_COUNT_CONSTANT, _num_probes
 
-from conftest import (fix_probe_count, log_uniform_mesh, one_shot_probe_system, path_graph,
-                      skewed)
+from conftest import (exact_reff, exact_reff_matrix, fix_probe_count, log_uniform_mesh,
+                      one_shot_probe_system, path_graph, skewed)
 
 
 BETA = math.log(1.5)
@@ -72,14 +72,14 @@ class TestApproxReffFromSource:
         # sketch runs its exact regime and returns the oracle's row
         for g in corpus:
             A = rd.approx_reff_from_source(g, 0)
-            R = rd.exact_reff_matrix(g)
+            R = exact_reff_matrix(g)
             ratios = A[1:] / R[0, 1:]
             assert math.exp(-BETA) <= ratios.min() and ratios.max() <= math.exp(BETA)
 
     def test_exact_regime_matches_oracle_tightly(self, corpus):
         g = corpus[0]
         A = rd.approx_reff_from_source(g, 0)
-        R = rd.exact_reff_matrix(g)
+        R = exact_reff_matrix(g)
         assert np.allclose(A[1:], R[0, 1:], rtol=1e-7)
 
     def test_deterministic(self):
@@ -120,7 +120,7 @@ class TestApproxReffFromSource:
         pairs = batches[1]
         assert (pairs[:, 0] == 1.0).all() and (pairs.sum(axis=1) == 0.0).all()
         for v in pairs.argmin(axis=1):
-            assert A[v] == pytest.approx(rd.exact_reff(g, 0, int(v)), abs=1e-9)
+            assert A[v] == pytest.approx(exact_reff(g, 0, int(v)), abs=1e-9)
 
     @pytest.mark.parametrize("g, seed", [(rd.complete(4), 1), (rd.grid2d(3), 5)],
                              ids=["complete4-seed1", "grid3-seed5"])
@@ -139,7 +139,7 @@ class TestApproxReffFromSource:
         assert zeta >= 2.0 ** -23
         assert [z for _, z in batches] == [zeta - 2.0 ** -24, zeta]
         for v in batches[1][0].argmin(axis=1):
-            R = rd.exact_reff(g, 0, int(v))
+            R = exact_reff(g, 0, int(v))
             assert (1 - zeta) * R <= A[v] <= (1 + zeta) * R
 
     def test_probe_count_capped_at_edge_count(self, monkeypatch):
@@ -157,7 +157,7 @@ class TestApproxReffFromSource:
         fix_probe_count(monkeypatch, 10 * g.m)
         A = rd.approx_reff_from_source(g, 0)
         assert drawn == [g.m]
-        assert np.allclose(A, rd.exact_reff_matrix(g)[0], rtol=1e-9, atol=0.0)
+        assert np.allclose(A, exact_reff_matrix(g)[0], rtol=1e-9, atol=0.0)
 
     def test_solver_for_other_graph_rejected(self):
         solver = rd.LaplacianSolver(path_graph(3))
@@ -238,7 +238,7 @@ class TestExactRegime:
         method = "iterative" if backend == "iterative" else "auto"
         solver = rd.LaplacianSolver(g, method)
         assert solver.method == backend
-        R = rd.exact_reff_matrix(g)
+        R = exact_reff_matrix(g)
         for u in (0, 27, g.n - 1):
             A = rd.approx_reff_from_source(g, u, solver=solver)
             assert A[u] == 0.0
@@ -457,7 +457,7 @@ class TestProbeWorkers:
     def pooled(self, monkeypatch):
         """Pools the probe chunks at any size; returns a setter for the
         worker count."""
-        monkeypatch.setattr(sketch, "_POOL_MIN_VERTICES", 0)
+        monkeypatch.setattr(sketch, "_POOL_MIN_NONZEROS", 0)
         return lambda workers: monkeypatch.setattr(sketch, "_probe_workers", lambda: workers)
 
     @pytest.mark.parametrize("make", [lambda: rd.random_regular(3000, 4, 1),
@@ -538,13 +538,47 @@ class TestProbeWorkers:
         assert built == [g.n]
 
     def test_small_graph_solves_in_calling_thread(self, monkeypatch):
+        # the pool is chosen by the Laplacian's nonzeros, n + 2m
         g = rd.random_regular(3000, 4, 1)
-        assert g.n < sketch._POOL_MIN_VERTICES
+        assert g.n + 2 * g.m == 15_000 < sketch._POOL_MIN_NONZEROS
         monkeypatch.setattr(sketch, "_probe_workers", lambda: 2)
         threads = set()
         record_solves(monkeypatch, before=lambda start: threads.add(threading.get_ident()))
         rd.approx_reff_from_source(g, 0, solver=rd.LaplacianSolver(g, "iterative"))
         assert threads == {threading.get_ident()}
+
+    @pytest.mark.parametrize("make, nonzeros, joins_pool", [
+        (lambda: rd.random_regular(6000, 4, 1), 30_000, True),
+        (lambda: rd.random_regular(5000, 4, 1), 25_000, False),
+        (lambda: rd.hypercube(11), 24_576, False),
+        (lambda: rd.grid2d(60), 17_760, False),
+    ], ids=["rr6000", "rr5000", "hypercube11", "grid60"])
+    def test_pool_chosen_by_laplacian_nonzeros(self, monkeypatch, make, nonzeros, joins_pool):
+        # two probe chunks and two workers: the chunks leave the calling
+        # thread exactly when n + 2m reaches the threshold
+        g = make()
+        assert g.n + 2 * g.m == nonzeros
+        fix_probe_count(monkeypatch, 2 * sketch._PROBE_CHUNK)
+        monkeypatch.setattr(sketch, "_probe_workers", lambda: 2)
+        threads = set()
+        record_solves(monkeypatch, before=lambda start: threads.add(threading.get_ident()))
+        rd.approx_reff_from_source(g, 0, solver=rd.LaplacianSolver(g, "iterative"))
+        assert (threads != {threading.get_ident()}) == joins_pool
+
+    def test_hypercube12_pooled_bytes_equal_one_worker_count(self, monkeypatch):
+        # 4096 vertices but 53,248 nonzeros, above the threshold: two
+        # workers solve chunks off the calling thread, with the bytes of one
+        g = rd.hypercube(12)
+        solver = rd.LaplacianSolver(g, "iterative")
+        threads = set()
+        record_solves(monkeypatch, before=lambda start: threads.add(threading.get_ident()))
+        out = {}
+        for workers in (2, 1):
+            monkeypatch.setattr(sketch, "_probe_workers", lambda: workers)
+            threads.clear()
+            out[workers] = rd.approx_reff_from_source(g, 0, solver=solver).tobytes()
+            assert (threads - {threading.get_ident()} != set()) == (workers > 1)
+        assert out[1] == out[2]
 
 
 class TestGramInverse:
@@ -600,7 +634,7 @@ class TestProbeAccuracy:
         solver = rd.LaplacianSolver(g, "iterative")
         A = rd.approx_reff_from_source(g, 0, cfg, solver)
         floor = one_shot_estimates(g, 0, cfg, solver, zeta=linalg.ZETA_FLOOR)
-        R = rd.exact_reff_matrix(g)[0]
+        R = exact_reff_matrix(g)[0]
         drift = np.abs(np.sqrt(A) - np.sqrt(floor))
         assert (drift <= sketch.SOLVE_ERROR_SHARE * cfg.beta * np.sqrt(R)).all()
 
@@ -659,13 +693,13 @@ class TestFurthestPair:
     def test_path5_guarantee(self):
         g = path_graph(5)  # resistance diameter 4, attained by the endpoints
         u, v, est = rd.furthest_pair(g)
-        assert rd.exact_reff(g, u, v) >= 4.0 / 3.0
+        assert exact_reff(g, u, v) >= 4.0 / 3.0
         assert (u, v) == (0, 4)
 
     def test_factor_three_on_corpus(self, corpus100):
         for g in corpus100:
             u, v, est = rd.furthest_pair(g)
-            R = rd.exact_reff_matrix(g)
+            R = exact_reff_matrix(g)
             assert R[u, v] >= R.max() / 3.0 - 1e-12
             # the estimate itself honors the multiplicative bracket
             assert math.exp(-BETA) * R[u, v] - 1e-12 <= est <= math.exp(BETA) * R[u, v] + 1e-12

@@ -8,7 +8,7 @@ import resdecomp as rd
 from resdecomp.linalg import DENSE_SOLVE_LIMIT
 from resdecomp.sweep import _level_profile
 
-from conftest import fix_probe_count, log_uniform_mesh, path_graph, skewed
+from conftest import exact_reff_matrix, fix_probe_count, log_uniform_mesh, path_graph, skewed
 
 # Gate constant for the certificate-soundness property: whenever the exact
 # resistance diameter exceeds CERTIFICATE_DIAMETER_FACTOR times the sketch
@@ -154,7 +154,7 @@ class TestFindSparseCut:
         assert res.certificate_c == min(prof.scores)
         # the diameter really is tiny here, so no useful sparse cut exists:
         # the target derived from Reff = 1/4 sits above every balanced score
-        assert rd.exact_reff_matrix(g).max() == pytest.approx(0.25, rel=1e-9)
+        assert exact_reff_matrix(g).max() == pytest.approx(0.25, rel=1e-9)
         expected_target = math.sqrt(2 * 7 ** -0.5 / (res.reff_estimate * 0.25))
         assert res.target_c == pytest.approx(expected_target, rel=1e-9)
 
@@ -182,7 +182,7 @@ class TestFindSparseCut:
         triggered = 0
         for g in graphs:
             res = rd.find_sparse_cut(g, 0.25)
-            rdiam = rd.exact_reff_matrix(g).max()
+            rdiam = exact_reff_matrix(g).max()
             if rdiam > CERTIFICATE_DIAMETER_FACTOR * res.reff_estimate:
                 triggered += 1
                 assert res.certificate_c <= res.target_c
