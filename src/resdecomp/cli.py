@@ -51,6 +51,9 @@ def _round_floats(obj):
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
+        # integer and bool entries pass the walk unchanged: skip it
+        if obj.dtype.kind in "biu":
+            return obj.tolist()
         return [_round_floats(x) for x in obj.tolist()]
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}

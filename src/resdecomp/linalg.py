@@ -9,13 +9,16 @@ once, with one of three backends:
   from the edge arrays and factored in place;
 - "sparse": a sparse LU factor (SuperLU) of the grounded Laplacian;
 - "iterative": Jacobi-preconditioned conjugate gradient, run as plain
-  conjugate gradient on D^{-1/2} L D^{-1/2} (D the weighted degrees) with
-  in-place BLAS updates, stopped by a certificate of the contract built
-  from one spanning tree. Its dot products are summed in fixed blocks, so
-  its bits do not depend on the BLAS thread count.
+  conjugate gradient on the Schur complement that D^{-1/2} L D^{-1/2} (D
+  the weighted degrees) leaves once a maximal independent set is
+  eliminated exactly, with in-place updates and no allocation per
+  iteration, stopped by a certificate of the contract built from one
+  spanning tree. Its dot products are summed in fixed blocks, so its bits
+  do not depend on the BLAS thread count.
 
 The sparse Laplacian is assembled only for the backends that read it:
-sparse LU, PCG and the fill probe.
+sparse LU and the fill probe. PCG builds its operator from the edge
+arrays.
 
 The two direct backends meet the contract up to rounding. PCG stops on
 Thomson's principle: the error e = x̂ − L†b solves Le = r for the residual
@@ -44,6 +47,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import daxpy, ddot, dscal
+from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import ConvergenceError, DisconnectedGraphError, InfiniteResistanceError
 from .graph import WeightedGraph, _is_int, connected_components, induced_subgraph
@@ -112,12 +116,15 @@ class LaplacianSolver:
     the resolved backend. The constructor then factors the grounded
     Laplacian: dense Cholesky writes it from the edge arrays and factors it
     in place, sparse LU factors the sparse L. :attr:`laplacian`, the sparse
-    L, is assembled on first use, so only the fill probe, sparse LU and PCG
-    build it. PCG is conjugate gradient on D^{-1/2} L D^{-1/2}, which it
-    builds on its first solve beside its shortest-path spanning tree from
-    vertex 0 (edge lengths 1/w); the tree's flow energy certifies each
-    stop: PCG stops once the tree energy of the residual is at most
-    ζ²‖b‖²/(2·max deg), evaluated where an energy ratio predicts a pass.
+    L, is assembled on first use, so only the fill probe and sparse LU
+    build it. PCG is conjugate gradient on the Schur complement S of
+    D^{-1/2} L D^{-1/2} once the greedy maximal independent set (in vertex-id
+    order) is eliminated; no fill arises inside that set, and on a
+    bipartite graph it halves the system. PCG builds that operator on its
+    first solve beside its shortest-path spanning tree from vertex 0 (edge
+    lengths 1/w); the tree's flow energy certifies each stop: PCG stops
+    once the tree energy of the residual is at most ζ²‖b‖²/(2·max deg),
+    evaluated where an energy ratio predicts a pass.
     Every solve call starts from the lower bound 1/2 on that ratio, and
     each later row of the call from the ratio measured at the row before,
     so it usually checks once. A call's bits depend on nothing outside it,
@@ -164,8 +171,9 @@ class LaplacianSolver:
 
     @cached_property
     def laplacian(self) -> sp.csr_matrix:
-        """The sparse Laplacian, assembled on first use: only the fill probe,
-        sparse LU and PCG read it, so a dense solver never builds it."""
+        """The sparse Laplacian, assembled on first use: only the fill probe
+        and sparse LU read it, so a dense or an explicitly iterative solver
+        never builds it."""
         return assemble_laplacian(self.graph)
 
     @cached_property
@@ -175,16 +183,37 @@ class LaplacianSolver:
         return _spanning_tree(self.graph)
 
     @cached_property
-    def _scaled(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-        """PCG's operator D^{-1/2} L D^{-1/2}, built on first use, with √deg
-        and 1/√deg. Its CSR shares L's index arrays; only the data is new."""
-        L = self.laplacian
-        sqrt_deg = np.sqrt(self.graph.degrees)
+    def _reduced(self) -> tuple[np.ndarray, sp.csr_matrix, sp.csr_matrix, np.ndarray, np.ndarray]:
+        """PCG's operator, built on first use from the edge arrays (see
+        :func:`_pcg`): the vertex order V₁ then V₂, with V₂ the greedy
+        independent set of :func:`_independent_set` and each part in id
+        order; in that order, the V₁ rows of D^{-1/2} L D^{-1/2} − I, which
+        are −[E | Cᵀ], and the V₂ rows of I − D^{-1/2} L D^{-1/2}, which are
+        [C | 0] and stored as the n₂×n₁ matrix C; and √deg and 1/√deg in that
+        order."""
+        g = self.graph
+        in_set = _independent_set(g)
+        order = np.concatenate([np.flatnonzero(~in_set), np.flatnonzero(in_set)])
+        n1 = g.n - int(in_set.sum())
+        sqrt_deg = np.sqrt(g.degrees[order])
         inv_sqrt = 1.0 / sqrt_deg
-        data = np.repeat(inv_sqrt, np.diff(L.indptr))
-        data *= L.data
-        data *= inv_sqrt[L.indices]
-        return sp.csr_matrix((data, L.indices, L.indptr), shape=L.shape), sqrt_deg, inv_sqrt
+        # D^{-1/2} W D^{-1/2} with rows and columns in the order V₁, V₂
+        N = g.adjacency_matrix()[order]
+        position = np.empty(g.n, dtype=N.indices.dtype)
+        position[order] = np.arange(g.n)
+        N.indices = position[N.indices]
+        data = np.repeat(inv_sqrt, np.diff(N.indptr))
+        data *= N.data
+        data *= inv_sqrt[N.indices]
+        N.data = data
+        N.sort_indices()
+        split = N.indptr[n1]
+        N.data[:split] *= -1.0
+        upper = sp.csr_matrix((N.data[:split], N.indices[:split], N.indptr[:n1 + 1]),
+                              shape=(n1, g.n))
+        lower = sp.csr_matrix((N.data[split:], N.indices[split:], N.indptr[n1:] - split),
+                              shape=(g.n - n1, n1))
+        return order, upper, lower, sqrt_deg, inv_sqrt
 
     def reff_matrix(self) -> np.ndarray | None:
         """All-pairs effective resistances of the solver's graph (read-only),
@@ -229,6 +258,18 @@ def _spanning_tree(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return order, last, res
 
 
+def _independent_set(g: WeightedGraph) -> np.ndarray:
+    """A maximal independent set of g as a boolean mask: the greedy one in
+    vertex-id order, which takes each vertex that no vertex taken before
+    it neighbours."""
+    taken, blocked = np.zeros(g.n, dtype=bool), np.zeros(g.n, dtype=bool)
+    for v in range(g.n):
+        if not blocked[v]:
+            taken[v] = True
+            blocked[g.indices[g.indptr[v]:g.indptr[v + 1]]] = True
+    return taken
+
+
 def _tree_energy(solver: LaplacianSolver, r: np.ndarray) -> float:
     """Energy Σ_{e∈T} f_e²/w_e of the flow that routes r − mean(r) along the
     solver's spanning tree T, where f_e is the sum of r − mean(r) over the
@@ -271,56 +312,98 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 def _pcg(solver: LaplacianSolver, B: np.ndarray, zeta: float) -> None:
     """Overwrite each nonzero row b of ``B`` with its certified solution.
 
-    Conjugate gradient on L̃ = D^{-1/2} L D^{-1/2}, which is Jacobi PCG on L
-    in exact arithmetic: with r̃ = D^{-1/2} r and x̃ = D^{1/2} x, rᵀD⁻¹r =
-    r̃ᵀr̃ and dᵀLd = d̃ᵀL̃d̃, so every step length is the same, and r̃ᵀr̃
-    feeds both the stop test and the next direction. A row stops once the
-    tree energy of its residual D^{1/2} r̃ is at most ζ²‖b‖²/λmax. That
-    energy is evaluated at each iterate where r̃ᵀr̃ times a ratio
-    energy/r̃ᵀr̃ reaches the goal. The first row of every call takes
-    ``_PCG_FIRST_RATIO`` = 1/2, a lower bound: the energy is at least
-    r̃ᵀL̃†r̃ and L̃'s eigenvalues are at most 2, so it checks every iterate
-    that could pass. Each later row takes the ratio measured at the
-    previous row's stop, so it usually checks once. The ratio decides which
-    iterates are checked, and so where a row stops: the rows' bits depend
-    on the call's batch, and on nothing outside the call. The iterate at
-    which the budget runs out is always checked, so a row raises
-    :class:`ConvergenceError` only on an iterate the tree does not certify.
+    Jacobi PCG on L is conjugate gradient on L̃ = D^{-1/2} L D^{-1/2} =
+    I − N, N the degree-scaled adjacency, for x̃ = D^{1/2} x and
+    b̃ = D^{-1/2} b (step lengths and residual norms are the same). With a
+    maximal independent set V₂ ordered last (:attr:`LaplacianSolver._reduced`),
+    N = [[E, Cᵀ], [C, 0]], and L̃x̃ = b̃ reads (I − E)x₁ − Cᵀx₂ = b̃₁,
+    x₂ = b̃₂ + C x₁. Eliminating x₂ exactly leaves S x₁ = c, with the Schur
+    complement S = I − E − CᵀC and c = b̃₁ + Cᵀb̃₂; this runs conjugate
+    gradient on that system from x₁ = 0, then sets x₂ = b̃₂ + C x₁. An
+    iteration computes t = C d and S d = d − [E | Cᵀ](d, t): two CSR
+    products through ``csr_matvec``, the kernel scipy's ``@`` calls,
+    written into vectors allocated once per call.
+
+    The full system sees exactly what the reduced one does. For any x₁, the
+    residual of (x₁, b̃₂ + C x₁) is (c − S x₁, 0) = (r₁, 0): its V₂ rows
+    vanish by construction, and its V₁ rows are b̃₁ − (I − E)x₁ +
+    Cᵀ(b̃₂ + C x₁). For an error e = (e₁, C e₁), eᵀL̃e = e₁ᵀS e₁, so
+    ‖x̂ − x‖_L = ‖x̂₁ − x₁‖_S, and in particular ‖x̂‖²_L = ‖x̂₁‖²_S + ‖b̃₂‖²
+    for the iterate x̂. Conjugate gradient's x̂₁ is the S-orthogonal
+    projection of x₁ onto a Krylov space, so ‖x̂₁‖_S ≤ ‖x₁‖_S and
+    ‖x̂‖_L ≤ ‖x‖_L. S is singular only along D₁^{1/2}1, to which c, like
+    b, is orthogonal.
+
+    A row stops once the tree energy of its residual D^{1/2}(r₁, 0) is at
+    most ζ²‖b‖²/λmax. That energy is evaluated at each iterate where r₁ᵀr₁
+    times a ratio energy/r₁ᵀr₁ reaches the goal. The first row of every
+    call takes ``_PCG_FIRST_RATIO`` = 1/2, a lower bound: the energy is at
+    least r̃ᵀL̃†r̃ for r̃ = (r₁, 0), and L̃'s eigenvalues are at most 2, so it
+    checks every iterate that could pass. Each later row takes the ratio
+    measured at the previous row's stop, so it usually checks once. The
+    ratio decides which iterates are checked, and so where a row stops: the
+    rows' bits depend on the call's batch, and on nothing outside the call.
+    The iterate at which the budget runs out is always checked, so a row
+    raises :class:`ConvergenceError` only on an iterate the tree does not
+    certify.
     """
-    Lt, sqrt_deg, inv_sqrt = solver._scaled
+    order, upper, lower, sqrt_deg, inv_sqrt = solver._reduced
     lam_max, maxiter = solver._lambda_max, PCG_MAX_ITERATIONS
-    n = B.shape[1]
-    x, r, d = np.empty(n), np.empty(n), np.empty(n)
+    n1, n = upper.shape
+    # the matvec arguments of −[E | Cᵀ] and of C; each product adds into its output
+    up = (n1, n, upper.indptr, upper.indices, upper.data)
+    low = (n - n1, n1, lower.indptr, lower.indices, lower.data)
+    v1, v2 = order[:n1], order[n1:]
+    sqrt1, inv2 = sqrt_deg[:n1], inv_sqrt[n1:]
+    # xt = (x₁, x₂) and dt = (d, C d), in the order V₁, V₂
+    xt, dt = np.empty(n), np.empty(n)
+    x, x2, d = xt[:n1], xt[n1:], dt[:n1]
+    c, r, q = np.empty(n1), np.empty(n1), np.empty(n1)
+    res = np.zeros(n)  # the residual D^{1/2}(r₁, 0), in vertex order
+
+    def schur_product(zt: np.ndarray, out: np.ndarray) -> None:
+        """out = S·zt[:n1], with C·zt[:n1] left in zt[n1:]."""
+        zt[n1:] = 0.0
+        csr_matvec(*low, zt[:n1], zt[n1:])
+        out[:] = zt[:n1]
+        csr_matvec(*up, zt, out)
+
     ratio = _PCG_FIRST_RATIO
     for b in B:
         if not b.any():
             continue
         bnorm = math.sqrt(_dot(b, b))
         goal = (zeta * bnorm) ** 2 / lam_max
+        # c = b̃₁ + Cᵀb̃₂, as −(−b̃₁ + (−[E | Cᵀ])(0, b̃₂))
+        np.multiply(b[order], inv_sqrt, out=xt)
+        np.negative(x, out=c)
         x.fill(0.0)
-        np.multiply(b, inv_sqrt, out=r)
-        d[:] = r
+        csr_matvec(*up, xt, c)
+        np.negative(c, out=c)
+        r[:] = c
+        d[:] = c
         delta = _dot(r, r)
         it = 0
         while True:
             if delta * ratio <= goal or it >= maxiter:
-                res = sqrt_deg * r
+                np.multiply(r, sqrt1, out=q)
+                res[v1] = q
                 energy = _tree_energy(solver, res)
                 if energy <= goal:
                     break
                 if it >= maxiter:
-                    resnorm = math.sqrt(_dot(res, res))
+                    resnorm = math.sqrt(_dot(q, q))
                     attained = math.sqrt(energy * lam_max) / bnorm
                     raise ConvergenceError(
                         f"PCG did not certify zeta {zeta:.3e} within {maxiter} iterations "
                         f"(residual {resnorm:.3e}, attained zeta {attained:.3e})",
                         residual=resnorm, attained_zeta=attained)
-            q = Lt @ d
+            schur_product(dt, q)
             alpha = delta / _dot(d, q)
             daxpy(d, x, a=alpha)
-            if (it + 1) % 50 == 0:  # periodic refresh against drift
-                np.multiply(b, inv_sqrt, out=r)
-                r -= Lt @ x
+            if (it + 1) % 50 == 0:  # periodic refresh against drift: r = c − S x
+                schur_product(xt, r)
+                np.subtract(c, r, out=r)
             else:
                 daxpy(q, r, a=-alpha)
             delta_new = _dot(r, r)
@@ -331,7 +414,10 @@ def _pcg(solver: LaplacianSolver, B: np.ndarray, zeta: float) -> None:
         # an exactly vanishing residual is certified but measures no ratio
         if delta > 0.0:
             ratio = energy / delta
-        np.multiply(x, inv_sqrt, out=b)
+        np.multiply(b[v2], inv2, out=x2)
+        csr_matvec(*low, x, x2)  # x₂ = b̃₂ + C x₁
+        xt *= inv_sqrt
+        b[order] = xt
         b -= b.mean()
 
 

@@ -89,10 +89,11 @@ _GRAM_BLOCK = 1024
 # Threads that solve PCG probe chunks, at most; one per usable CPU.
 _PROBE_THREADS = 2
 # Below this many Laplacian nonzeros, n + 2m, the PCG probe chunks stay in
-# the calling thread: a matvec there is so short that the threads mostly
-# wait on the interpreter lock. Two threads against one, one sketch: rr(3000)
-# (15.0k nonzeros) +42%, grid2d(60) (17.8k) +21%, rr(5000) (25.0k) 0%,
-# rr(6000) (30.0k) -7%, hypercube(12) (53.2k) -20 to -25%.
+# the calling thread: the kernel's calls hold the interpreter lock, and on
+# smaller graphs the threads mostly wait for it. Two threads against one,
+# one sketch (README "BLAS threads"): rr(3000) (15.0k nonzeros) +2%,
+# grid2d(60) (17.8k) +26%, rr(5000) (25.0k) +17%, rr(6000) (30.0k) +7%,
+# grid2d(80) (31.7k) -14%, rr(10000) (50.0k) -11%, hypercube(12) (53.2k) -3%.
 _POOL_MIN_NONZEROS = 30_000
 # float32's unit roundoff: the share of ζ a float32 row's rounding takes
 # (see _row_storage).
@@ -275,7 +276,7 @@ def _pcg_probe_rows(solver: LaplacianSolver, incidence_t: sp.spmatrix, signs: np
 
     from concurrent.futures import ThreadPoolExecutor
 
-    solver._tree, solver._scaled  # built here, not raced for by the workers
+    solver._tree, solver._reduced  # built here, not raced for by the workers
     with ThreadPoolExecutor(workers) as pool:
         # read in chunk order; a failed chunk cancels those not yet started
         list(pool.map(solve_chunk, starts))
@@ -311,8 +312,12 @@ def approx_reff_from_source(g: WeightedGraph, u: int,
       y_i = x_i(u) − x_i(v) by at most ζ_s·sqrt(m·Reff(u, v)), since
       |(e_u − e_v)ᵀ e| ≤ ‖e‖_L·sqrt(Reff(u, v));
     - a float32 row rounds each coordinate by at most 2⁻²⁴·|ŷ_i(v)| ≤
-      2⁻²⁴·sqrt(m·Reff(u, v)): PCG's iterate is the L-orthogonal projection
-      of x_i onto a Krylov space, so ‖x̂_i‖_L ≤ ‖x_i‖_L ≤ sqrt(m). The row
+      2⁻²⁴·sqrt(m·Reff(u, v)), since ‖x̂_i‖_L ≤ ‖x_i‖_L ≤ sqrt(m): PCG
+      eliminates an independent set V₂ exactly and runs conjugate gradient
+      on the Schur complement S (see :func:`~resdecomp.linalg._pcg`), so
+      ‖x̂_i‖²_L = ‖x̂_{i,1}‖²_S + ‖b̃_{i,2}‖² ≤ ‖x_{i,1}‖²_S + ‖b̃_{i,2}‖² =
+      ‖x_i‖²_L, its reduced iterate x̂_{i,1} being the S-orthogonal
+      projection of the reduced solution onto a Krylov space. The row
       is stored times 2^−e, e the binary exponent of its largest entry, so
       the largest stored entry lies in [1/2, 1) and every entry down to
       2⁻¹²⁶ of it is a normal float32, where rounding is relative. The

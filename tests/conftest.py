@@ -75,21 +75,43 @@ def log_uniform_mesh(side, lo, hi, seed):
     return rd.build_graph(base.n, zip(base.edge_u.tolist(), base.edge_v.tolist(), w.tolist()))
 
 
-def jacobi_pcg(g, b):
-    """Textbook Jacobi-preconditioned conjugate gradient on the Laplacian of
-    g from x = 0: yields the iterate and its residual (x, r) before the
-    first step and after each step."""
-    L = rd.assemble_laplacian(g)
-    inv_diag = 1.0 / L.diagonal()
-    x, r = np.zeros(g.n), b.copy()
-    d = inv_diag * r
+def greedy_independent_set(g):
+    """The vertices of g taken greedily in id order, each unless a vertex
+    taken before it is its neighbour: a maximal independent set."""
+    taken = set()
+    for v in range(g.n):
+        if not taken.intersection(g.neighbors(v)[0].tolist()):
+            taken.add(v)
+    return sorted(taken)
+
+
+def reduced_cg(g, b):
+    """Textbook conjugate gradient on the Schur complement of the greedy
+    independent set V₂ in D^{-1/2} L D^{-1/2}, from x₁ = 0: yields the
+    iterate and the residual (x, b − L x) of the full system, with
+    x₂ = b̃₂ − Ã₂₁x₁ eliminated exactly, before the first step and after
+    each step."""
+    L = rd.assemble_laplacian(g).toarray()
+    inv_sqrt = 1.0 / np.sqrt(np.diag(L))
+    A = inv_sqrt[:, None] * L * inv_sqrt[None, :]
+    v2 = greedy_independent_set(g)
+    v1 = sorted(set(range(g.n)) - set(v2))
+    A11, A12, A21 = A[np.ix_(v1, v1)], A[np.ix_(v1, v2)], A[np.ix_(v2, v1)]
+    S = A11 - A12 @ A21  # A22 = I on an independent set
+    bt = inv_sqrt * b
+    x1 = np.zeros(len(v1))
+    r = bt[v1] - A12 @ bt[v2]
+    d = r
     while True:
-        yield x, r
-        q = L @ d
-        alpha = (r @ (inv_diag * r)) / (d @ q)
-        x = x + alpha * d
+        xt = np.empty(g.n)
+        xt[v1], xt[v2] = x1, bt[v2] - A21 @ x1
+        x = inv_sqrt * xt
+        yield x, b - L @ x
+        q = S @ d
+        alpha = (r @ r) / (d @ q)
+        x1 = x1 + alpha * d
         r_new = r - alpha * q
-        d = inv_diag * r_new + (r_new @ (inv_diag * r_new)) / (r @ (inv_diag * r)) * d
+        d = r_new + (r_new @ r_new) / (r @ r) * d
         r = r_new
 
 

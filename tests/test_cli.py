@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import resdecomp as rd
@@ -492,6 +493,46 @@ class TestReportDiscipline:
         # eta is an irrational-looking float; rounding must be idempotent
         eta = report["results"]["eta"]
         assert eta == float(f"{eta:.12g}")
+
+    def test_integer_arrays_emit_the_bytes_of_the_element_walk(self, monkeypatch, capsys,
+                                                               tmp_path):
+        # _round_floats hands integer and bool arrays to tolist() whole; the
+        # bytes must be those of the element-by-element walk it skips
+        def walk(obj):
+            if isinstance(obj, float):
+                if not np.isfinite(obj):
+                    return "inf" if obj > 0 else ("-inf" if obj < 0 else "nan")
+                return float(f"{obj:.12g}")
+            if isinstance(obj, np.floating):
+                return walk(float(obj))
+            if isinstance(obj, np.integer):
+                return int(obj)
+            if isinstance(obj, np.ndarray):
+                return [walk(x) for x in obj.tolist()]
+            if isinstance(obj, dict):
+                return {k: walk(v) for k, v in obj.items()}
+            if isinstance(obj, (list, tuple)):
+                return [walk(x) for x in obj]
+            return obj
+
+        reports = [{"arrays": [np.arange(-3, 5, dtype=dtype).reshape(2, 4)
+                               for dtype in (np.int64, np.int32, np.int8)],
+                    "unsigned": np.array([0, 255], dtype=np.uint8),
+                    "flags": np.array([[True, False]]), "empty": np.zeros(0, dtype=np.int64),
+                    "floats": np.array([1 / 3, np.inf, -np.inf, np.nan]),
+                    "scalars": (np.int64(7), True, np.float32(0.1), 2.0 / 3)}]
+        real_emit = cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda report, path: (reports.append(report),
+                                                                real_emit(report, path)))
+        graph = tmp_path / "h6.txt"
+        rd.write_edgelist(rd.hypercube(6), graph)
+        assert execute(["decompose", "--graph", str(graph), "--delta", "8",
+                        "--exact-verify"]) == 0
+        capsys.readouterr()
+        assert len(reports) == 2
+        for report in reports:
+            assert (json.dumps(cli._round_floats(report), indent=2, sort_keys=True)
+                    == json.dumps(walk(report), indent=2, sort_keys=True))
 
     def test_usage_error_exit_code(self, capsys):
         assert execute(["reff"]) == 1

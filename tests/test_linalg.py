@@ -11,8 +11,9 @@ import resdecomp as rd
 from resdecomp import linalg
 from resdecomp.linalg import ZETA_CAP, ZETA_FLOOR
 
-from conftest import (exact_reff, exact_reff_matrix, jacobi_pcg, log_uniform_mesh,
-                      one_shot_probe_system, path_graph, random_connected_graph, skewed)
+from conftest import (exact_reff, exact_reff_matrix, greedy_independent_set, log_uniform_mesh,
+                      one_shot_probe_system, path_graph, random_connected_graph, reduced_cg,
+                      skewed)
 
 
 # iterations within which every PCG solve of these tests stops
@@ -167,9 +168,9 @@ class TestSolveLaplacian:
         with pytest.raises(rd.ConvergenceError) as info:
             _solve(g, b, zeta, "iterative")
         err = info.value
-        # replay two Jacobi PCG steps; the attained zeta is
+        # replay two reduced-system CG steps; the attained zeta is
         # sqrt(tree energy of the residual * 2 max deg) / |b|
-        x, r = next(itertools.islice(jacobi_pcg(g, b), 2, None))
+        x, r = next(itertools.islice(reduced_cg(g, b), 2, None))
         assert err.residual == pytest.approx(np.linalg.norm(r), rel=1e-12)
         lam_max = 2.0 * g.degrees.max()
         expected = np.sqrt(tree_flow_energy(g, r) * lam_max) / np.linalg.norm(b)
@@ -191,10 +192,11 @@ class TestSolveLaplacian:
                 x = _solve(g, b, zeta, "iterative")
                 assert energy_norm(g, x - exact) <= zeta * energy_norm(g, exact) + 1e-13
 
-    def test_kernel_is_jacobi_pcg(self, monkeypatch, corpus):
-        # CG on D^{-1/2} L D^{-1/2} is Jacobi PCG in exact arithmetic: a
-        # one-row solve stops within one iteration of the first textbook
-        # iterate whose residual the tree certifies
+    def test_kernel_is_reduced_system_cg(self, monkeypatch, corpus):
+        # the kernel is CG on the Schur complement of the greedy independent
+        # set in D^{-1/2} L D^{-1/2}: a one-row solve stops within one
+        # iteration of the first textbook iterate whose residual the tree
+        # certifies
         skew = [skewed(rd.grid2d(6), 1e3), skewed(rd.hypercube(5), 1e3),
                 skewed(rd.random_regular(60, 4, 0), 1e2)]
         for g in corpus[:20] + skew:
@@ -203,7 +205,7 @@ class TestSolveLaplacian:
             solver = rd.LaplacianSolver(g, "iterative")
             for zeta in (1e-2, 1e-6):
                 goal = zeta ** 2 * (b @ b) / (2.0 * g.degrees.max())
-                steps = itertools.islice(jacobi_pcg(g, b), PCG_CAP)
+                steps = itertools.islice(reduced_cg(g, b), PCG_CAP)
                 replay, x_replay = next((step, x) for step, (x, r) in enumerate(steps)
                                         if linalg._tree_energy(solver, r) <= goal)
                 for budget in range(PCG_CAP):
@@ -294,6 +296,99 @@ class TestSolveLaplacian:
         X = rd.solve_laplacian_many(solver, B, 1e-6)
         assert np.array_equal(X[1], np.zeros(g.n))
         assert np.array_equal(X[0], rd.solve_laplacian_many(solver, B[:1], 1e-6)[0])
+
+
+def _cycle(n):
+    return rd.build_graph(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
+
+
+def _star(leaves, centre_last):
+    centre = leaves if centre_last else 0
+    return rd.build_graph(leaves + 1, [(centre, v, 1.0) for v in range(leaves + 1)
+                                       if v != centre])
+
+
+BIPARTITE = {"hypercube5": rd.hypercube(5), "grid6": rd.grid2d(6), "cycle12": _cycle(12),
+             "path9": path_graph(9)}
+NON_BIPARTITE = {"cycle11": _cycle(11), "complete5": rd.complete(5),
+                 "expander60": rd.random_regular(60, 4, 0),
+                 "star_centre_first": _star(9, False), "star_centre_last": _star(9, True)}
+
+
+class TestReducedOperator:
+    """PCG runs on the Schur complement of a greedy independent set."""
+
+    @staticmethod
+    def _check_contract(g):
+        rng = np.random.default_rng(5)
+        B = np.vstack([_unit_pair_rhs(g.n, 0, g.n - 1), rng.normal(size=(3, g.n))])
+        B -= B.mean(axis=1, keepdims=True)
+        exact = [dense_pinv_solution(g, b) for b in B]
+        solver = rd.LaplacianSolver(g, "iterative")
+        for zeta in (1e-2, 1e-6, 1e-10):
+            X = rd.solve_laplacian_many(solver, B, zeta)
+            for x, x_ref in zip(X, exact):
+                assert energy_norm(g, x - x_ref) <= zeta * energy_norm(g, x_ref) + 1e-13
+
+    @pytest.mark.parametrize("spread", [1.0, 1e3], ids=["unit", "skew1e3"])
+    @pytest.mark.parametrize("name", BIPARTITE)
+    def test_contract_on_bipartite_graphs(self, name, spread):
+        g = skewed(BIPARTITE[name], spread) if spread > 1 else BIPARTITE[name]
+        # the greedy set is one colour class: V₁ holds half the vertices
+        assert rd.LaplacianSolver(g, "iterative")._reduced[1].shape[0] == g.n // 2
+        self._check_contract(g)
+
+    @pytest.mark.parametrize("spread", [1.0, 1e3], ids=["unit", "skew1e3"])
+    @pytest.mark.parametrize("name", NON_BIPARTITE)
+    def test_contract_on_non_bipartite_graphs(self, name, spread):
+        g = NON_BIPARTITE[name]
+        self._check_contract(skewed(g, spread) if spread > 1 else g)
+
+    @pytest.mark.parametrize("name", [*BIPARTITE, *NON_BIPARTITE])
+    def test_independent_set_is_maximal_and_repeatable(self, name):
+        g = {**BIPARTITE, **NON_BIPARTITE}[name]
+        taken = linalg._independent_set(g)
+        assert np.array_equal(np.flatnonzero(taken), greedy_independent_set(g))
+        assert not (taken[g.edge_u] & taken[g.edge_v]).any()
+        # maximal: every vertex left out has a neighbour in the set
+        assert all(taken[g.neighbors(v)[0]].any() for v in np.flatnonzero(~taken))
+        assert np.array_equal(taken, linalg._independent_set(g))
+        first = rd.LaplacianSolver(g, "iterative")._reduced[0]
+        assert np.array_equal(first, rd.LaplacianSolver(g, "iterative")._reduced[0])
+
+    def test_blocks_are_the_permuted_scaled_laplacian(self):
+        g = skewed(rd.random_regular(60, 4, 0), 1e3)
+        order, upper, lower, sqrt_deg, inv_sqrt = rd.LaplacianSolver(g, "iterative")._reduced
+        n1 = upper.shape[0]
+        assert np.array_equal(sqrt_deg, np.sqrt(g.degrees[order]))
+        assert np.array_equal(order[:n1], np.flatnonzero(~linalg._independent_set(g)))
+        L = rd.assemble_laplacian(g).toarray()[np.ix_(order, order)]
+        scaled = L / np.sqrt(np.outer(g.degrees[order], g.degrees[order]))
+        np.testing.assert_allclose(upper.toarray(), scaled[:n1] - np.eye(n1, g.n), rtol=1e-14)
+        np.testing.assert_allclose(lower.toarray(), -scaled[n1:, :n1], rtol=1e-14)
+        assert not scaled[n1:, n1:][~np.eye(g.n - n1, dtype=bool)].any()
+
+    def test_iterative_solver_never_assembles(self, monkeypatch):
+        # the reduced operator comes from the edge arrays, not from L
+        def fail(*args, **kwargs):
+            raise AssertionError("an iterative solver assembled the Laplacian")
+
+        monkeypatch.setattr(linalg, "assemble_laplacian", fail)
+        g = rd.grid2d(6)
+        x = _solve(g, _unit_pair_rhs(g.n, 0, g.n - 1), 1e-8, "iterative")
+        monkeypatch.undo()
+        exact = dense_pinv_solution(g, _unit_pair_rhs(g.n, 0, g.n - 1))
+        assert energy_norm(g, x - exact) <= 1e-8 * energy_norm(g, exact)
+
+    def test_csr_matvec_equals_matmul(self):
+        # pins the private scipy kernel the loop calls: @ runs the same one
+        g = skewed(rd.grid2d(5), 1e3)
+        _, upper, lower, _, _ = rd.LaplacianSolver(g, "iterative")._reduced
+        v = np.random.default_rng(1).normal(size=g.n)
+        for A in (upper, lower):
+            out = np.zeros(A.shape[0])
+            linalg.csr_matvec(*A.shape, A.indptr, A.indices, A.data, v[:A.shape[1]], out)
+            assert out.tobytes() == (A @ v[:A.shape[1]]).tobytes()
 
 
 class TestBlasThreads:

@@ -537,6 +537,22 @@ class TestProbeWorkers:
             rd.approx_reff_from_source(g, 0, solver=solver)
         assert built == [g.n]
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_reduced_operator_built_once_for_any_worker_count(self, monkeypatch, pooled,
+                                                              workers):
+        # PCG's reduced operator is built in the calling thread before the
+        # pool dispatches, once per solver, so no two workers race to build it
+        built = []
+        real = linalg._independent_set
+        monkeypatch.setattr(linalg, "_independent_set",
+                            lambda g: built.append(threading.get_ident()) or real(g))
+        pooled(workers)
+        g = rd.hypercube(10)
+        solver = rd.LaplacianSolver(g, "iterative")
+        for _ in range(2):
+            rd.approx_reff_from_source(g, 0, solver=solver)
+        assert built == [threading.get_ident()]
+
     def test_small_graph_solves_in_calling_thread(self, monkeypatch):
         # the pool is chosen by the Laplacian's nonzeros, n + 2m
         g = rd.random_regular(3000, 4, 1)
